@@ -6,7 +6,6 @@ derives basic Betti numbers, Morse-Bott Poincare series and ordinary
 Betti numbers via the Gysin sequence.
 """
 
-from ._elim import ACTIVE_BACKEND
 from .exactlin import (
     MatrixQ,
     Rational,
@@ -45,7 +44,6 @@ from .toric import MomentPolytope, polytope_skeleton, simplex_polytope
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVE_BACKEND",
     "DegreeSeries",
     "GkmEdge",
     "GkmGraph",

@@ -13,11 +13,11 @@ arrays.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from ._elim import reduce_int_rows
 from .errors import InputShapeError
 
 #: The coefficient field. ``fractions.Fraction`` already guarantees the
@@ -36,17 +36,28 @@ def _as_rational(value) -> Fraction:
     raise InputShapeError(f"not an exact rational: {value!r}")
 
 
+_RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def is_int(value) -> bool:
+    """True for a JSON integer; ``bool`` is an ``int`` subclass but is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def rational_to_json(q: Fraction):
     """``3/2 -> "3/2"``, ``-4 -> -4`` (bare int for denominator 1)."""
     return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def rational_from_json(obj) -> Fraction:
-    if isinstance(obj, bool) or isinstance(obj, float):
+    """Inverse of :func:`rational_to_json`: an int, or a ``"p"``/``"p/q"`` string."""
+    if is_int(obj):
+        return Fraction(obj)
+    if not isinstance(obj, str) or not _RATIONAL_STRING.fullmatch(obj):
         raise InputShapeError(f"rationals must be ints or 'p/q' strings, got {obj!r}")
     try:
-        return _as_rational(obj)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(obj)
+    except ZeroDivisionError as exc:
         raise InputShapeError(f"bad rational {obj!r}: {exc}") from None
 
 
@@ -163,6 +174,120 @@ class MatrixQ:
         if not rows and cols is None:
             cols = 0
         return cls.from_rows(rows, cols)
+
+
+# --- integer row reduction ---------------------------------------------------
+#
+# Scaling each row to a primitive integer vector first lets the elimination
+# run entirely in (arbitrary-precision) integer arithmetic: a fraction-free
+# variant of Gauss-Jordan where every row combination is followed by a gcd
+# normalization.  The output is the unique reduced row echelon form in
+# integer-normalized presentation, so the result is independent of pivot
+# choices and identical to plain Gauss-Jordan over the rationals.
+
+
+def _primitive(row, start):
+    """Divide ``row[start:]`` by the gcd of its entries, in place."""
+    g = 0
+    for v in row[start:]:
+        if v:
+            g = gcd(g, v)
+            if g == 1:
+                return
+    if g > 1:
+        for j in range(start, len(row)):
+            row[j] //= g
+
+
+def reduce_int_rows(rows, ncols, rank_only=False):
+    """Integer-normalized reduced row echelon form.
+
+    ``rows`` is a list of equal-length lists of Python ints; it is consumed.
+    Returns ``(reduced, pivots)`` where ``reduced[i]`` is a primitive integer
+    vector with a positive entry in column ``pivots[i]`` and zeros in every
+    other pivot column, rows ordered by pivot column and zero rows dropped.
+    The rational RREF row is ``reduced[i]`` divided by its pivot entry.
+
+    With ``rank_only=True`` the back substitution is skipped and ``reduced``
+    holds an (unnormalized) echelon form; only ``pivots`` is meaningful.
+    """
+    rows = [row for row in rows if any(row)]
+    for row in rows:
+        _primitive(row, 0)
+        # keep leading signs positive so pivot products stay positive
+        for v in row:
+            if v:
+                if v < 0:
+                    for j in range(len(row)):
+                        row[j] = -row[j]
+                break
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        # smallest nonzero magnitude keeps the integer growth down
+        best = -1
+        best_abs = 0
+        for i in range(r, nrows):
+            v = rows[i][c]
+            if v:
+                a = -v if v < 0 else v
+                if best < 0 or a < best_abs:
+                    best = i
+                    best_abs = a
+                    if a == 1:
+                        break
+        if best < 0:
+            continue
+        if best != r:
+            rows[r], rows[best] = rows[best], rows[r]
+        prow = rows[r]
+        if prow[c] < 0:
+            for j in range(c, ncols):
+                prow[j] = -prow[j]
+        piv = prow[c]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[c]
+            if not f:
+                continue
+            if piv == 1:
+                for j in range(c, ncols):
+                    row[j] -= f * prow[j]
+            else:
+                for j in range(c, ncols):
+                    row[j] = piv * row[j] - f * prow[j]
+            _primitive(row, c + 1)
+            row[c] = 0
+        pivots.append(c)
+        r += 1
+    del rows[r:]
+    if rank_only:
+        return rows, pivots
+    for k in range(len(pivots) - 1, 0, -1):
+        prow = rows[k]
+        c = pivots[k]
+        piv = prow[c]
+        for i in range(k):
+            row = rows[i]
+            f = row[c]
+            if not f:
+                continue
+            if piv == 1:
+                for j in range(c, ncols):
+                    row[j] -= f * prow[j]
+            else:
+                # prow is zero before c, but the whole of row i must be scaled
+                start = pivots[i]
+                for j in range(start, c):
+                    row[j] = piv * row[j]
+                for j in range(c, ncols):
+                    row[j] = piv * row[j] - f * prow[j]
+            _primitive(row, pivots[i])
+            row[c] = 0
+    return rows, pivots
 
 
 def _scaled_int_rows(rows) -> list[list[int]]:

@@ -31,8 +31,6 @@ from .exactlin import canonical_subspace
 from .gkmcore import GkmEdge, GkmGraph, GkmVertex, GradedMap, GradedVS
 from .exactlin import MatrixQ
 
-EXAMPLE_NAMES = ("simplex", "fiber_join", "hirzebruch", "stiefel")
-
 
 def _unit(i: int, n: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(n))

@@ -21,7 +21,7 @@ product makes the kernel a graded algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,6 +33,7 @@ from .errors import (
 from .exactlin import (
     MatrixQ,
     SubspaceQ,
+    is_int,
     kernel_basis,
     rank_of_rows,
     subspace_from_json,
@@ -47,9 +48,6 @@ class GradedVS:
     """Finite graded vector space: dimension per (nonnegative) degree."""
 
     dims: tuple[tuple[int, int], ...]
-    labels: tuple[tuple[int, tuple[str, ...]], ...] | None = field(
-        default=None, compare=False
-    )
 
     def __post_init__(self):
         seen = set()
@@ -97,7 +95,7 @@ class GradedVS:
             raise InputShapeError("graded space JSON must be {'dims': [[degree, dim], ...]}")
         pairs = obj["dims"]
         if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)
+            isinstance(p, list) and len(p) == 2 and all(is_int(x) for x in p)
             for p in pairs
         ):
             raise InputShapeError("graded dims must be [degree, dim] integer pairs")
@@ -117,6 +115,9 @@ class GradedMap:
     blocks: tuple[tuple[int, MatrixQ], ...]
 
     def __post_init__(self):
+        degrees = [q for q, _ in self.blocks]
+        if len(set(degrees)) != len(degrees):
+            raise InputShapeError(f"graded map lists a degree twice: {sorted(degrees)}")
         object.__setattr__(self, "blocks", tuple(sorted(self.blocks)))
         wanted = {
             q for q in set(self.source.degrees()) & set(self.target.degrees())
@@ -161,7 +162,9 @@ class GradedMap:
             try:
                 q = int(key)
             except ValueError:
-                raise InputShapeError(f"bad pullback degree key {key!r}") from None
+                q = None
+            if q is None or key != str(q):
+                raise InputShapeError(f"bad pullback degree key {key!r}")
             blocks.append((q, MatrixQ.from_json(rows, cols=source.dim(q))))
         return cls(source, target, tuple(blocks))
 
@@ -283,12 +286,10 @@ def graph_from_json(obj) -> GkmGraph:
         rank = obj["rank"]
     except KeyError:
         raise InputShapeError("graph JSON needs a 'rank'") from None
-    if not isinstance(rank, int) or isinstance(rank, bool):
+    if not is_int(rank):
         raise InputShapeError("rank must be an integer")
     for key in ("manifold_dim", "bottom_orbit_dim"):
-        if key in obj and (
-            not isinstance(obj[key], int) or isinstance(obj[key], bool)
-        ):
+        if key in obj and not is_int(obj[key]):
             raise InputShapeError(f"{key} must be an integer")
     for key in ("vertices", "edges"):
         if key in obj and not isinstance(obj[key], list):

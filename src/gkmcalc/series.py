@@ -28,7 +28,7 @@ from .errors import (
     GysinInconsistency,
     InputShapeError,
 )
-from .exactlin import MatrixQ, rank_of_rows
+from .exactlin import MatrixQ, is_int, rank_of_rows
 
 VERDICT_POLYNOMIAL = "polynomial up to cutoff"
 VERDICT_INCONCLUSIVE = "inconclusive at cutoff"
@@ -43,7 +43,7 @@ class DegreeSeries:
     def __post_init__(self):
         if not self.coeffs:
             raise InputShapeError("a series carries at least the degree-0 coefficient")
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in self.coeffs):
+        if not all(is_int(c) for c in self.coeffs):
             raise InputShapeError("series coefficients must be integers")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
@@ -132,7 +132,7 @@ class DegreeSeries:
         if not isinstance(coeffs, list):
             raise InputShapeError("series coeffs must be an array")
         cutoff = obj.get("cutoff", len(coeffs) - 1)
-        if not isinstance(cutoff, int) or cutoff != len(coeffs) - 1:
+        if not is_int(cutoff) or cutoff != len(coeffs) - 1:
             raise InputShapeError("series cutoff does not match coefficient count")
         return cls(tuple(coeffs))
 
@@ -249,7 +249,7 @@ class MorseBottData:
             if not isinstance(entry, dict) or "index" not in entry or "series" not in entry:
                 raise InputShapeError("each component needs 'index' and 'series'")
             idx = entry["index"]
-            if not isinstance(idx, int):
+            if not is_int(idx):
                 raise InputShapeError("component index must be an integer")
             comps.append((idx, DegreeSeries.from_json(entry["series"])))
         return cls(tuple(comps))
@@ -307,15 +307,17 @@ class GysinData:
         if not isinstance(obj, dict) or "basic_dims" not in obj:
             raise InputShapeError("Gysin JSON must have 'basic_dims'")
         dims = obj["basic_dims"]
-        if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+        if not isinstance(dims, list) or not all(is_int(d) for d in dims):
             raise InputShapeError("basic_dims must be an array of integers")
         mult = obj.get("euler_mult", [])
         if not isinstance(mult, list):
             raise InputShapeError("euler_mult must be an array of matrices")
-        mats = []
-        for k, m in enumerate(mult):
-            cols = dims[k] if k < len(dims) else 0
-            mats.append(MatrixQ.from_json(m, cols=cols))
+        if len(mult) > len(dims):
+            raise InputShapeError(
+                f"euler_mult has {len(mult)} matrices but basic_dims only "
+                f"{len(dims)} degrees"
+            )
+        mats = [MatrixQ.from_json(m, cols=d) for m, d in zip(mult, dims)]
         return cls(tuple(dims), tuple(mats))
 
 

@@ -50,13 +50,6 @@ class MonomialBasis:
     degree: int
     monomials: tuple[tuple[int, ...], ...]
 
-    def index(self, exponents: tuple[int, ...]) -> int:
-        return self._index_map()[exponents]
-
-    def _index_map(self):
-        # tiny and immutable; rebuilt on demand rather than cached per instance
-        return {m: i for i, m in enumerate(self.monomials)}
-
     def __len__(self):
         return len(self.monomials)
 

@@ -21,7 +21,7 @@ from .errors import (
     SimplicityError,
     ValidationError,
 )
-from .exactlin import canonical_subspace, vector_from_json, vector_to_json
+from .exactlin import canonical_subspace, is_int, vector_from_json, vector_to_json
 from .gkmcore import GkmEdge, GkmGraph, GkmVertex, validate_graph
 
 
@@ -81,7 +81,7 @@ class MomentPolytope:
         if not isinstance(obj, dict) or "rank" not in obj:
             raise InputShapeError("polytope JSON needs 'rank', 'vertices', 'facets'")
         rank = obj["rank"]
-        if not isinstance(rank, int) or isinstance(rank, bool):
+        if not is_int(rank):
             raise InputShapeError("rank must be an integer")
         for key in ("vertices", "facets"):
             if key in obj and not isinstance(obj[key], list):

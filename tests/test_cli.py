@@ -263,8 +263,24 @@ class TestDeterminism:
         assert obj["vertices"][0]["fiber"]["dims"] == [[0, 1], [1, 4], [2, 1]]
 
 
+def one_vertex_graph(isotropy=((1,),), **vertex):
+    """A valid rank-1 graph with one vertex; ``vertex`` adds vertex fields."""
+    return {"rank": 1, "vertices": [{"id": "a", "isotropy": isotropy, **vertex}], "edges": []}
+
+
+def segment_graph(**edge):
+    """The valid ``simplex --n 1`` graph; ``edge`` adds fields to its edge."""
+    return {
+        "rank": 2,
+        "vertices": [{"id": "v0", "isotropy": [[0, 1]]}, {"id": "v1", "isotropy": [[1, 0]]}],
+        "edges": [{"id": "e", "source": "v0", "target": "v1", "isotropy": [], **edge}],
+    }
+
+
 class TestHostileInputs:
     """Type-confused payloads must exit 1 with an error line, never crash."""
+
+    SURPLUS_EULER_MULT = ("gysin", {"basic_dims": [1, 1], "euler_mult": [[[1]], [[0]], [[1]]]})
 
     PAYLOADS = [
         ("validate", {"rank": 2, "vertices": 5, "edges": []}),
@@ -289,6 +305,20 @@ class TestHostileInputs:
         ("morse-bott", {"components": 3}),
         ("morse-bott", {"components": [3]}),
         ("morse-bott", {"components": [{"index": 0.5, "series": {"cutoff": 0, "coeffs": [1]}}]}),
+        # booleans are not integers
+        ("gysin", {"basic_dims": [True, 1], "euler_mult": [[[1]]]}),
+        ("morse-bott", {"components": [{"index": 0, "series": {"cutoff": True, "coeffs": [1, 0]}}]}),
+        ("morse-bott", {"components": [{"index": False, "series": {"cutoff": 0, "coeffs": [1]}}]}),
+        ("validate", one_vertex_graph(fiber={"dims": [[0, True]]})),
+        # rationals are ints or "p"/"p/q" strings only
+        ("validate", one_vertex_graph(isotropy=[["1e5"]])),
+        ("validate", one_vertex_graph(isotropy=[["0.5"]])),
+        ("validate", one_vertex_graph(isotropy=[[" 3/2"]])),
+        ("validate", one_vertex_graph(isotropy=[["1_0"]])),
+        # pullback degree keys are canonical decimals
+        ("validate", segment_graph(pullback_source={"0": [[1]], "00": [[2]]})),
+        ("validate", segment_graph(pullback_source={"0": [[1]], "00": [[1]]})),
+        SURPLUS_EULER_MULT,
     ]
 
     @pytest.mark.parametrize("cmd,payload", PAYLOADS)
@@ -298,3 +328,11 @@ class TestHostileInputs:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    def test_surplus_euler_mult_is_named(self, capsys, monkeypatch):
+        cmd, payload = self.SURPLUS_EULER_MULT
+        code, _, err = run_cli(
+            capsys, cmd, "-", stdin=json.dumps(payload), monkeypatch=monkeypatch
+        )
+        assert code == 1
+        assert "euler_mult" in err

@@ -18,6 +18,7 @@ from gkmcalc.exactlin import (
     SubspaceQ,
     canonical_subspace,
     kernel_basis,
+    rank_of_rows,
     rational_from_json,
     rational_to_json,
     rref,
@@ -56,6 +57,43 @@ def random_matrix(rng, rows, cols, scale=9):
     ]
 
 
+def random_int_rows(rng, nrows, ncols, scale=9, density=1.0):
+    return [
+        [rng.randint(-scale, scale) if rng.random() < density else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def oracle_inputs():
+    """``(family, ncols, rows)`` cases for the comparison with the oracle."""
+    rng = random.Random(20260808)
+    for _ in range(60):
+        nr = rng.randint(1, 8)
+        nc = rng.randint(1, 8)
+        yield "rational", nc, random_matrix(rng, nr, nc)
+    rng = random.Random(123)
+    for _ in range(150):
+        nr, nc = rng.randint(0, 10), rng.randint(1, 10)
+        yield "integer", nc, random_int_rows(rng, nr, nc, density=rng.choice((0.4, 1.0)))
+    # rows with two entries, the shape of point-fiber edge constraints
+    rng = random.Random(7)
+    for _ in range(50):
+        nc = rng.randint(4, 40)
+        rows = []
+        for _ in range(rng.randint(1, 30)):
+            row = [0] * nc
+            i, j = rng.sample(range(nc), 2)
+            row[i], row[j] = rng.randint(1, 5), -rng.randint(1, 5)
+            rows.append(row)
+        yield "two-entry", nc, rows
+    rng = random.Random(9)
+    for nr, nc in ((5, 6), (6, 6), (7, 4)):
+        rows = random_int_rows(rng, nr, nc, scale=10**30)
+        # one dependent row keeps the rank below full
+        rows.append([3 * a - 2 * b for a, b in zip(rows[0], rows[1])])
+        yield "big", nc, rows
+
+
 class TestRref:
     def test_scaling_rows(self):
         r, piv = rref(MatrixQ.from_rows([[2, 0], [0, 3]]))
@@ -73,15 +111,12 @@ class TestRref:
         assert piv == []
 
     def test_matches_naive_oracle(self):
-        rng = random.Random(20260808)
-        for trial in range(60):
-            nr = rng.randint(1, 8)
-            nc = rng.randint(1, 8)
-            rows = random_matrix(rng, nr, nc)
+        for family, nc, rows in oracle_inputs():
             got, gpiv = rref(MatrixQ.from_rows(rows, nc))
             want, wpiv = naive_rref(rows)
-            assert gpiv == wpiv
-            assert got.row_lists() == want
+            assert gpiv == wpiv, family
+            assert got.row_lists() == want, family
+            assert rank_of_rows(rows, nc) == len(wpiv), family
 
     def test_idempotent(self):
         rng = random.Random(7)

@@ -506,6 +506,12 @@ class TestGradedTypes:
         with pytest.raises(InputShapeError):
             GradedMap(sphere, sphere, ((0, MatrixQ.identity(1)),))
 
+    def test_graded_map_degree_listed_once(self):
+        point = GradedVS.point()
+        twice = ((0, MatrixQ.identity(1)), (0, MatrixQ.from_rows([[2]])))
+        with pytest.raises(InputShapeError):
+            GradedMap(point, point, twice)
+
     def test_graph_is_hashable(self):
         assert hash(builtin_simplex(1)) == hash(builtin_simplex(1))
         assert builtin_simplex(1) == builtin_simplex(1)
