@@ -36,6 +36,7 @@ from .errors import (
     GysinInconsistency,
     InputShapeError,
 )
+from .exactlin import rational_from_json
 from .gkmcore import GkmGraph, equivariant_dims, graph_from_json, validate_graph
 from .examples import (
     builtin_fiber_join,
@@ -313,7 +314,7 @@ def _cmd_example(args) -> int:
     else:  # simplex-polytope
         n = _require(args.n, "--n", name)
         weights = args.weights if args.weights is not None else ["1"] * (n + 1)
-        obj = simplex_polytope(n, weights).to_json()
+        obj = simplex_polytope(n, [rational_from_json(w) for w in weights]).to_json()
     _emit(obj, args.fmt, _graph_table if name != "simplex-polytope" else None)
     return EXIT_OK
 

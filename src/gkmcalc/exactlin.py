@@ -178,143 +178,163 @@ class MatrixQ:
 
 # --- integer row reduction ---------------------------------------------------
 #
-# Scaling each row to a primitive integer vector first lets the elimination
-# run entirely in (arbitrary-precision) integer arithmetic: a fraction-free
+# The elimination runs on sparse integer rows ``{column: int}`` that hold no
+# zero entries.  Scaling each rational row to integers first lets it run
+# entirely in (arbitrary-precision) integer arithmetic: a fraction-free
 # variant of Gauss-Jordan where every row combination is followed by a gcd
 # normalization.  The output is the unique reduced row echelon form in
 # integer-normalized presentation, so the result is independent of pivot
 # choices and identical to plain Gauss-Jordan over the rationals.
 
 
-def _primitive(row, start):
-    """Divide ``row[start:]`` by the gcd of its entries, in place."""
+def int_row(values) -> tuple[int, dict[int, int]]:
+    """``(den, {col: num})`` with ``values[col] == num / den`` at every nonzero.
+
+    ``den`` is the lcm of the denominators of the (int or Fraction) values.
+    """
+    den = 1
+    for x in values:
+        if x.denominator != 1:
+            den = lcm(den, x.denominator)
+    return den, {c: x.numerator * (den // x.denominator) for c, x in enumerate(values) if x}
+
+
+def _primitive(row):
+    """Divide the entries of a sparse row by their gcd, in place."""
     g = 0
-    for v in row[start:]:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
     if g > 1:
-        for j in range(start, len(row)):
-            row[j] //= g
+        for c in row:
+            row[c] //= g
+
+
+def _eliminate(row, prow, c):
+    """Replace ``row`` by a primitive multiple of ``piv * row - f * prow``
+    with ``f = row[c]`` and ``piv = prow[c] > 0``, which cancels column c."""
+    f = row[c]
+    piv = prow[c]
+    if piv != 1:
+        g = gcd(piv, f)
+        piv //= g
+        f //= g
+        for k in row:
+            row[k] *= piv
+    for k, v in prow.items():
+        x = row.get(k, 0) - f * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+    _primitive(row)
 
 
 def reduce_int_rows(rows, ncols, rank_only=False):
-    """Integer-normalized reduced row echelon form.
+    """Integer-normalized reduced row echelon form of sparse integer rows.
 
-    ``rows`` is a list of equal-length lists of Python ints; it is consumed.
-    Returns ``(reduced, pivots)`` where ``reduced[i]`` is a primitive integer
-    vector with a positive entry in column ``pivots[i]`` and zeros in every
-    other pivot column, rows ordered by pivot column and zero rows dropped.
-    The rational RREF row is ``reduced[i]`` divided by its pivot entry.
+    ``rows`` is a list of ``{column: int}`` dicts over columns
+    ``0..ncols-1`` without zero entries; it is consumed.  Returns
+    ``(reduced, pivots)`` where ``reduced[i]`` is a primitive sparse
+    integer row with a positive entry in column ``pivots[i]`` and no entry
+    in any other pivot column, rows ordered by pivot column and zero rows
+    dropped.  The rational RREF row is ``reduced[i]`` divided by its pivot
+    entry.
+
+    Columns are eliminated in increasing order; the pivot for a column is
+    the row that leads with it and has the fewest nonzeros, then the
+    smallest entry there, which keeps fill-in and integer growth low.
 
     With ``rank_only=True`` the back substitution is skipped and ``reduced``
     holds an (unnormalized) echelon form; only ``pivots`` is meaningful.
     """
-    rows = [row for row in rows if any(row)]
+    # rows grouped by their leading column; every row still in a group is
+    # zero left of that column
+    groups: dict[int, list[dict[int, int]]] = {}
     for row in rows:
-        _primitive(row, 0)
-        # keep leading signs positive so pivot products stay positive
-        for v in row:
-            if v:
-                if v < 0:
-                    for j in range(len(row)):
-                        row[j] = -row[j]
-                break
-    nrows = len(rows)
+        if row:
+            _primitive(row)
+            groups.setdefault(min(row), []).append(row)
+    reduced = []
     pivots = []
-    r = 0
     for c in range(ncols):
-        if r == nrows:
+        if not groups:
             break
-        # smallest nonzero magnitude keeps the integer growth down
-        best = -1
-        best_abs = 0
-        for i in range(r, nrows):
-            v = rows[i][c]
-            if v:
-                a = -v if v < 0 else v
-                if best < 0 or a < best_abs:
-                    best = i
-                    best_abs = a
-                    if a == 1:
-                        break
-        if best < 0:
+        group = groups.pop(c, None)
+        if group is None:
             continue
-        if best != r:
-            rows[r], rows[best] = rows[best], rows[r]
-        prow = rows[r]
+        prow = min(group, key=lambda row: (len(row), abs(row[c])))
         if prow[c] < 0:
-            for j in range(c, ncols):
-                prow[j] = -prow[j]
-        piv = prow[c]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            f = row[c]
-            if not f:
+            for k in prow:
+                prow[k] = -prow[k]
+        for row in group:
+            if row is prow:
                 continue
-            if piv == 1:
-                for j in range(c, ncols):
-                    row[j] -= f * prow[j]
-            else:
-                for j in range(c, ncols):
-                    row[j] = piv * row[j] - f * prow[j]
-            _primitive(row, c + 1)
-            row[c] = 0
+            _eliminate(row, prow, c)
+            if row:
+                groups.setdefault(min(row), []).append(row)
+        reduced.append(prow)
         pivots.append(c)
-        r += 1
-    del rows[r:]
     if rank_only:
-        return rows, pivots
-    for k in range(len(pivots) - 1, 0, -1):
-        prow = rows[k]
-        c = pivots[k]
-        piv = prow[c]
-        for i in range(k):
-            row = rows[i]
-            f = row[c]
-            if not f:
-                continue
-            if piv == 1:
-                for j in range(c, ncols):
-                    row[j] -= f * prow[j]
-            else:
-                # prow is zero before c, but the whole of row i must be scaled
-                start = pivots[i]
-                for j in range(start, c):
-                    row[j] = piv * row[j]
-                for j in range(c, ncols):
-                    row[j] = piv * row[j] - f * prow[j]
-            _primitive(row, pivots[i])
-            row[c] = 0
-    return rows, pivots
+        return reduced, pivots
+    # back substitution, last row first: the rows below are already reduced,
+    # so cancelling one pivot column brings in no other
+    where = {c: i for i, c in enumerate(pivots)}
+    for i in range(len(reduced) - 2, -1, -1):
+        row = reduced[i]
+        for c in [c for c in row if c in where and c != pivots[i]]:
+            _eliminate(row, reduced[where[c]], c)
+    return reduced, pivots
 
 
-def _scaled_int_rows(rows) -> list[list[int]]:
-    """Clear denominators row by row; preserves the row space."""
+def _rational_rows(int_rows, pivots, ncols: int) -> list[list[Fraction]]:
+    """Dense rational RREF rows from the output of :func:`reduce_int_rows`."""
     out = []
-    for row in rows:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-        if den == 1:
-            out.append([int(x) for x in row])
-        else:
-            out.append([int(x * den) for x in row])
+    for row, c in zip(int_rows, pivots):
+        piv = row[c]
+        dense = [Fraction(0)] * ncols
+        for k, v in row.items():
+            dense[k] = Fraction(v, piv)
+        out.append(dense)
     return out
 
 
 def _reduce_rows(rows, ncols: int, rank_only: bool = False):
-    """RREF of a list of rational rows; returns (fraction rows, pivots)."""
-    int_rows, pivots = reduce_int_rows(_scaled_int_rows(rows), ncols, rank_only)
+    """RREF of a list of dense rational rows; returns (fraction rows, pivots)."""
+    int_rows, pivots = reduce_int_rows([int_row(r)[1] for r in rows], ncols, rank_only)
     if rank_only:
         return [], pivots
-    frac_rows = []
-    for row, c in zip(int_rows, pivots):
-        piv = row[c]
-        frac_rows.append([Fraction(v, piv) for v in row])
-    return frac_rows, pivots
+    return _rational_rows(int_rows, pivots, ncols), pivots
+
+
+def kernel_rows(rows, ncols: int) -> list[list[Fraction]]:
+    """RREF basis of the right null space of sparse integer rows.
+
+    ``rows`` is consumed as by :func:`reduce_int_rows`; the basis comes
+    back as dense rational rows.
+    """
+    red, pivots = reduce_int_rows(rows, ncols)
+    # free column -> (pivot column, entry, pivot entry) of each row using it
+    uses: dict[int, list[tuple[int, int, int]]] = {}
+    for row, pc in zip(red, pivots):
+        piv = row[pc]
+        for c, v in row.items():
+            if c != pc:
+                uses.setdefault(c, []).append((pc, v, piv))
+    pivot_set = set(pivots)
+    spanning = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        entries = uses.get(fc, ())
+        den = lcm(*(piv for _, _, piv in entries))
+        vec = {fc: den}
+        for pc, v, piv in entries:
+            vec[pc] = -v * (den // piv)
+        spanning.append(vec)
+    basis, bpivots = reduce_int_rows(spanning, ncols)
+    return _rational_rows(basis, bpivots, ncols)
 
 
 def rank_of_rows(rows, ncols: int) -> int:
@@ -343,18 +363,8 @@ def kernel_basis(m: MatrixQ) -> MatrixQ:
     The row count is ``m.cols - rank(m)`` (rank-nullity) and every row ``v``
     satisfies ``m . v^T = 0`` exactly.
     """
-    red, pivots = _reduce_rows(m.row_lists(), m.cols)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    spanning = []
-    for fc in free:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        spanning.append(v)
-    frac_rows, _ = _reduce_rows(spanning, m.cols)
-    return MatrixQ.from_rows(frac_rows, m.cols)
+    rows = [int_row(m.row(i))[1] for i in range(m.rows)]
+    return MatrixQ.from_rows(kernel_rows(rows, m.cols), m.cols)
 
 
 @dataclass(frozen=True)

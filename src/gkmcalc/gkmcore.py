@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import (
     InputShapeError,
@@ -33,9 +34,10 @@ from .errors import (
 from .exactlin import (
     MatrixQ,
     SubspaceQ,
+    int_row,
     is_int,
-    kernel_basis,
-    rank_of_rows,
+    kernel_rows,
+    reduce_int_rows,
     subspace_from_json,
     subspace_relations,
 )
@@ -605,9 +607,13 @@ def _layout(graph: GkmGraph, total_degree: int) -> tuple[tuple[_Block, ...], int
 
 
 def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
-    """Rows of the edge-restriction map at one total degree."""
+    """Rows of the edge-restriction map at one total degree.
+
+    Each row is an integer multiple of a row of the map, as a sparse
+    ``{col: int}`` dict; rows that are zero are left out.
+    """
     index = {(b.vertex, b.poly_degree, b.fiber_degree): b for b in blocks}
-    rows: list[list] = []
+    rows: list[dict[int, int]] = []
     for e in graph.edges:
         ke = e.isotropy.dim
         for d in range(total_degree // 2 + 1):
@@ -625,26 +631,30 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
                 pb = pullback.block(q)
                 if block is None or pb is None:
                     continue
-                rmat = restriction_matrix(
+                rrows = restriction_matrix(
                     graph.vertex(vid).isotropy, e.isotropy, d
-                ).matrix
-                contributions.append((block, rmat, pb, sign))
+                ).rows
+                prows = [int_row(pb.row(i)) for i in range(pb.rows)]
+                contributions.append((block, rrows, prows, sign))
             if not contributions:
                 continue
             for ir in range(e_pdim):
                 for ip in range(e_fdim):
-                    row = [0] * total
-                    for block, rmat, pb, sign in contributions:
-                        for jr in range(block.poly_dim):
-                            r = rmat.entry(ir, jr)
-                            if not r:
-                                continue
+                    # one multiplier clears the denominators of both sides
+                    den = 1
+                    for _, rrows, prows, _ in contributions:
+                        den = lcm(den, rrows[ir][0] * prows[ip][0])
+                    row = {}
+                    for block, rrows, prows, sign in contributions:
+                        rden, rpairs = rrows[ir]
+                        pden, ppairs = prows[ip]
+                        f = sign * (den // (rden * pden))
+                        for jr, r in rpairs:
                             base = block.offset + jr * block.fiber_dim
-                            for jp in range(block.fiber_dim):
-                                p = pb.entry(ip, jp)
-                                if p:
-                                    row[base + jp] = sign * r * p
-                    rows.append(row)
+                            for jp, p in ppairs.items():
+                                row[base + jp] = f * r * p
+                    if row:
+                        rows.append(row)
     return rows
 
 
@@ -666,8 +676,8 @@ def equivariant_dims(graph: GkmGraph, max_degree: int) -> DegreeSeries:
             dims.append(0)
             continue
         rows = _constraint_rows(graph, m, blocks, total)
-        rank = rank_of_rows(rows, total) if rows else 0
-        dims.append(total - rank)
+        _, pivots = reduce_int_rows(rows, total, rank_only=True)
+        dims.append(total - len(pivots))
     return DegreeSeries(tuple(dims))
 
 
@@ -719,9 +729,9 @@ class EquivariantClass:
         }
 
 
-def _classes_from_rows(kernel_rows, blocks, degree) -> list[EquivariantClass]:
+def _classes_from_rows(basis_rows, blocks, degree) -> list[EquivariantClass]:
     classes = []
-    for row in kernel_rows:
+    for row in basis_rows:
         comps = []
         for b in blocks:
             entries = row[b.offset : b.offset + b.width]
@@ -743,12 +753,7 @@ def equivariant_basis(graph: GkmGraph, degree: int) -> list[EquivariantClass]:
     if total == 0:
         return []
     rows = _constraint_rows(graph, degree, blocks, total)
-    if rows:
-        ker = kernel_basis(MatrixQ.from_rows(rows, total))
-        kernel_rows = ker.row_lists()
-    else:
-        kernel_rows = MatrixQ.identity(total).row_lists()
-    return _classes_from_rows(kernel_rows, blocks, degree)
+    return _classes_from_rows(kernel_rows(rows, total), blocks, degree)
 
 
 def _poly_coeff_vector(poly: dict, basis) -> list[Fraction]:
@@ -793,9 +798,9 @@ def class_product(
         values = []
         for vid in (e.source, e.target):
             v = graph.vertex(vid)
-            rmat = restriction_matrix(v.isotropy, e.isotropy, d).matrix
+            rmap = restriction_matrix(v.isotropy, e.isotropy, d)
             basis = monomial_basis(v.isotropy.dim, d)
-            values.append(rmat.mul_vector(_poly_coeff_vector(polys[vid], basis)))
+            values.append(rmap.apply(_poly_coeff_vector(polys[vid], basis)))
         if values[0] != values[1]:
             raise InputShapeError(
                 f"inputs do not satisfy the constraint along edge {e.id!r}: "

@@ -16,10 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import InputShapeError, SubspaceContainmentError
 from .exactlin import MatrixQ, SubspaceQ, subspace_relations
+
+#: Entries kept by each of the ``monomial_basis`` and ``restriction_matrix``
+#: caches, so that long-lived use stays within a fixed memory.  One pass of
+#: any ``pipebench`` workload needs at most about 1,200 restriction maps
+#: (``simplex(5)`` up to degree 16 needs 270), so none of them evicts.
+CACHE_SIZE = 4096
 
 
 def sym_dim(var_count: int, degree: int) -> int:
@@ -54,7 +60,7 @@ class MonomialBasis:
         return len(self.monomials)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def monomial_basis(var_count: int, degree: int) -> MonomialBasis:
     if var_count < 0 or degree < 0:
         raise InputShapeError("monomial_basis arguments must be nonnegative")
@@ -82,13 +88,32 @@ class RestrictionMap:
     """Matrix of S(ambient*)_d -> S(sub*)_d in the canonical monomial bases.
 
     Columns are indexed by the ambient monomials, rows by the sub
-    monomials.
+    monomials.  The matrix is stored as sparse integer rows: ``rows[i]``
+    is ``(den, ((col, num), ...))``, so row i has the entry ``num / den``
+    in each listed column (in increasing order) and zeros elsewhere.
     """
 
     ambient: SubspaceQ
     sub: SubspaceQ
     degree: int
-    matrix: MatrixQ
+    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+    @property
+    def matrix(self) -> MatrixQ:
+        """The dense rational matrix, built on each access."""
+        ncols = sym_dim(self.ambient.dim, self.degree)
+        entries = [Fraction(0)] * (len(self.rows) * ncols)
+        for i, (den, pairs) in enumerate(self.rows):
+            for col, num in pairs:
+                entries[i * ncols + col] = Fraction(num, den)
+        return MatrixQ(len(self.rows), ncols, entries)
+
+    def apply(self, vec) -> tuple[Fraction, ...]:
+        """Image of a coefficient vector over the ambient monomials."""
+        return tuple(
+            sum((num * vec[col] for col, num in pairs), Fraction(0)) / den
+            for den, pairs in self.rows
+        )
 
 
 def _inclusion_coordinates(ambient: SubspaceQ, sub: SubspaceQ) -> list[list[Fraction]]:
@@ -103,13 +128,24 @@ def _inclusion_coordinates(ambient: SubspaceQ, sub: SubspaceQ) -> list[list[Frac
 
 def _expand_monomial(alpha, linear_forms, nvars_sub):
     """Expand prod_j (linear_forms[j]) ** alpha[j] into {exponent: coeff}."""
-    poly = {(0,) * nvars_sub: Fraction(1)}
+    poly = {(0,) * nvars_sub: 1}
     for j, power in enumerate(alpha):
+        if not power:
+            continue
         form = linear_forms[j]
+        if not form:
+            return {}
+        if len(form) == 1:
+            # a single term only shifts exponents, all powers at once
+            i, c = form[0]
+            cp = c**power
+            poly = {
+                mono[:i] + (mono[i] + power,) + mono[i + 1 :]: coeff * cp
+                for mono, coeff in poly.items()
+            }
+            continue
         for _ in range(power):
-            if not form:
-                return {}
-            out: dict[tuple[int, ...], Fraction] = {}
+            out: dict[tuple[int, ...], int] = {}
             for mono, coeff in poly.items():
                 for i, c in form:
                     key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
@@ -121,7 +157,15 @@ def _expand_monomial(alpha, linear_forms, nvars_sub):
     return poly
 
 
-@lru_cache(maxsize=None)
+def _lowest_terms(den: int, pairs: list[tuple[int, int]]):
+    """One row ``(den, pairs)`` with the gcd of den and the entries divided out."""
+    if den == 1:
+        return 1, tuple(pairs)
+    g = gcd(den, *(num for _, num in pairs))
+    return den // g, tuple((col, num // g) for col, num in pairs)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def restriction_matrix(ambient: SubspaceQ, sub: SubspaceQ, degree: int) -> RestrictionMap:
     """Restriction of degree-``degree`` polynomials along sub <= ambient.
 
@@ -139,16 +183,25 @@ def restriction_matrix(ambient: SubspaceQ, sub: SubspaceQ, degree: int) -> Restr
     amb_basis = monomial_basis(ambient.dim, degree)
     sub_basis = monomial_basis(sub.dim, degree)
     coords = _inclusion_coordinates(ambient, sub)
+    # scaled by one common denominator the substituted linear forms are
+    # integral, so every product expands over the integers and the matrix
+    # is an integer matrix over den ** degree
+    den = lcm(*(x.denominator for row in coords for x in row))
     # linear form substituted for the j-th ambient coordinate function
     linear_forms = [
-        [(i, coords[i][j]) for i in range(sub.dim) if coords[i][j]]
+        [
+            (i, coords[i][j].numerator * (den // coords[i][j].denominator))
+            for i in range(sub.dim)
+            if coords[i][j]
+        ]
         for j in range(ambient.dim)
     ]
     index = {m: i for i, m in enumerate(sub_basis.monomials)}
-    entries = [Fraction(0)] * (len(sub_basis) * len(amb_basis))
-    ncols = len(amb_basis)
+    rows: list[list[tuple[int, int]]] = [[] for _ in sub_basis.monomials]
     for col, alpha in enumerate(amb_basis.monomials):
         for mono, coeff in _expand_monomial(alpha, linear_forms, sub.dim).items():
-            entries[index[mono] * ncols + col] = coeff
-    matrix = MatrixQ(len(sub_basis), ncols, entries)
-    return RestrictionMap(ambient, sub, degree, matrix)
+            rows[index[mono]].append((col, coeff))
+    scale = den**degree
+    return RestrictionMap(
+        ambient, sub, degree, tuple(_lowest_terms(scale, pairs) for pairs in rows)
+    )

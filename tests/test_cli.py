@@ -319,13 +319,20 @@ class TestHostileInputs:
         ("validate", segment_graph(pullback_source={"0": [[1]], "00": [[2]]})),
         ("validate", segment_graph(pullback_source={"0": [[1]], "00": [[1]]})),
         SURPLUS_EULER_MULT,
+        # example weights follow the same rational contract; the payload
+        # of an "example" row is its argument list
+        ("example", ["simplex-polytope", "--n", "1", "--weights", "abc", "1"]),
+        ("example", ["simplex-polytope", "--n", "1", "--weights", "1e1", " 0.5"]),
     ]
 
     @pytest.mark.parametrize("cmd,payload", PAYLOADS)
     def test_clean_rejection(self, capsys, monkeypatch, cmd, payload):
-        code, _, err = run_cli(
-            capsys, cmd, "-", stdin=json.dumps(payload), monkeypatch=monkeypatch
-        )
+        if cmd == "example":
+            code, _, err = run_cli(capsys, cmd, *payload)
+        else:
+            code, _, err = run_cli(
+                capsys, cmd, "-", stdin=json.dumps(payload), monkeypatch=monkeypatch
+            )
         assert code == 1
         assert err.startswith("error:")
 

@@ -17,13 +17,18 @@ from gkmcalc.exactlin import (
     MatrixQ,
     SubspaceQ,
     canonical_subspace,
+    int_row,
     kernel_basis,
     rank_of_rows,
+    reduce_int_rows,
     rational_from_json,
     rational_to_json,
     rref,
     subspace_relations,
 )
+
+from oracles import _scaled_int_rows
+from oracles import reduce_int_rows as dense_reduce_int_rows
 
 
 def naive_rref(rows):
@@ -117,6 +122,15 @@ class TestRref:
             assert gpiv == wpiv, family
             assert got.row_lists() == want, family
             assert rank_of_rows(rows, nc) == len(wpiv), family
+
+    def test_sparse_core_matches_dense_oracle(self):
+        for family, nc, rows in oracle_inputs():
+            want_rows, want_piv = dense_reduce_int_rows(_scaled_int_rows(rows), nc)
+            got_rows, got_piv = reduce_int_rows([int_row(r)[1] for r in rows], nc)
+            assert got_piv == want_piv, family
+            assert [[row.get(c, 0) for c in range(nc)] for row in got_rows] == want_rows, family
+            _, rank_piv = reduce_int_rows([int_row(r)[1] for r in rows], nc, rank_only=True)
+            assert rank_piv == want_piv, family
 
     def test_idempotent(self):
         rng = random.Random(7)

@@ -8,8 +8,9 @@ import pytest
 
 from gkmcalc.errors import SubspaceContainmentError
 from gkmcalc.exactlin import MatrixQ, canonical_subspace, rref
-from gkmcalc.symalg import monomial_basis, restriction_matrix, sym_dim
+from gkmcalc.symalg import CACHE_SIZE, monomial_basis, restriction_matrix, sym_dim
 
+from oracles import dense_restriction_matrix
 from test_exactlin import invertible_matrix, random_matrix
 
 
@@ -95,6 +96,21 @@ class TestRestrictionMatrix:
                 _, piv = rref(rm.matrix)
                 assert len(piv) == sym_dim(sub.dim, d)
 
+    def test_matches_rational_substitution(self):
+        # the integer rows over one denominator against substitution over Q
+        rng = random.Random(17)
+        for _ in range(25):
+            r = rng.randint(1, 4)
+            amb_rows = random_matrix(rng, rng.randint(1, r), r)
+            amb = canonical_subspace(amb_rows, r)
+            sub = canonical_subspace(
+                random_combinations(rng, amb_rows, rng.randint(0, amb.dim)), r
+            )
+            for d in range(4):
+                assert restriction_matrix(amb, sub, d).matrix == dense_restriction_matrix(
+                    amb, sub, d
+                )
+
     def test_functoriality_chain(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -154,3 +170,11 @@ def test_binomial_growth_of_graded_dimensions():
     for k in range(1, 6):
         for d in range(8):
             assert sym_dim(k, d) == comb(d + k - 1, k - 1)
+
+
+def test_caches_are_bounded():
+    for cached in (monomial_basis, restriction_matrix):
+        assert cached.cache_info().maxsize == CACHE_SIZE
+    for d in range(CACHE_SIZE + 1):
+        monomial_basis(1, d)
+    assert monomial_basis.cache_info().currsize == CACHE_SIZE
