@@ -126,11 +126,11 @@ def _read_json(path: str):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputShapeError(f"cannot read {path!r}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputShapeError(f"malformed JSON in {path!r}: {exc}") from None
 
 

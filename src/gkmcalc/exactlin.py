@@ -300,11 +300,9 @@ def _rational_rows(int_rows, pivots, ncols: int) -> list[list[Fraction]]:
     return out
 
 
-def _reduce_rows(rows, ncols: int, rank_only: bool = False):
+def _reduce_rows(rows, ncols: int):
     """RREF of a list of dense rational rows; returns (fraction rows, pivots)."""
-    int_rows, pivots = reduce_int_rows([int_row(r)[1] for r in rows], ncols, rank_only)
-    if rank_only:
-        return [], pivots
+    int_rows, pivots = reduce_int_rows([int_row(r)[1] for r in rows], ncols)
     return _rational_rows(int_rows, pivots, ncols), pivots
 
 
@@ -339,7 +337,7 @@ def kernel_rows(rows, ncols: int) -> list[list[Fraction]]:
 
 def rank_of_rows(rows, ncols: int) -> int:
     """Rank of a matrix given as rational rows, without normalizing output."""
-    _, pivots = _reduce_rows(rows, ncols, rank_only=True)
+    _, pivots = reduce_int_rows([int_row(r)[1] for r in rows], ncols, rank_only=True)
     return len(pivots)
 
 
@@ -399,25 +397,6 @@ class SubspaceQ:
             piv.append(next(j for j, x in enumerate(row) if x))
         return piv
 
-    def contains_vector(self, vec) -> bool:
-        v = [_as_rational(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise InputShapeError("vector length does not match ambient dimension")
-        for i, pc in enumerate(self.pivot_columns()):
-            f = v[pc]
-            if f:
-                row = self.basis.row(i)
-                for j in range(pc, self.ambient_dim):
-                    v[j] -= f * row[j]
-        return not any(v)
-
-    def contains(self, other: "SubspaceQ") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise InputShapeError("ambient dimensions differ")
-        return all(
-            self.contains_vector(other.basis.row(i)) for i in range(other.dim)
-        )
-
     def to_json(self):
         return self.basis.to_json()
 
@@ -474,8 +453,6 @@ def subspace_relations(a: SubspaceQ, b: SubspaceQ) -> SubspaceRelation:
         raise InputShapeError(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
         )
-    if a.dim == b.dim:
-        # canonical forms make equality a value comparison
-        equal = a.basis == b.basis
-        return SubspaceRelation(equal, equal, a.dim, b.dim)
-    return SubspaceRelation(a.contains(b), b.contains(a), a.dim, b.dim)
+    # a contains b iff b's basis adds nothing to the rank of a's, and vice versa
+    r = rank_of_rows(a.basis.row_lists() + b.basis.row_lists(), a.ambient_dim)
+    return SubspaceRelation(r == a.dim, r == b.dim, a.dim, b.dim)

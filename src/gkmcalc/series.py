@@ -29,6 +29,7 @@ from .errors import (
     InputShapeError,
 )
 from .exactlin import MatrixQ, is_int, rank_of_rows
+from .symalg import sym_dim
 
 VERDICT_POLYNOMIAL = "polynomial up to cutoff"
 VERDICT_INCONCLUSIVE = "inconclusive at cutoff"
@@ -148,14 +149,8 @@ def free_hilbert(k: int, cutoff: int) -> DegreeSeries:
         raise InputShapeError("negative cutoff")
     coeffs = [0] * (cutoff + 1)
     for d in range(0, cutoff + 1, 2):
-        coeffs[d] = _sym_count(k, d // 2)
+        coeffs[d] = sym_dim(k, d // 2)
     return DegreeSeries(tuple(coeffs))
-
-
-def _sym_count(k: int, d: int) -> int:
-    if k == 0:
-        return 1 if d == 0 else 0
-    return comb(d + k - 1, k - 1)
 
 
 @dataclass(frozen=True)
@@ -362,7 +357,7 @@ def gysin_betti(data: GysinData, n: int) -> tuple[int, ...]:
     for k in range(n + 1):
         if k < n:
             m = data.euler_mult[k]
-            rank = rank_of_rows(m.row_lists(), m.cols) if m.rows and m.cols else 0
+            rank = rank_of_rows(m.row_lists(), m.cols)
             target = data.basic_dims[k + 1]
         else:
             rank = 0

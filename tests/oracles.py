@@ -8,14 +8,17 @@ and the dense constraint assembly that the library's sparse pipeline
 replaced, kept unchanged as the reference the sparse path must match.  It
 shares the block layout, the validation, the class construction and
 the restriction maps with the library; :func:`dense_restriction_matrix`
-checks the last by plain substitution over the rationals.
+checks the last by plain substitution over the rationals.  The subspace
+containment test is another: the dense ``Fraction`` reduction of each
+basis vector that the library replaced with one rank, kept unchanged.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
-from gkmcalc.exactlin import MatrixQ
+from gkmcalc.errors import InputShapeError
+from gkmcalc.exactlin import MatrixQ, _as_rational
 from gkmcalc.gkmcore import GkmGraph, _classes_from_rows, _layout, _require_valid
 from gkmcalc.symalg import monomial_basis, restriction_matrix, sym_dim
 
@@ -381,3 +384,30 @@ def dense_restriction_matrix(ambient, sub, degree):
     return MatrixQ.from_rows(
         [[col.get(mono, 0) for col in columns] for mono in sub_monos], len(amb_monos)
     )
+
+
+def contains_vector(space, vec) -> bool:
+    """Whether ``vec`` lies in ``space``: reduce it by the RREF basis rows
+    in ``Fraction`` arithmetic and test the remainder for zero."""
+    v = [_as_rational(x) for x in vec]
+    if len(v) != space.ambient_dim:
+        raise InputShapeError("vector length does not match ambient dimension")
+    for i, pc in enumerate(space.pivot_columns()):
+        f = v[pc]
+        if f:
+            row = space.basis.row(i)
+            for j in range(pc, space.ambient_dim):
+                v[j] -= f * row[j]
+    return not any(v)
+
+
+def contains(space, other) -> bool:
+    if space.ambient_dim != other.ambient_dim:
+        raise InputShapeError("ambient dimensions differ")
+    return all(contains_vector(space, other.basis.row(i)) for i in range(other.dim))
+
+
+def subspace_relations_by_reduction(a, b):
+    """``(a_contains_b, b_contains_a, dim_a, dim_b)``, each containment by
+    reducing every basis vector of one subspace against the other."""
+    return contains(a, b), contains(b, a), a.dim, b.dim

@@ -140,6 +140,27 @@ class TestExitCodes:
         )
         assert code == 1 and err.startswith("error:")
 
+    def test_non_utf8_input(self, capsys, monkeypatch, tmp_path):
+        import io
+        import sys
+
+        path = tmp_path / "bom16.json"
+        path.write_bytes(b"\xff\xfe{")
+        monkeypatch.setattr(
+            sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8")
+        )
+        for source in (str(path), "-"):
+            code, _, err = run_cli(capsys, "validate", source)
+            assert code == 1 and err.startswith("error:")
+            assert len(err.splitlines()) == 1
+
+    def test_deeply_nested_json(self, capsys, monkeypatch):
+        code, _, err = run_cli(
+            capsys, "validate", "-", stdin="[" * 100_000, monkeypatch=monkeypatch
+        )
+        assert code == 1 and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     def test_unknown_flag(self, capsys):
         code, _, err = run_cli(capsys, "cohomology", "-", "--frobnicate")
         assert code == 1 and err.startswith("error:")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkmcalc.errors import InputShapeError
+from gkmcalc.errors import InputShapeError, SubspaceContainmentError
 from gkmcalc.exactlin import (
     MatrixQ,
     SubspaceQ,
@@ -26,8 +26,9 @@ from gkmcalc.exactlin import (
     rref,
     subspace_relations,
 )
+from gkmcalc.symalg import restriction_matrix
 
-from oracles import _scaled_int_rows
+from oracles import _scaled_int_rows, subspace_relations_by_reduction
 from oracles import reduce_int_rows as dense_reduce_int_rows
 
 
@@ -275,6 +276,49 @@ class TestSubspaceRelations:
     def test_ambient_mismatch(self):
         with pytest.raises(InputShapeError):
             subspace_relations(SubspaceQ.zero(2), SubspaceQ.zero(3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rng=st.randoms(use_true_random=False),
+        n=st.integers(0, 6),
+        kind=st.sampled_from(["contained", "equal", "skew", "coordinate", "zero-full"]),
+        degree=st.integers(0, 2),
+    )
+    def test_matches_reduction_oracle(self, rng, n, kind, degree):
+        vecs = random_matrix(rng, rng.randint(0, n + 1), n)
+        if kind == "contained":
+            # random combinations of a's spanning vectors
+            other = [
+                [sum(rng.randint(-3, 3) * v[j] for v in vecs) for j in range(n)]
+                for _ in range(rng.randint(0, len(vecs) + 1))
+            ]
+        elif kind == "equal":
+            coeffs = invertible_matrix(rng, len(vecs))
+            other = [
+                [sum(c * v[j] for c, v in zip(row, vecs)) for j in range(n)]
+                for row in coeffs
+            ]
+        elif kind == "skew":
+            other = random_matrix(rng, rng.randint(0, n + 1), n)
+        elif kind == "coordinate":
+            axes = [[int(i == j) for j in range(n)] for i in range(n)]
+            vecs = rng.sample(axes, rng.randint(0, n))
+            other = rng.sample(axes, rng.randint(0, n))
+        else:
+            other = rng.choice([[], [[int(i == j) for j in range(n)] for i in range(n)]])
+        a, b = canonical_subspace(vecs, n), canonical_subspace(other, n)
+        if rng.random() < 0.5:
+            a, b = b, a
+        rel = subspace_relations(a, b)
+        want = subspace_relations_by_reduction(a, b)
+        assert (rel.a_contains_b, rel.b_contains_a, rel.dim_a, rel.dim_b) == want
+        assert rel.equal == (a == b)
+        for ambient, sub, inside in ((a, b, want[0]), (b, a, want[1])):
+            if inside:
+                restriction_matrix(ambient, sub, degree)
+            else:
+                with pytest.raises(SubspaceContainmentError):
+                    restriction_matrix(ambient, sub, degree)
 
 
 class TestJson:

@@ -194,12 +194,25 @@ class TestGysin:
         assert gysin_betti(GysinData.minimal(3), 3) == (1, 0, 0, 0, 0, 0, 0, 1)
 
     def test_five_manifold_mixed(self):
-        data = GysinData(
-            (1, 2, 1),
-            (MatrixQ.from_rows([[1], [0]]), MatrixQ.from_rows([[1, 0]])),
-        )
-        assert gysin_betti(data, 2) == (1, 0, 1, 1, 0, 1)
-        assert gysin_betti(data, 2) == gysin_rank_nullity_oracle((1, 2, 1), (1, 1))
+        cases = [
+            (
+                GysinData(
+                    (1, 2, 1),
+                    (MatrixQ.from_rows([[1], [0]]), MatrixQ.from_rows([[1, 0]])),
+                ),
+                (1, 1),
+                (1, 0, 1, 1, 0, 1),
+            ),
+            # a zero basic dimension makes both Euler maps empty (0x1, 1x0)
+            (
+                GysinData((1, 0, 1), (MatrixQ(0, 1, []), MatrixQ(1, 0, []))),
+                (0, 0),
+                (1, 1, 0, 0, 1, 1),
+            ),
+        ]
+        for data, ranks, expected in cases:
+            assert gysin_betti(data, 2) == expected
+            assert gysin_betti(data, 2) == gysin_rank_nullity_oracle(data.basic_dims, ranks)
 
     def test_shape_mismatch(self):
         data = GysinData((1, 2), (MatrixQ.identity(1),))
