@@ -123,10 +123,13 @@ def _read_json(path: str):
     try:
         if path == "-":
             text = sys.stdin.read()
+            # under a C/POSIX locale stdin decodes with surrogateescape, which
+            # turns bytes that are not UTF-8 into lone surrogates
+            text.encode("utf-8")
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         raise InputShapeError(f"cannot read {path!r}: {exc}") from None
     try:
         return json.loads(text)

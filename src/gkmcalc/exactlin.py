@@ -386,10 +386,6 @@ class SubspaceQ:
     def zero(cls, ambient_dim: int) -> "SubspaceQ":
         return cls(ambient_dim, MatrixQ(0, ambient_dim, []))
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "SubspaceQ":
-        return cls(ambient_dim, MatrixQ.identity(ambient_dim))
-
     def pivot_columns(self) -> list[int]:
         piv = []
         for i in range(self.basis.rows):

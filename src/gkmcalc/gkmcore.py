@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .errors import (
@@ -658,7 +657,6 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
     return rows
 
 
-@lru_cache(maxsize=64)
 def equivariant_dims(graph: GkmGraph, max_degree: int) -> DegreeSeries:
     """Graded dimensions of the equivariant cohomology kernel up to a cutoff.
 
@@ -756,17 +754,14 @@ def equivariant_basis(graph: GkmGraph, degree: int) -> list[EquivariantClass]:
     return _classes_from_rows(kernel_rows(rows, total), blocks, degree)
 
 
-def _poly_coeff_vector(poly: dict, basis) -> list[Fraction]:
-    return [poly.get(mono, Fraction(0)) for mono in basis.monomials]
-
-
 def class_product(
     graph: GkmGraph, a: EquivariantClass, b: EquivariantClass
 ) -> EquivariantClass:
     """Componentwise product of two kernel classes (point fibers only).
 
-    The result is checked to satisfy every edge constraint exactly; a
-    failure means the inputs were not kernel elements.
+    The product is checked exactly against every row of the kernel's
+    constraint system in its degree; a failure means the inputs were not
+    kernel elements.
     """
     _require_valid(graph)
     if not graph.is_point_fibered:
@@ -776,34 +771,20 @@ def class_product(
     if a.degree % 2 or b.degree % 2:
         raise InputShapeError("point-fiber classes live in even degrees")
     degree = a.degree + b.degree
-    d = degree // 2
-    comps = []
-    polys = {}
-    for v in graph.vertices:
-        pa = a.vertex_polynomial(graph, v.id)
-        pb = b.vertex_polynomial(graph, v.id)
-        prod: dict[tuple[int, ...], Fraction] = {}
-        for ma, ca in pa.items():
+    blocks, total = _layout(graph, degree)
+    vec = [Fraction(0)] * total
+    for block in blocks:
+        basis = monomial_basis(graph.vertex(block.vertex).isotropy.dim, block.poly_degree)
+        index = {mono: i for i, mono in enumerate(basis.monomials)}
+        pb = b.vertex_polynomial(graph, block.vertex)
+        for ma, ca in a.vertex_polynomial(graph, block.vertex).items():
             for mb, cb in pb.items():
                 key = tuple(x + y for x, y in zip(ma, mb))
-                prev = prod.get(key)
-                prod[key] = ca * cb if prev is None else prev + ca * cb
-        prod = {k: v_ for k, v_ in prod.items() if v_}
-        polys[v.id] = prod
-        if prod:
-            basis = monomial_basis(v.isotropy.dim, d)
-            coeffs = _poly_coeff_vector(prod, basis)
-            comps.append((v.id, d, 0, MatrixQ(len(coeffs), 1, coeffs)))
-    for e in graph.edges:
-        values = []
-        for vid in (e.source, e.target):
-            v = graph.vertex(vid)
-            rmap = restriction_matrix(v.isotropy, e.isotropy, d)
-            basis = monomial_basis(v.isotropy.dim, d)
-            values.append(rmap.apply(_poly_coeff_vector(polys[vid], basis)))
-        if values[0] != values[1]:
-            raise InputShapeError(
-                f"inputs do not satisfy the constraint along edge {e.id!r}: "
-                "class_product requires kernel elements"
-            )
-    return EquivariantClass(degree, tuple(comps))
+                vec[block.offset + index[key]] += ca * cb
+    rows = _constraint_rows(graph, degree, blocks, total)
+    if any(sum(c * vec[col] for col, c in row.items()) for row in rows):
+        raise InputShapeError(
+            f"the product does not satisfy the constraints of degree {degree}: "
+            "class_product requires kernel elements"
+        )
+    return _classes_from_rows([vec], blocks, degree)[0]

@@ -96,7 +96,8 @@ class DegreeSeries:
         """Multiply by t^k, keeping the cutoff."""
         if k < 0:
             raise InputShapeError("negative shift")
-        return DegreeSeries(((0,) * k + self.coeffs)[: self.cutoff + 1])
+        zeros = (0,) * min(k, self.cutoff + 1)
+        return DegreeSeries((zeros + self.coeffs)[: self.cutoff + 1])
 
     def add(self, other: "DegreeSeries") -> "DegreeSeries":
         d = min(self.cutoff, other.cutoff)
@@ -264,7 +265,7 @@ def morse_bott_assemble(data: MorseBottData, cutoff: int) -> DegreeSeries:
     for index, series in data.components:
         if index < 0 or index % 2 != 0:
             raise InputShapeError(f"Morse-Bott index must be even and >= 0, got {index}")
-        out = out.add(series.pad(cutoff + index).shift(index).pad(cutoff))
+        out = out.add(series.pad(cutoff).shift(index))
     return out
 
 

@@ -108,13 +108,6 @@ class RestrictionMap:
                 entries[i * ncols + col] = Fraction(num, den)
         return MatrixQ(len(self.rows), ncols, entries)
 
-    def apply(self, vec) -> tuple[Fraction, ...]:
-        """Image of a coefficient vector over the ambient monomials."""
-        return tuple(
-            sum((num * vec[col] for col, num in pairs), Fraction(0)) / den
-            for den, pairs in self.rows
-        )
-
 
 def _inclusion_coordinates(ambient: SubspaceQ, sub: SubspaceQ) -> list[list[Fraction]]:
     """Rows: canonical basis of sub expressed in the canonical basis of ambient.

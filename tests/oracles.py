@@ -11,15 +11,25 @@ the restriction maps with the library; :func:`dense_restriction_matrix`
 checks the last by plain substitution over the rationals.  The subspace
 containment test is another: the dense ``Fraction`` reduction of each
 basis vector that the library replaced with one rank, kept unchanged.
+So is the ring product checked edge by edge: both endpoint polynomials
+restricted along every edge and compared, the check that the library
+replaced with the rows of its constraint system, here restricting through
+:func:`dense_restriction_matrix`.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
-from gkmcalc.errors import InputShapeError
+from gkmcalc.errors import InputShapeError, UnsupportedRingStructureError
 from gkmcalc.exactlin import MatrixQ, _as_rational
-from gkmcalc.gkmcore import GkmGraph, _classes_from_rows, _layout, _require_valid
+from gkmcalc.gkmcore import (
+    EquivariantClass,
+    GkmGraph,
+    _classes_from_rows,
+    _layout,
+    _require_valid,
+)
 from gkmcalc.symalg import monomial_basis, restriction_matrix, sym_dim
 
 
@@ -384,6 +394,42 @@ def dense_restriction_matrix(ambient, sub, degree):
     return MatrixQ.from_rows(
         [[col.get(mono, 0) for col in columns] for mono in sub_monos], len(amb_monos)
     )
+
+
+def edgewise_class_product(graph, a, b):
+    """Componentwise product of two point-fiber kernel classes; raises
+    :class:`InputShapeError` when the two endpoint polynomials of some edge
+    restrict to different values."""
+    _require_valid(graph)
+    if not graph.is_point_fibered:
+        raise UnsupportedRingStructureError(
+            "ring structure is only computed for graphs with point fibers"
+        )
+    if a.degree % 2 or b.degree % 2:
+        raise InputShapeError("point-fiber classes live in even degrees")
+    degree = a.degree + b.degree
+    d = degree // 2
+    comps = []
+    coeffs = {}
+    for v in graph.vertices:
+        prod = {}
+        for ma, ca in a.vertex_polynomial(graph, v.id).items():
+            for mb, cb in b.vertex_polynomial(graph, v.id).items():
+                key = tuple(x + y for x, y in zip(ma, mb))
+                prod[key] = prod.get(key, 0) + ca * cb
+        basis = monomial_basis(v.isotropy.dim, d)
+        coeffs[v.id] = [Fraction(prod.get(mono, 0)) for mono in basis.monomials]
+        if any(coeffs[v.id]):
+            comps.append((v.id, d, 0, MatrixQ(len(basis), 1, coeffs[v.id])))
+    for e in graph.edges:
+        values = [
+            dense_restriction_matrix(graph.vertex(vid).isotropy, e.isotropy, d)
+            .mul_vector(coeffs[vid])
+            for vid in (e.source, e.target)
+        ]
+        if values[0] != values[1]:
+            raise InputShapeError(f"inputs do not satisfy the constraint along edge {e.id!r}")
+    return EquivariantClass(degree, tuple(comps))
 
 
 def contains_vector(space, vec) -> bool:

@@ -146,10 +146,16 @@ class TestExitCodes:
 
         path = tmp_path / "bom16.json"
         path.write_bytes(b"\xff\xfe{")
-        monkeypatch.setattr(
-            sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8")
+        # a byte that is not UTF-8 inside a JSON string, on a stdin that
+        # decodes with surrogateescape as under a C/POSIX locale
+        latin = b'{"rank": 1, "vertices": [{"id": "a\xff", "isotropy": []}], "edges": []}'
+        stdins = (
+            io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8"),
+            io.TextIOWrapper(io.BytesIO(latin), encoding="utf-8", errors="surrogateescape"),
         )
-        for source in (str(path), "-"):
+        for source, stdin in [(str(path), None)] + [("-", s) for s in stdins]:
+            if stdin is not None:
+                monkeypatch.setattr(sys, "stdin", stdin)
             code, _, err = run_cli(capsys, "validate", source)
             assert code == 1 and err.startswith("error:")
             assert len(err.splitlines()) == 1

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkmcalc.errors import (
@@ -32,6 +32,7 @@ from gkmcalc.gkmcore import (
     equivariant_dims,
     graph_from_json,
     validate_graph,
+    _classes_from_rows,
     _layout,
 )
 
@@ -39,6 +40,7 @@ from oracles import (
     convolve,
     dense_equivariant_basis,
     dense_equivariant_dims,
+    edgewise_class_product,
     hirzebruch_equivariant_oracle,
     simplex_equivariant_oracle,
 )
@@ -413,6 +415,30 @@ class TestClassProduct:
         with pytest.raises(UnsupportedRingStructureError):
             class_product(g, a, a)
 
+    def test_product_leaving_kernel_rejected(self):
+        # a -1 pullback on one edge: the kernel is not closed under the
+        # componentwise product, and a product outside it is not returned
+        g = builtin_simplex(2)
+        minus = GradedMap(GradedVS.point(), GradedVS.point(), ((0, MatrixQ.from_rows([[-1]])),))
+        e = g.edges[0]
+        flipped = GkmEdge(e.id, e.source, e.target, e.isotropy, e.edge_fiber, minus,
+                          e.pullback_target)
+        g = GkmGraph(g.rank, g.vertices, (flipped,) + g.edges[1:])
+        deg2 = equivariant_basis(g, 2)
+        kernel4 = [class_vector(g, c) for c in equivariant_basis(g, 4)]
+        _, total = _layout(g, 4)
+        rejected = 0
+        for x in deg2:
+            for y in deg2:
+                try:
+                    prod = class_product(g, x, y)
+                except InputShapeError:
+                    rejected += 1
+                    continue
+                stacked = kernel4 + [class_vector(g, prod)]
+                assert rank_of_rows(stacked, total) == len(kernel4)
+        assert rejected
+
     def test_non_kernel_input_rejected(self):
         g = builtin_simplex(2)
         fake = EquivariantClass(
@@ -527,10 +553,10 @@ small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 
 @st.composite
-def kernel_graphs(draw):
+def kernel_graphs(draw, random_pullbacks=True):
     """Valid graphs from the builtin families, non-point fibers included,
-    in random torus coordinates, with random fiber pullbacks, vertex order
-    and edge orientations."""
+    in random torus coordinates, with random fiber pullbacks (unless
+    ``random_pullbacks`` is false), vertex order and edge orientations."""
     family = draw(st.sampled_from(("simplex", "fiber_join", "hirzebruch", "stiefel")))
     if family == "simplex":
         graph = builtin_simplex(draw(st.integers(1, 3)))
@@ -560,7 +586,7 @@ def kernel_graphs(draw):
         return canonical_subspace(rows, r)
 
     def pullback(source, edge_fiber, given_map):
-        if not draw(st.booleans()):
+        if not random_pullbacks or not draw(st.booleans()):
             return given_map
         blocks = []
         for q in sorted(set(source.degrees()) & set(edge_fiber.degrees())):
@@ -596,3 +622,54 @@ def kernel_graphs(draw):
 def test_sparse_kernel_matches_dense_oracle(graph, degree):
     assert list(equivariant_dims(graph, 6).coeffs) == dense_equivariant_dims(graph, 6)
     assert equivariant_basis(graph, degree) == dense_equivariant_basis(graph, degree)
+
+
+def basis_pair(graph, data):
+    """Two kernel basis classes of even degree at most 4, or None."""
+    bases = [equivariant_basis(graph, 2 * d) for d in (data.draw(st.integers(0, 2)),
+                                                       data.draw(st.integers(0, 2)))]
+    if not all(bases):
+        return None
+    return tuple(data.draw(st.sampled_from(basis)) for basis in bases)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_graphs(random_pullbacks=False), st.data())
+def test_class_product_matches_edgewise_oracle(graph, data):
+    # with identity pullbacks the oracle's edge condition is the kernel's
+    assume(graph.is_point_fibered)
+    pair = basis_pair(graph, data)
+    assume(pair)
+    a, b = pair
+    assert class_product(graph, a, b) == edgewise_class_product(graph, a, b)
+
+    # one entry moved off the kernel: rejected exactly when the oracle
+    # rejects it (a product can still land in the kernel)
+    blocks, total = _layout(graph, a.degree)
+    vec = class_vector(graph, a)
+    vec[data.draw(st.integers(0, total - 1))] += data.draw(small_fractions.filter(bool))
+    moved = _classes_from_rows([vec], blocks, a.degree)[0]
+    try:
+        expected = edgewise_class_product(graph, moved, b)
+    except InputShapeError:
+        with pytest.raises(InputShapeError, match="requires kernel elements"):
+            class_product(graph, moved, b)
+    else:
+        assert class_product(graph, moved, b) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_graphs(), st.data())
+def test_class_product_returns_kernel_classes(graph, data):
+    # point-fiber pullbacks may scale or kill an endpoint: a product is
+    # returned only when it lies in the kernel of the graph's own system
+    assume(graph.is_point_fibered)
+    pair = basis_pair(graph, data)
+    assume(pair)
+    try:
+        prod = class_product(graph, *pair)
+    except InputShapeError:
+        return
+    kernel = [class_vector(graph, c) for c in equivariant_basis(graph, prod.degree)]
+    _, total = _layout(graph, prod.degree)
+    assert rank_of_rows(kernel + [class_vector(graph, prod)], total) == len(kernel)

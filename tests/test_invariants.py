@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gkmcalc
 from gkmcalc import (
     GysinData,
     MatrixQ,
@@ -20,6 +21,23 @@ from gkmcalc.examples import (
     builtin_stiefel,
 )
 from gkmcalc.series import DegreeSeries
+
+
+def test_public_api_is_pinned():
+    # the public API changes only on purpose: update this list with it
+    assert sorted(gkmcalc.__all__) == [
+        "DegreeSeries", "GkmEdge", "GkmGraph", "GkmVertex", "GradedMap",
+        "GradedVS", "GysinData", "MatrixQ", "MomentPolytope", "MorseBottData",
+        "Rational", "SubspaceQ", "__version__", "basic_from_equivariant",
+        "canonical_subspace", "class_product", "equivariant_basis",
+        "equivariant_dims", "free_hilbert", "graph_from_json", "gysin_betti",
+        "kernel_basis", "morse_bott_assemble", "polytope_skeleton",
+        "restriction_matrix", "rref", "run_checks", "simplex_polytope",
+        "stanley_reisner_hilbert", "subspace_relations", "sym_dim",
+        "validate_graph",
+    ]
+    for name in gkmcalc.__all__:
+        assert getattr(gkmcalc, name) is not None
 
 
 def test_canonical_subspace_idempotent():

@@ -164,6 +164,13 @@ class TestMorseBott:
         data = MorseBottData.of([(0, DegreeSeries((1,)))])
         assert morse_bott_assemble(data, 3).coeffs == (1, 0, 0, 0)
 
+    def test_index_beyond_cutoff(self):
+        # the shift of each component stays within the cutoff, however
+        # large its index
+        data = MorseBottData.of([(10**12, DegreeSeries((1,))), (0, DegreeSeries((1, 0, 1))),
+                                 (4, DegreeSeries((1, 0, 1)))])
+        assert morse_bott_assemble(data, 10).coeffs == (1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0)
+
     def test_odd_index_rejected(self):
         data = MorseBottData.of([(1, DegreeSeries((1,)))])
         with pytest.raises(InputShapeError):
