@@ -153,7 +153,7 @@ def linearized_action(coeffs, u, v, tangent):
 
 def intersect_lines(a, b):
     """Intersection of two subspaces given by RREF row bases."""
-    ra, rb = a.basis.row_lists(), b.basis.row_lists()
+    ra, rb = a.rows, b.rows
     stacked = MatrixQ.from_rows(
         [
             [ra[i][d] if i < len(ra) else -rb[i - len(ra)][d] for i in range(len(ra) + len(rb))]
@@ -187,7 +187,7 @@ def derive_graph():
     for a, b in combinations(names, 2):
         line = intersect_lines(isotropies[a], isotropies[b])
         assert line.dim == 1, f"isotropies of {a} and {b} must meet in a line"
-        generator = [x for x in line.basis.row(0)]
+        generator = list(line.rows[0])
         for endpoint in (a, b):
             u, v = ORBIT_FRAMES[endpoint]
             # orbit direction + one weight plane = 3; a generic isotropy
@@ -195,7 +195,7 @@ def derive_graph():
             assert kernel_dim_on_tangent(generator, u, v) == 3, (
                 f"{a}-{b} generator is not a single weight kernel at {endpoint}"
             )
-            span = isotropies[endpoint].basis.row_lists()
+            span = isotropies[endpoint].rows
             generic = [
                 span[0][j] + Fraction(7, 3) * span[1][j] for j in range(3)
             ]

@@ -300,12 +300,6 @@ def _rational_rows(int_rows, pivots, ncols: int) -> list[list[Fraction]]:
     return out
 
 
-def _reduce_rows(rows, ncols: int):
-    """RREF of a list of dense rational rows; returns (fraction rows, pivots)."""
-    int_rows, pivots = reduce_int_rows([int_row(r)[1] for r in rows], ncols)
-    return _rational_rows(int_rows, pivots, ncols), pivots
-
-
 def kernel_rows(rows, ncols: int) -> list[list[Fraction]]:
     """RREF basis of the right null space of sparse integer rows.
 
@@ -351,8 +345,8 @@ def rref(m: MatrixQ) -> tuple[MatrixQ, list[int]]:
     >>> r == MatrixQ.identity(2), piv
     (True, [0, 1])
     """
-    frac_rows, pivots = _reduce_rows(m.row_lists(), m.cols)
-    return MatrixQ.from_rows(frac_rows, m.cols), pivots
+    int_rows, pivots = reduce_int_rows([int_row(m.row(i))[1] for i in range(m.rows)], m.cols)
+    return MatrixQ.from_rows(_rational_rows(int_rows, pivots, m.cols), m.cols), pivots
 
 
 def kernel_basis(m: MatrixQ) -> MatrixQ:
@@ -369,35 +363,37 @@ def kernel_basis(m: MatrixQ) -> MatrixQ:
 class SubspaceQ:
     """A rational subspace of Q^ambient_dim in canonical form.
 
-    ``basis`` rows are independent and in RREF, so two subspaces are equal
-    as sets of vectors iff they are equal as values.  Construct through
-    :func:`canonical_subspace` (or the convenience constructors); the raw
+    ``rows`` is the RREF basis with each row scaled to its primitive
+    integer multiple with a positive pivot, as dense int tuples ordered by
+    pivot column (the form :func:`reduce_int_rows` returns), so two
+    subspaces are equal as sets of vectors iff they are equal as values.
+    Construct through :func:`canonical_subspace` (or :meth:`zero`); the raw
     constructor trusts its input.
     """
 
     ambient_dim: int
-    basis: MatrixQ
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "SubspaceQ":
-        return cls(ambient_dim, MatrixQ(0, ambient_dim, []))
+        return cls(ambient_dim, ())
 
     def pivot_columns(self) -> list[int]:
-        piv = []
-        for i in range(self.basis.rows):
-            row = self.basis.row(i)
-            piv.append(next(j for j, x in enumerate(row) if x))
-        return piv
+        return [next(j for j, x in enumerate(row) if x) for row in self.rows]
 
     def to_json(self):
-        return self.basis.to_json()
+        """The rational RREF rows: each row divided by its pivot entry."""
+        return [
+            vector_to_json(Fraction(x, row[c]) for x in row)
+            for row, c in zip(self.rows, self.pivot_columns())
+        ]
 
     def __repr__(self):
-        return f"SubspaceQ(dim {self.dim} of Q^{self.ambient_dim}, {self.basis.row_lists()!r})"
+        return f"SubspaceQ(dim {self.dim} of Q^{self.ambient_dim}, {self.to_json()!r})"
 
 
 def canonical_subspace(vectors, ambient_dim: int) -> SubspaceQ:
@@ -406,8 +402,11 @@ def canonical_subspace(vectors, ambient_dim: int) -> SubspaceQ:
     Idempotent: any spanning set of the same subspace yields the identical
     value, because the basis is put in RREF.
 
-    >>> canonical_subspace([(2, 0), (0, 3)], 2).basis == MatrixQ.identity(2)
-    True
+    >>> canonical_subspace([(2, 0), (0, 3)], 2).rows
+    ((1, 0), (0, 1))
+    >>> line = canonical_subspace([(1, Fraction(1, 2))], 2)
+    >>> line.rows, line.to_json()
+    (((2, 1),), [[1, '1/2']])
     """
     rows = [list(v) for v in vectors]
     for r in rows:
@@ -417,10 +416,10 @@ def canonical_subspace(vectors, ambient_dim: int) -> SubspaceQ:
             )
     if ambient_dim < 0:
         raise InputShapeError("negative ambient dimension")
-    if not rows:
-        return SubspaceQ.zero(ambient_dim)
-    frac_rows, _ = _reduce_rows(rows, ambient_dim)
-    return SubspaceQ(ambient_dim, MatrixQ.from_rows(frac_rows, ambient_dim))
+    red, _ = reduce_int_rows([int_row(r)[1] for r in rows], ambient_dim)
+    return SubspaceQ(
+        ambient_dim, tuple(tuple(row.get(c, 0) for c in range(ambient_dim)) for row in red)
+    )
 
 
 def subspace_from_json(obj, ambient_dim: int) -> SubspaceQ:
@@ -450,5 +449,5 @@ def subspace_relations(a: SubspaceQ, b: SubspaceQ) -> SubspaceRelation:
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
         )
     # a contains b iff b's basis adds nothing to the rank of a's, and vice versa
-    r = rank_of_rows(a.basis.row_lists() + b.basis.row_lists(), a.ambient_dim)
+    r = rank_of_rows(a.rows + b.rows, a.ambient_dim)
     return SubspaceRelation(r == a.dim, r == b.dim, a.dim, b.dim)

@@ -27,9 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputShapeError
-from .exactlin import canonical_subspace
+from .exactlin import MatrixQ, canonical_subspace
 from .gkmcore import GkmEdge, GkmGraph, GkmVertex, GradedMap, GradedVS
-from .exactlin import MatrixQ
 
 
 def _unit(i: int, n: int) -> tuple[int, ...]:

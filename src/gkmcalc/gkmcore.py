@@ -14,9 +14,9 @@ edge imposes
 
     (restriction to t_e (x) pullback_source) - (restriction (x) pullback_target) = 0.
 
-For point fibers this reduces to tuples of polynomials (f_v) with
-f_source|t_e = f_target|t_e along every edge, and the componentwise
-product makes the kernel a graded algebra.
+For point fibers with identity pullbacks this reduces to tuples of
+polynomials (f_v) with f_source|t_e = f_target|t_e along every edge, and
+the componentwise product makes the kernel a graded algebra.
 """
 
 from __future__ import annotations
@@ -757,8 +757,11 @@ def equivariant_basis(graph: GkmGraph, degree: int) -> list[EquivariantClass]:
 def class_product(
     graph: GkmGraph, a: EquivariantClass, b: EquivariantClass
 ) -> EquivariantClass:
-    """Componentwise product of two kernel classes (point fibers only).
+    """Componentwise product of two kernel classes.
 
+    The ring structure is that of point fibers with identity pullbacks;
+    any other graph raises :class:`UnsupportedRingStructureError` before a
+    product is formed (its kernel dimensions and bases stay available).
     The product is checked exactly against every row of the kernel's
     constraint system in its degree; a failure means the inputs were not
     kernel elements.
@@ -768,6 +771,12 @@ def class_product(
         raise UnsupportedRingStructureError(
             "ring structure is only computed for graphs with point fibers"
         )
+    for e in graph.edges:
+        if not (e.pullback_source.is_identity and e.pullback_target.is_identity):
+            raise UnsupportedRingStructureError(
+                f"edge {e.id!r} pulls a point fiber back by a map other than the "
+                "identity: the kernel is not closed under the componentwise product"
+            )
     if a.degree % 2 or b.degree % 2:
         raise InputShapeError("point-fiber classes live in even degrees")
     degree = a.degree + b.degree

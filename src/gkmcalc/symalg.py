@@ -109,16 +109,6 @@ class RestrictionMap:
         return MatrixQ(len(self.rows), ncols, entries)
 
 
-def _inclusion_coordinates(ambient: SubspaceQ, sub: SubspaceQ) -> list[list[Fraction]]:
-    """Rows: canonical basis of sub expressed in the canonical basis of ambient.
-
-    Because the ambient basis is in RREF, coordinates are read off its pivot
-    columns directly.
-    """
-    piv = ambient.pivot_columns()
-    return [[sub.basis.entry(i, p) for p in piv] for i in range(sub.dim)]
-
-
 def _expand_monomial(alpha, linear_forms, nvars_sub):
     """Expand prod_j (linear_forms[j]) ** alpha[j] into {exponent: coeff}."""
     poly = {(0,) * nvars_sub: 1}
@@ -175,19 +165,18 @@ def restriction_matrix(ambient: SubspaceQ, sub: SubspaceQ, degree: int) -> Restr
         )
     amb_basis = monomial_basis(ambient.dim, degree)
     sub_basis = monomial_basis(sub.dim, degree)
-    coords = _inclusion_coordinates(ambient, sub)
-    # scaled by one common denominator the substituted linear forms are
-    # integral, so every product expands over the integers and the matrix
-    # is an integer matrix over den ** degree
-    den = lcm(*(x.denominator for row in coords for x in row))
+    # the canonical basis of sub in the canonical basis of ambient: because
+    # the ambient basis is in RREF, the coordinates of sub row i are its
+    # entries in the ambient pivot columns over its own pivot entry.  Scaled
+    # by one common denominator the substituted linear forms are integral,
+    # so every product expands over the integers and the matrix is an
+    # integer matrix over den ** degree
+    sub_rows = list(zip(sub.rows, sub.pivot_columns()))
+    den = lcm(*(row[c] for row, c in sub_rows))
     # linear form substituted for the j-th ambient coordinate function
     linear_forms = [
-        [
-            (i, coords[i][j].numerator * (den // coords[i][j].denominator))
-            for i in range(sub.dim)
-            if coords[i][j]
-        ]
-        for j in range(ambient.dim)
+        [(i, row[p] * (den // row[c])) for i, (row, c) in enumerate(sub_rows) if row[p]]
+        for p in ambient.pivot_columns()
     ]
     index = {m: i for i, m in enumerate(sub_basis.monomials)}
     rows: list[list[tuple[int, int]]] = [[] for _ in sub_basis.monomials]

@@ -372,11 +372,25 @@ def dense_equivariant_basis(graph, degree):
     return _classes_from_rows(kernel, blocks, degree)
 
 
+def rref_rows(space):
+    """The rational RREF basis of a subspace: each stored integer row
+    divided by its first nonzero entry."""
+    out = []
+    for row in space.rows:
+        piv = next(x for x in row if x)
+        out.append([Fraction(x, piv) for x in row])
+    return out
+
+
+def _pivot_columns(rows):
+    return [next(j for j, x in enumerate(row) if x) for row in rows]
+
+
 def dense_restriction_matrix(ambient, sub, degree):
     """Restriction matrix by substituting the inclusion into each monomial
     with rational polynomial arithmetic."""
-    piv = ambient.pivot_columns()
-    coords = [[sub.basis.entry(i, p) for p in piv] for i in range(sub.dim)]
+    piv = _pivot_columns(rref_rows(ambient))
+    coords = [[row[p] for p in piv] for row in rref_rows(sub)]
     sub_monos = monomial_basis(sub.dim, degree).monomials
     amb_monos = monomial_basis(ambient.dim, degree).monomials
     columns = []
@@ -438,10 +452,10 @@ def contains_vector(space, vec) -> bool:
     v = [_as_rational(x) for x in vec]
     if len(v) != space.ambient_dim:
         raise InputShapeError("vector length does not match ambient dimension")
-    for i, pc in enumerate(space.pivot_columns()):
+    basis = rref_rows(space)
+    for row, pc in zip(basis, _pivot_columns(basis)):
         f = v[pc]
         if f:
-            row = space.basis.row(i)
             for j in range(pc, space.ambient_dim):
                 v[j] -= f * row[j]
     return not any(v)
@@ -450,7 +464,7 @@ def contains_vector(space, vec) -> bool:
 def contains(space, other) -> bool:
     if space.ambient_dim != other.ambient_dim:
         raise InputShapeError("ambient dimensions differ")
-    return all(contains_vector(space, other.basis.row(i)) for i in range(other.dim))
+    return all(contains_vector(space, row) for row in rref_rows(other))
 
 
 def subspace_relations_by_reduction(a, b):

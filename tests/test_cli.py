@@ -111,6 +111,42 @@ class TestPipelines:
         assert code == 0
         assert json.loads(skel) == json.loads(direct)
 
+    def test_toric_skeleton_rational_isotropies(self, capsys, monkeypatch):
+        # isotropies whose RREF has fractional entries are written as the
+        # rational RREF, byte for byte, and the output validates when read back
+        poly = {
+            "rank": 3,
+            "vertices": [{"id": v, "coords": c} for v, c in
+                         (("a", [1, 0, 0]), ("b", [0, 1, 0]), ("c", [0, 0, 1]))],
+            "facets": [{"normal": [2, 1, 0], "vertices": ["a", "b"]},
+                       {"normal": [0, 3, 1], "vertices": ["b", "c"]},
+                       {"normal": ["1/2", 0, 3], "vertices": ["a", "c"]}],
+        }
+        code, skel, _ = run_cli(
+            capsys, "toric-skeleton", "-", stdin=json.dumps(poly), monkeypatch=monkeypatch
+        )
+        assert code == 0
+        expected = {
+            "bottom_orbit_dim": 1,
+            "edges": [
+                {"id": "a|b", "isotropy": [[1, "1/2", 0]], "source": "a", "target": "b"},
+                {"id": "a|c", "isotropy": [[1, 0, 6]], "source": "a", "target": "c"},
+                {"id": "b|c", "isotropy": [[0, 1, "1/3"]], "source": "b", "target": "c"},
+            ],
+            "manifold_dim": 5,
+            "rank": 3,
+            "vertices": [
+                {"id": "a", "isotropy": [[1, 0, 6], [0, 1, -12]]},
+                {"id": "b", "isotropy": [[1, 0, "-1/6"], [0, 1, "1/3"]]},
+                {"id": "c", "isotropy": [[1, 0, 6], [0, 1, "1/3"]]},
+            ],
+        }
+        assert skel == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        code, validated, _ = run_cli(
+            capsys, "validate", "-", stdin=skel, monkeypatch=monkeypatch
+        )
+        assert code == 0 and json.loads(validated)["valid"] is True
+
 
 class TestExitCodes:
     def test_disconnected_graph(self, capsys, monkeypatch, tmp_path):

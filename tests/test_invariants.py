@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from gkmcalc import (
     canonical_subspace,
     equivariant_dims,
     gysin_betti,
+    rref,
 )
 from gkmcalc.examples import (
     builtin_fiber_join,
@@ -41,17 +43,41 @@ def test_public_api_is_pinned():
 
 
 def test_canonical_subspace_idempotent():
+    # against the dense rational path it replaced, the nonzero rows of
+    # rref(MatrixQ.from_rows(v)); spanning sets may be empty and hold
+    # repeated and zero vectors
     rng = random.Random(31)
-    for _ in range(20):
+
+    def q():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+    for _ in range(200):
         dim = rng.randint(1, 5)
-        k = rng.randint(0, dim)
-        vecs = [
-            [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim)]
-            for _ in range(k)
-        ]
+        vecs = [[q() for _ in range(dim)] for _ in range(rng.randint(0, dim + 1))]
+        if vecs and rng.random() < 0.3:
+            vecs.append(list(rng.choice(vecs)))
+        if rng.random() < 0.3:
+            vecs.insert(rng.randint(0, len(vecs)), [Fraction(0)] * dim)
         once = canonical_subspace(vecs, dim)
-        again = canonical_subspace(once.basis.row_lists(), dim)
-        assert once == again
+        assert once.to_json() == rref(MatrixQ.from_rows(vecs, dim))[0].to_json()
+        # each stored row is the primitive integer multiple with a positive pivot
+        for row in once.rows:
+            assert all(type(x) is int for x in row)
+            nonzero = [x for x in row if x]
+            assert nonzero[0] > 0 and gcd(*nonzero) == 1
+        # any other spanning set: unit lower triangular x nonzero diagonal,
+        # in shuffled order, with a zero vector
+        rows = list(once.rows)
+        rng.shuffle(rows)
+        respanned = [[Fraction(0)] * dim]
+        for i, row in enumerate(rows):
+            scale = q() or Fraction(1)
+            respanned.append([scale * x for x in row])
+            for earlier in rows[:i]:
+                c = rng.randint(-2, 2)
+                respanned[-1] = [x + c * y for x, y in zip(respanned[-1], earlier)]
+        again = canonical_subspace(respanned, dim)
+        assert once == again and hash(once) == hash(again)
 
 
 def test_degree_zero_dimension_is_one_on_connected_builtins():
