@@ -71,33 +71,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _CliParser(prog="gkmcalc", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, max_degree=True):
+    def add_common(p, cutoff_default=None):
         p.add_argument("input", help="input file, or - for stdin")
         p.add_argument(
             "--format", choices=("json", "table"), default="json", dest="fmt"
         )
-        if max_degree:
+        if cutoff_default is not None:
             p.add_argument(
                 "--max-degree",
                 type=int,
                 default=None,
-                help="series cutoff; defaults to max(20, 2*(vertices+2)) "
-                "or the GKM_MAX_DEGREE environment variable",
+                help="series cutoff; defaults to the GKM_MAX_DEGREE environment "
+                f"variable, else {cutoff_default}",
             )
 
-    add_common(sub.add_parser("validate", help="validate a GKM graph"), max_degree=False)
-    add_common(sub.add_parser("cohomology", help="equivariant graded dimensions"))
+    graph_cutoff = "max(20, 2*(vertices+2))"
+    add_common(sub.add_parser("validate", help="validate a GKM graph"))
+    add_common(sub.add_parser("cohomology", help="equivariant graded dimensions"),
+               graph_cutoff)
     bs = sub.add_parser("basic", help="basic cohomology series")
-    add_common(bs)
+    add_common(bs, graph_cutoff)
     bs.add_argument("--strict", action="store_true",
                     help="exit 3 when the series is not yet polynomial at the cutoff")
-    add_common(sub.add_parser("morse-bott", help="assemble a Morse-Bott series"))
-    add_common(sub.add_parser("gysin", help="Betti numbers from Gysin data"),
-               max_degree=False)
-    add_common(sub.add_parser("toric-skeleton", help="one-skeleton of a moment polytope"),
-               max_degree=False)
+    add_common(sub.add_parser("morse-bott", help="assemble a Morse-Bott series"),
+               "max(20, index + cutoff) over the components")
+    add_common(sub.add_parser("gysin", help="Betti numbers from Gysin data"))
+    add_common(sub.add_parser("toric-skeleton", help="one-skeleton of a moment polytope"))
     ck = sub.add_parser("check", help="run the theorem checks")
-    add_common(ck)
+    add_common(ck, graph_cutoff)
     ck.add_argument("--strict", action="store_true",
                     help="exit 3 when any check is inconclusive at the cutoff")
 
@@ -141,22 +142,21 @@ def _load_graph(path: str) -> GkmGraph:
     return graph_from_json(_read_json(path))
 
 
-def _resolve_cutoff(arg: int | None, graph: GkmGraph | None) -> int:
+def _resolve_cutoff(arg: int | None, default: int) -> int:
+    """The ``--max-degree`` flag, else ``GKM_MAX_DEGREE``, else the default."""
     if arg is not None:
         cutoff = arg
     else:
         env = os.environ.get("GKM_MAX_DEGREE")
-        if env is not None:
+        if env is None:
+            cutoff = default
+        else:
             try:
                 cutoff = int(env)
             except ValueError:
                 raise InputShapeError(
                     f"GKM_MAX_DEGREE must be an integer, got {env!r}"
                 ) from None
-        elif graph is not None:
-            cutoff = default_cutoff(len(graph.vertices))
-        else:
-            cutoff = 20
     if cutoff < 0:
         raise InputShapeError("max degree must be nonnegative")
     return cutoff
@@ -233,7 +233,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_cohomology(args) -> int:
     graph = _load_graph(args.input)
-    cutoff = _resolve_cutoff(args.max_degree, graph)
+    cutoff = _resolve_cutoff(args.max_degree, default_cutoff(len(graph.vertices)))
     dims = equivariant_dims(graph, cutoff)
     _emit(dims.to_json(), args.fmt, _series_table)
     return EXIT_OK
@@ -241,7 +241,7 @@ def _cmd_cohomology(args) -> int:
 
 def _cmd_basic(args) -> int:
     graph = _load_graph(args.input)
-    cutoff = _resolve_cutoff(args.max_degree, graph)
+    cutoff = _resolve_cutoff(args.max_degree, default_cutoff(len(graph.vertices)))
     dims = equivariant_dims(graph, cutoff)
     basic, report = basic_from_equivariant(dims, graph.rank, cutoff)
     out = report.to_json()
@@ -256,11 +256,9 @@ def _cmd_basic(args) -> int:
 
 def _cmd_morse_bott(args) -> int:
     data = MorseBottData.from_json(_read_json(args.input))
-    if args.max_degree is not None:
-        cutoff = _resolve_cutoff(args.max_degree, None)
-    else:
-        spans = [i + s.cutoff for i, s in data.components]
-        cutoff = max([20] + spans)
+    cutoff = _resolve_cutoff(
+        args.max_degree, max([20] + [i + s.cutoff for i, s in data.components])
+    )
     series = morse_bott_assemble(data, cutoff)
     _emit(series.to_json(), args.fmt, _series_table)
     return EXIT_OK
@@ -284,7 +282,7 @@ def _cmd_toric_skeleton(args) -> int:
 
 def _cmd_check(args) -> int:
     graph = _load_graph(args.input)
-    cutoff = _resolve_cutoff(args.max_degree, graph)
+    cutoff = _resolve_cutoff(args.max_degree, default_cutoff(len(graph.vertices)))
     report = run_checks(graph, cutoff)
     _emit(report.to_json(), args.fmt, _checks_table)
     if report.failed:

@@ -428,11 +428,11 @@ def validate_graph(graph: GkmGraph) -> ValidationReport:
     """
     checks = []
 
-    adjacency = {v.id: set() for v in graph.vertices}
+    incident: dict[str, list[GkmEdge]] = {v.id: [] for v in graph.vertices}
     for e in graph.edges:
-        if e.source != e.target:
-            adjacency[e.source].add(e.target)
-            adjacency[e.target].add(e.source)
+        incident[e.source].append(e)
+        if e.target != e.source:
+            incident[e.target].append(e)
     if graph.vertices:
         seen = set()
         stack = [graph.vertices[0].id]
@@ -441,7 +441,7 @@ def validate_graph(graph: GkmGraph) -> ValidationReport:
             if vid in seen:
                 continue
             seen.add(vid)
-            stack.extend(adjacency[vid] - seen)
+            stack.extend(e.target if e.source == vid else e.source for e in incident[vid])
         connected = len(seen) == len(graph.vertices)
     else:
         connected = False
@@ -489,11 +489,6 @@ def validate_graph(graph: GkmGraph) -> ValidationReport:
     )
 
     gkm_bad = []
-    incident: dict[str, list[GkmEdge]] = {v.id: [] for v in graph.vertices}
-    for e in graph.edges:
-        incident[e.source].append(e)
-        if e.target != e.source:
-            incident[e.target].append(e)
     for vid, edge_list in incident.items():
         for i in range(len(edge_list)):
             for j in range(i + 1, len(edge_list)):
@@ -630,25 +625,23 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
                 pb = pullback.block(q)
                 if block is None or pb is None:
                     continue
-                rrows = restriction_matrix(
-                    graph.vertex(vid).isotropy, e.isotropy, d
-                ).rows
+                rmap = restriction_matrix(graph.vertex(vid).isotropy, e.isotropy, d)
                 prows = [int_row(pb.row(i)) for i in range(pb.rows)]
-                contributions.append((block, rrows, prows, sign))
+                contributions.append((block, rmap, prows, sign))
             if not contributions:
                 continue
+            # one multiplier per pullback row clears the denominators of both sides
+            den = [
+                lcm(*(rmap.scale * prows[ip][0] for _, rmap, prows, _ in contributions))
+                for ip in range(e_fdim)
+            ]
             for ir in range(e_pdim):
                 for ip in range(e_fdim):
-                    # one multiplier clears the denominators of both sides
-                    den = 1
-                    for _, rrows, prows, _ in contributions:
-                        den = lcm(den, rrows[ir][0] * prows[ip][0])
                     row = {}
-                    for block, rrows, prows, sign in contributions:
-                        rden, rpairs = rrows[ir]
+                    for block, rmap, prows, sign in contributions:
                         pden, ppairs = prows[ip]
-                        f = sign * (den // (rden * pden))
-                        for jr, r in rpairs:
+                        f = sign * (den[ip] // (rmap.scale * pden))
+                        for jr, r in rmap.rows[ir]:
                             base = block.offset + jr * block.fiber_dim
                             for jp, p in ppairs.items():
                                 row[base + jp] = f * r * p
@@ -783,8 +776,7 @@ def class_product(
     blocks, total = _layout(graph, degree)
     vec = [Fraction(0)] * total
     for block in blocks:
-        basis = monomial_basis(graph.vertex(block.vertex).isotropy.dim, block.poly_degree)
-        index = {mono: i for i, mono in enumerate(basis.monomials)}
+        index = monomial_basis(graph.vertex(block.vertex).isotropy.dim, block.poly_degree).index
         pb = b.vertex_polynomial(graph, block.vertex)
         for ma, ca in a.vertex_polynomial(graph, block.vertex).items():
             for mb, cb in pb.items():

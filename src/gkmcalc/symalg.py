@@ -13,13 +13,12 @@ so polynomial degree d contributes to cohomological degree 2d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from .errors import InputShapeError, SubspaceContainmentError
-from .exactlin import MatrixQ, SubspaceQ, subspace_relations
+from .exactlin import SubspaceQ, subspace_relations
 
 #: Entries kept by each of the ``monomial_basis`` and ``restriction_matrix``
 #: caches, so that long-lived use stays within a fixed memory.  One pass of
@@ -49,12 +48,17 @@ class MonomialBasis:
 
     Monomials are exponent tuples in graded-lexicographic order (all of one
     total degree, lexicographically decreasing), which fixes the row and
-    column conventions of every matrix built on top.
+    column conventions of every matrix built on top.  ``index`` maps each
+    monomial to its position.
     """
 
     var_count: int
     degree: int
     monomials: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", {m: i for i, m in enumerate(self.monomials)})
 
     def __len__(self):
         return len(self.monomials)
@@ -88,25 +92,17 @@ class RestrictionMap:
     """Matrix of S(ambient*)_d -> S(sub*)_d in the canonical monomial bases.
 
     Columns are indexed by the ambient monomials, rows by the sub
-    monomials.  The matrix is stored as sparse integer rows: ``rows[i]``
-    is ``(den, ((col, num), ...))``, so row i has the entry ``num / den``
-    in each listed column (in increasing order) and zeros elsewhere.
+    monomials.  The matrix is stored as sparse integer rows over one
+    positive ``scale``: ``rows[i]`` is ``((col, num), ...)``, so row i has
+    the entry ``num / scale`` in each listed column (in increasing order,
+    ``num`` a nonzero int) and zeros elsewhere.
     """
 
     ambient: SubspaceQ
     sub: SubspaceQ
     degree: int
-    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-
-    @property
-    def matrix(self) -> MatrixQ:
-        """The dense rational matrix, built on each access."""
-        ncols = sym_dim(self.ambient.dim, self.degree)
-        entries = [Fraction(0)] * (len(self.rows) * ncols)
-        for i, (den, pairs) in enumerate(self.rows):
-            for col, num in pairs:
-                entries[i * ncols + col] = Fraction(num, den)
-        return MatrixQ(len(self.rows), ncols, entries)
+    scale: int
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _expand_monomial(alpha, linear_forms, nvars_sub):
@@ -140,14 +136,6 @@ def _expand_monomial(alpha, linear_forms, nvars_sub):
     return poly
 
 
-def _lowest_terms(den: int, pairs: list[tuple[int, int]]):
-    """One row ``(den, pairs)`` with the gcd of den and the entries divided out."""
-    if den == 1:
-        return 1, tuple(pairs)
-    g = gcd(den, *(num for _, num in pairs))
-    return den // g, tuple((col, num // g) for col, num in pairs)
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def restriction_matrix(ambient: SubspaceQ, sub: SubspaceQ, degree: int) -> RestrictionMap:
     """Restriction of degree-``degree`` polynomials along sub <= ambient.
@@ -178,12 +166,8 @@ def restriction_matrix(ambient: SubspaceQ, sub: SubspaceQ, degree: int) -> Restr
         [(i, row[p] * (den // row[c])) for i, (row, c) in enumerate(sub_rows) if row[p]]
         for p in ambient.pivot_columns()
     ]
-    index = {m: i for i, m in enumerate(sub_basis.monomials)}
     rows: list[list[tuple[int, int]]] = [[] for _ in sub_basis.monomials]
     for col, alpha in enumerate(amb_basis.monomials):
         for mono, coeff in _expand_monomial(alpha, linear_forms, sub.dim).items():
-            rows[index[mono]].append((col, coeff))
-    scale = den**degree
-    return RestrictionMap(
-        ambient, sub, degree, tuple(_lowest_terms(scale, pairs) for pairs in rows)
-    )
+            rows[sub_basis.index[mono]].append((col, coeff))
+    return RestrictionMap(ambient, sub, degree, den**degree, tuple(map(tuple, rows)))

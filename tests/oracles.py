@@ -14,7 +14,8 @@ basis vector that the library replaced with one rank, kept unchanged.
 So is the ring product checked edge by edge: both endpoint polynomials
 restricted along every edge and compared, the check that the library
 replaced with the rows of its constraint system, here restricting through
-:func:`dense_restriction_matrix`.
+:func:`dense_restriction_matrix`.  And so is :func:`dense`, the dense
+rational matrix of a restriction map, which the library no longer builds.
 """
 
 from fractions import Fraction
@@ -312,9 +313,7 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
                 pb = pullback.block(q)
                 if block is None or pb is None:
                     continue
-                rmat = restriction_matrix(
-                    graph.vertex(vid).isotropy, e.isotropy, d
-                ).matrix
+                rmat = dense(restriction_matrix(graph.vertex(vid).isotropy, e.isotropy, d))
                 contributions.append((block, rmat, pb, sign))
             if not contributions:
                 continue
@@ -384,6 +383,17 @@ def rref_rows(space):
 
 def _pivot_columns(rows):
     return [next(j for j, x in enumerate(row) if x) for row in rows]
+
+
+def dense(rmap):
+    """The dense rational matrix of a :class:`RestrictionMap`: its integer
+    rows divided by its scale."""
+    ncols = sym_dim(rmap.ambient.dim, rmap.degree)
+    entries = [Fraction(0)] * (len(rmap.rows) * ncols)
+    for i, pairs in enumerate(rmap.rows):
+        for col, num in pairs:
+            entries[i * ncols + col] = Fraction(num, rmap.scale)
+    return MatrixQ(len(rmap.rows), ncols, entries)
 
 
 def dense_restriction_matrix(ambient, sub, degree):

@@ -44,6 +44,7 @@ from gkmcalc.symalg import restriction_matrix, sym_dim
 from oracles import (
     boundary_simplex_faces,
     convolve,
+    dense,
     face_ring_dims_by_enumeration,
     hirzebruch_equivariant_oracle,
     simplex_equivariant_oracle,
@@ -265,9 +266,9 @@ def test_criterion_8e_linear_algebra_invariants():
         rows_c = random_combinations(rng, rows_b, max(b.dim - 1, 0))
         c = canonical_subspace(rows_c, r)
         for d in range(7):
-            ab = restriction_matrix(a, b, d).matrix
-            bc = restriction_matrix(b, c, d).matrix
-            ac = restriction_matrix(a, c, d).matrix
+            ab = dense(restriction_matrix(a, b, d))
+            bc = dense(restriction_matrix(b, c, d))
+            ac = dense(restriction_matrix(a, c, d))
             assert bc.mul(ab) == ac
             _, piv = rref(ab)
             assert len(piv) == sym_dim(b.dim, d)

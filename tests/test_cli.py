@@ -276,12 +276,15 @@ class TestDeterminism:
         assert obj["coeffs"][:5] == [1, 0, 2, 0, 1]
 
     def test_env_default_cutoff(self, capsys, monkeypatch, simplex2_json):
+        # the variable replaces each subcommand's own default, graph or not
         monkeypatch.setenv("GKM_MAX_DEGREE", "6")
-        code, out, _ = run_cli(
-            capsys, "cohomology", "-", stdin=simplex2_json, monkeypatch=monkeypatch
+        morse_bott = json.dumps(
+            {"components": [{"index": 2, "series": {"cutoff": 2, "coeffs": [1, 0, 1]}}]}
         )
-        assert code == 0
-        assert json.loads(out)["cutoff"] == 6
+        for command, doc in (("cohomology", simplex2_json), ("morse-bott", morse_bott)):
+            code, out, _ = run_cli(capsys, command, "-", stdin=doc, monkeypatch=monkeypatch)
+            assert code == 0
+            assert json.loads(out)["cutoff"] == 6
 
     def test_table_format(self, capsys, monkeypatch, simplex2_json):
         code, out, _ = run_cli(

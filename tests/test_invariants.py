@@ -151,13 +151,17 @@ def test_mul_polynomial_agrees_with_mul(coeffs, poly):
 
 def test_concurrent_degrees_match_sequential():
     # per-degree computations are independent; interleaving them across
-    # threads must reproduce the sequential results exactly
+    # threads must reproduce the sequential results exactly, with the
+    # threads building the restriction maps and monomial bases themselves
     from concurrent.futures import ThreadPoolExecutor
 
     from gkmcalc import equivariant_basis
+    from gkmcalc.symalg import monomial_basis, restriction_matrix
 
     g = builtin_stiefel()
     sequential = {m: equivariant_basis(g, m) for m in range(9)}
+    restriction_matrix.cache_clear()
+    monomial_basis.cache_clear()
     with ThreadPoolExecutor(max_workers=4) as pool:
         futures = {m: pool.submit(equivariant_basis, g, m) for m in range(9)}
         concurrent = {m: f.result() for m, f in futures.items()}

@@ -10,7 +10,7 @@ from gkmcalc.errors import SubspaceContainmentError
 from gkmcalc.exactlin import MatrixQ, canonical_subspace, rref
 from gkmcalc.symalg import CACHE_SIZE, monomial_basis, restriction_matrix, sym_dim
 
-from oracles import dense_restriction_matrix
+from oracles import contains, dense, dense_restriction_matrix
 from test_exactlin import invertible_matrix, random_matrix
 
 
@@ -49,32 +49,32 @@ class TestRestrictionMatrix:
         v = canonical_subspace([(1, 0, 2), (0, 1, 1)], 3)
         for d in range(4):
             rm = restriction_matrix(v, v, d)
-            assert rm.matrix == MatrixQ.identity(sym_dim(2, d))
+            assert dense(rm) == MatrixQ.identity(sym_dim(2, d))
 
     def test_diagonal_line_degree_1(self):
         amb = canonical_subspace([(1, 0), (0, 1)], 2)
         sub = canonical_subspace([(1, 1)], 2)
         rm = restriction_matrix(amb, sub, 1)
-        assert rm.matrix == MatrixQ.from_rows([[1, 1]])
+        assert dense(rm) == MatrixQ.from_rows([[1, 1]])
 
     def test_diagonal_line_degree_2(self):
         amb = canonical_subspace([(1, 0), (0, 1)], 2)
         sub = canonical_subspace([(1, 1)], 2)
         rm = restriction_matrix(amb, sub, 2)
-        assert rm.matrix == MatrixQ.from_rows([[1, 1, 1]])
+        assert dense(rm) == MatrixQ.from_rows([[1, 1, 1]])
 
     def test_zero_subspace_positive_degree(self):
         amb = canonical_subspace([(1, 0), (0, 1)], 2)
         sub = canonical_subspace([], 2)
         for d in (1, 2, 3):
             rm = restriction_matrix(amb, sub, d)
-            assert rm.matrix.rows == 0
-            assert rm.matrix.cols == sym_dim(2, d)
+            assert dense(rm).rows == 0
+            assert dense(rm).cols == sym_dim(2, d)
 
     def test_zero_subspace_degree_zero(self):
         amb = canonical_subspace([(1, 0)], 2)
         sub = canonical_subspace([], 2)
-        assert restriction_matrix(amb, sub, 0).matrix == MatrixQ.identity(1)
+        assert dense(restriction_matrix(amb, sub, 0)) == MatrixQ.identity(1)
 
     def test_non_containment_rejected(self):
         amb = canonical_subspace([(1, 0)], 2)
@@ -93,23 +93,39 @@ class TestRestrictionMatrix:
             sub = canonical_subspace(random_combinations(rng, amb_rows, kb), r)
             for d in range(4):
                 rm = restriction_matrix(amb, sub, d)
-                _, piv = rref(rm.matrix)
+                _, piv = rref(dense(rm))
                 assert len(piv) == sym_dim(sub.dim, d)
 
     def test_matches_rational_substitution(self):
-        # the integer rows over one denominator against substitution over Q
+        # the integer rows over one scale against substitution over Q, from
+        # an empty cache and with the degrees visited in a random order; the
+        # reversed pair, when not contained, is refused at every degree
+        restriction_matrix.cache_clear()
         rng = random.Random(17)
-        for _ in range(25):
+        for kind in ("coordinate", "generic") * 15:
             r = rng.randint(1, 4)
-            amb_rows = random_matrix(rng, rng.randint(1, r), r)
-            amb = canonical_subspace(amb_rows, r)
-            sub = canonical_subspace(
-                random_combinations(rng, amb_rows, rng.randint(0, amb.dim)), r
-            )
-            for d in range(4):
-                assert restriction_matrix(amb, sub, d).matrix == dense_restriction_matrix(
-                    amb, sub, d
-                )
+            if kind == "coordinate":
+                axes = [[int(i == j) for j in range(r)] for i in range(r)]
+                amb_rows = rng.sample(axes, rng.randint(1, r))
+                sub_rows = rng.sample(amb_rows, rng.randint(0, len(amb_rows)))
+            else:
+                amb_rows = random_matrix(rng, rng.randint(1, r), r)
+                sub_rows = random_combinations(rng, amb_rows, rng.randint(0, len(amb_rows)))
+            amb, sub = canonical_subspace(amb_rows, r), canonical_subspace(sub_rows, r)
+            degrees = list(range(6))
+            rng.shuffle(degrees)
+            for d in degrees:
+                rm = restriction_matrix(amb, sub, d)
+                assert dense(rm) == dense_restriction_matrix(amb, sub, d)
+                assert type(rm.scale) is int and rm.scale > 0
+                for pairs in rm.rows:
+                    cols = [col for col, _ in pairs]
+                    assert cols == sorted(set(cols))
+                    assert all(type(num) is int and num for _, num in pairs)
+            if not contains(sub, amb):
+                for d in degrees:
+                    with pytest.raises(SubspaceContainmentError):
+                        restriction_matrix(sub, amb, d)
 
     def test_functoriality_chain(self):
         rng = random.Random(5)
@@ -124,9 +140,9 @@ class TestRestrictionMatrix:
             rows_c = random_combinations(rng, rows_b, max(b.dim - 1, 0))
             c = canonical_subspace(rows_c, r)
             for d in range(7):
-                ab = restriction_matrix(a, b, d).matrix
-                bc = restriction_matrix(b, c, d).matrix
-                ac = restriction_matrix(a, c, d).matrix
+                ab = dense(restriction_matrix(a, b, d))
+                bc = dense(restriction_matrix(b, c, d))
+                ac = dense(restriction_matrix(a, c, d))
                 assert bc.mul(ab) == ac
 
     def test_invariant_under_input_recombination(self):
@@ -137,7 +153,7 @@ class TestRestrictionMatrix:
         sub_rows = [[2, 2, 2]]
         amb = canonical_subspace(amb_rows, 3)
         sub = canonical_subspace(sub_rows, 3)
-        base = restriction_matrix(amb, sub, 3).matrix
+        base = dense(restriction_matrix(amb, sub, 3))
         for _ in range(20):
             mix = invertible_matrix(rng, 2)
             mixed_rows = [
@@ -147,7 +163,7 @@ class TestRestrictionMatrix:
             amb2 = canonical_subspace(mixed_rows, 3)
             scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
             sub2 = canonical_subspace([[scale * x for x in sub_rows[0]]], 3)
-            assert restriction_matrix(amb2, sub2, 3).matrix == base
+            assert dense(restriction_matrix(amb2, sub2, 3)) == base
 
 
 def random_combinations(rng, rows, k):
