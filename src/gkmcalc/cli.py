@@ -20,7 +20,8 @@ the JSON shape is the compatibility contract, the table is not.
 Exit codes: 0 success; 1 input or validation error (message on stderr,
 prefixed ``error:``); 2 theorem-check failure (including formality and
 Gysin inconsistencies); 3 inconclusive at cutoff when ``--strict`` is
-given (a warning on stderr otherwise).
+given (a warning on stderr otherwise).  Standard output closed by its
+reader also exits 1, silently.
 """
 
 from __future__ import annotations
@@ -342,6 +343,17 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILED
     except GkmError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull so
+        # that the interpreter's flush at exit stays silent
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return EXIT_INPUT
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
         return EXIT_INPUT
 
 

@@ -26,16 +26,6 @@ from .errors import InputShapeError
 Rational = Fraction
 
 
-def _as_rational(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise InputShapeError(f"not an exact rational: {value!r}")
-
-
 _RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
@@ -59,6 +49,12 @@ def rational_from_json(obj) -> Fraction:
         return Fraction(obj)
     except ZeroDivisionError as exc:
         raise InputShapeError(f"bad rational {obj!r}: {exc}") from None
+
+
+def _as_rational(value) -> Fraction:
+    """The one gate for rational library input: a ``Fraction``, an int (not a
+    bool) or a string in the JSON form; anything else raises InputShapeError."""
+    return value if isinstance(value, Fraction) else rational_from_json(value)
 
 
 def vector_to_json(vec):
@@ -408,7 +404,7 @@ def canonical_subspace(vectors, ambient_dim: int) -> SubspaceQ:
     >>> line.rows, line.to_json()
     (((2, 1),), [[1, '1/2']])
     """
-    rows = [list(v) for v in vectors]
+    rows = [[_as_rational(x) for x in v] for v in vectors]
     for r in rows:
         if len(r) != ambient_dim:
             raise InputShapeError(
@@ -442,12 +438,30 @@ class SubspaceRelation:
         return self.a_contains_b and self.b_contains_a
 
 
+def inclusion(ambient: SubspaceQ, sub: SubspaceQ):
+    """``(den, forms)`` if ``sub`` lies in ``ambient``, else None.
+
+    On sub the k-th coordinate function of ambient's canonical basis is the sum
+    of ``num / den * z_i`` over the int pairs ``(i, num)`` in ``forms[k]``, ``z_i``
+    dual to sub's canonical basis.  In RREF the coordinates of a sub row are its
+    entries at the ambient pivots; it lies in ambient iff they recombine into it.
+    """
+    if ambient.ambient_dim != sub.ambient_dim:
+        raise InputShapeError(
+            f"ambient dimensions differ: {ambient.ambient_dim} vs {sub.ambient_dim}"
+        )
+    amb = list(zip(ambient.rows, ambient.pivot_columns()))
+    scale = lcm(*(row[p] for row, p in amb))
+    for srow in sub.rows:
+        if any(scale * x != sum(srow[p] * (scale // row[p]) * row[j] for row, p in amb)
+               for j, x in enumerate(srow)):
+            return None
+    subs = list(zip(sub.rows, sub.pivot_columns()))
+    den = lcm(*(row[c] for row, c in subs))
+    return den, [[(i, r[p] * (den // r[c])) for i, (r, c) in enumerate(subs) if r[p]]
+                 for _, p in amb]
+
+
 def subspace_relations(a: SubspaceQ, b: SubspaceQ) -> SubspaceRelation:
     """Exact containment and equality decisions for two subspaces."""
-    if a.ambient_dim != b.ambient_dim:
-        raise InputShapeError(
-            f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
-        )
-    # a contains b iff b's basis adds nothing to the rank of a's, and vice versa
-    r = rank_of_rows(a.rows + b.rows, a.ambient_dim)
-    return SubspaceRelation(r == a.dim, r == b.dim, a.dim, b.dim)
+    return SubspaceRelation(inclusion(a, b) is not None, inclusion(b, a) is not None, a.dim, b.dim)

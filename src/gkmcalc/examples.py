@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputShapeError
-from .exactlin import MatrixQ, canonical_subspace
+from .exactlin import MatrixQ, _as_rational, canonical_subspace
 from .gkmcore import GkmEdge, GkmGraph, GkmVertex, GradedMap, GradedVS
 
 
@@ -121,7 +121,7 @@ def builtin_fiber_join(n: int, genus: int) -> GkmGraph:
     )
 
 
-def builtin_hirzebruch(m: int, pullback_scale: Fraction | int = 1) -> GkmGraph:
+def builtin_hirzebruch(m: int, pullback_scale: Fraction | int | str = 1) -> GkmGraph:
     """Rank-2 graph of a circle bundle over a Hirzebruch surface.
 
     The two critical components are circle bundles over spheres with Euler
@@ -133,7 +133,7 @@ def builtin_hirzebruch(m: int, pullback_scale: Fraction | int = 1) -> GkmGraph:
     """
     if m < 1:
         raise InputShapeError("hirzebruch requires m >= 1")
-    scale = Fraction(pullback_scale)
+    scale = _as_rational(pullback_scale)
     if scale == 0:
         raise InputShapeError("degree-2 pullback scalar must be nonzero")
     sphere = GradedVS.of({0: 1, 2: 1})

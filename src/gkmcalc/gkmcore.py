@@ -33,12 +33,12 @@ from .errors import (
 from .exactlin import (
     MatrixQ,
     SubspaceQ,
+    inclusion,
     int_row,
     is_int,
     kernel_rows,
     reduce_int_rows,
     subspace_from_json,
-    subspace_relations,
 )
 from .series import DegreeSeries
 from .symalg import monomial_basis, restriction_matrix, sym_dim
@@ -460,8 +460,7 @@ def validate_graph(graph: GkmGraph) -> ValidationReport:
     for e in graph.edges:
         for vid in (e.source, e.target):
             v = graph.vertex(vid)
-            rel = subspace_relations(v.isotropy, e.isotropy)
-            if not rel.a_contains_b or v.isotropy.dim != e.isotropy.dim + 1:
+            if inclusion(v.isotropy, e.isotropy) is None or v.isotropy.dim != e.isotropy.dim + 1:
                 bad_containment.append((e.id, vid))
     checks.append(
         ValidationCheck(
@@ -755,6 +754,8 @@ def class_product(
     The ring structure is that of point fibers with identity pullbacks;
     any other graph raises :class:`UnsupportedRingStructureError` before a
     product is formed (its kernel dimensions and bases stay available).
+    Every component of ``a`` and ``b`` must be a block of the graph's layout
+    in its degree, with that block's shape.
     The product is checked exactly against every row of the kernel's
     constraint system in its degree; a failure means the inputs were not
     kernel elements.
@@ -772,6 +773,15 @@ def class_product(
             )
     if a.degree % 2 or b.degree % 2:
         raise InputShapeError("point-fiber classes live in even degrees")
+    for c in (a, b):
+        shapes = {(blk.vertex, blk.poly_degree, blk.fiber_degree): (blk.poly_dim, blk.fiber_dim)
+                  for blk in _layout(graph, c.degree)[0]}
+        for vid, d, q, m in c.components:
+            if shapes.get((vid, d, q)) != (m.rows, m.cols):
+                raise InputShapeError(
+                    f"component ({vid!r}, {d}, {q}) of a degree-{c.degree} class is not "
+                    f"a block of the graph's degree-{c.degree} layout with its shape"
+                )
     degree = a.degree + b.degree
     blocks, total = _layout(graph, degree)
     vec = [Fraction(0)] * total

@@ -477,6 +477,8 @@ def run_checks(graph, cutoff: int) -> CheckReport:
     """
     from . import gkmcore  # local import: gkmcore depends on this module
 
+    if graph.manifold_dim is not None and graph.manifold_dim % 2 != 1:
+        raise InputShapeError("manifold_dim must be odd (2n+1)")
     eq = gkmcore.equivariant_dims(graph, cutoff)
     basic, report = basic_from_equivariant(eq, graph.rank, cutoff)
     polynomial = report.is_polynomial
@@ -520,11 +522,7 @@ def run_checks(graph, cutoff: int) -> CheckReport:
         )
     checks.append(CheckResult("orbit_space_dimension", status, detail))
 
-    n = None
-    if graph.manifold_dim is not None:
-        if graph.manifold_dim % 2 != 1:
-            raise InputShapeError("manifold_dim must be odd (2n+1)")
-        n = (graph.manifold_dim - 1) // 2
+    n = None if graph.manifold_dim is None else (graph.manifold_dim - 1) // 2
     if n is None:
         checks.append(
             CheckResult(

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
 from .errors import InputShapeError, SubspaceContainmentError
-from .exactlin import SubspaceQ, subspace_relations
+from .exactlin import SubspaceQ, inclusion
 
 #: Entries kept by each of the ``monomial_basis`` and ``restriction_matrix``
 #: caches, so that long-lived use stays within a fixed memory.  One pass of
@@ -146,26 +146,14 @@ def restriction_matrix(ambient: SubspaceQ, sub: SubspaceQ, degree: int) -> Restr
     """
     if degree < 0:
         raise InputShapeError("negative polynomial degree")
-    rel = subspace_relations(ambient, sub)
-    if not rel.a_contains_b:
+    inc = inclusion(ambient, sub)
+    if inc is None:
         raise SubspaceContainmentError(
             f"subspace of dim {sub.dim} is not contained in the ambient of dim {ambient.dim}"
         )
+    den, linear_forms = inc
     amb_basis = monomial_basis(ambient.dim, degree)
     sub_basis = monomial_basis(sub.dim, degree)
-    # the canonical basis of sub in the canonical basis of ambient: because
-    # the ambient basis is in RREF, the coordinates of sub row i are its
-    # entries in the ambient pivot columns over its own pivot entry.  Scaled
-    # by one common denominator the substituted linear forms are integral,
-    # so every product expands over the integers and the matrix is an
-    # integer matrix over den ** degree
-    sub_rows = list(zip(sub.rows, sub.pivot_columns()))
-    den = lcm(*(row[c] for row, c in sub_rows))
-    # linear form substituted for the j-th ambient coordinate function
-    linear_forms = [
-        [(i, row[p] * (den // row[c])) for i, (row, c) in enumerate(sub_rows) if row[p]]
-        for p in ambient.pivot_columns()
-    ]
     rows: list[list[tuple[int, int]]] = [[] for _ in sub_basis.monomials]
     for col, alpha in enumerate(amb_basis.monomials):
         for mono, coeff in _expand_monomial(alpha, linear_forms, sub.dim).items():

@@ -21,7 +21,7 @@ from .errors import (
     SimplicityError,
     ValidationError,
 )
-from .exactlin import canonical_subspace, is_int, vector_from_json, vector_to_json
+from .exactlin import _as_rational, canonical_subspace, is_int, vector_from_json, vector_to_json
 from .gkmcore import GkmEdge, GkmGraph, GkmVertex, validate_graph
 
 
@@ -179,7 +179,7 @@ def simplex_polytope(n: int, weights) -> MomentPolytope:
     contains every vertex except j.  The skeleton is independent of the
     weights (incidence does not move with them).
     """
-    weights = [Fraction(w) for w in weights]
+    weights = [_as_rational(w) for w in weights]
     if n < 1:
         raise InputShapeError("simplex polytope requires n >= 1")
     if len(weights) != n + 1:

@@ -9,8 +9,10 @@ replaced, kept unchanged as the reference the sparse path must match.  It
 shares the block layout, the validation, the class construction and
 the restriction maps with the library; :func:`dense_restriction_matrix`
 checks the last by plain substitution over the rationals.  The subspace
-containment test is another: the dense ``Fraction`` reduction of each
-basis vector that the library replaced with one rank, kept unchanged.
+containment tests are others: the dense ``Fraction`` reduction of each
+basis vector that the library replaced with one rank, and that rank,
+which the library replaced with reading the canonical form, both kept
+unchanged.
 So is the ring product checked edge by edge: both endpoint polynomials
 restricted along every edge and compared, the check that the library
 replaced with the rows of its constraint system, here restricting through
@@ -23,7 +25,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from gkmcalc.errors import InputShapeError, UnsupportedRingStructureError
-from gkmcalc.exactlin import MatrixQ, _as_rational
+from gkmcalc.exactlin import MatrixQ, _as_rational, rank_of_rows
 from gkmcalc.gkmcore import (
     EquivariantClass,
     GkmGraph,
@@ -481,3 +483,11 @@ def subspace_relations_by_reduction(a, b):
     """``(a_contains_b, b_contains_a, dim_a, dim_b)``, each containment by
     reducing every basis vector of one subspace against the other."""
     return contains(a, b), contains(b, a), a.dim, b.dim
+
+
+def subspace_relations_by_rank(a, b):
+    """``(a_contains_b, b_contains_a, dim_a, dim_b)`` from one rank: a
+    contains b iff stacking b's basis under a's adds nothing to the rank of
+    a's, and vice versa."""
+    r = rank_of_rows(a.rows + b.rows, a.ambient_dim)
+    return r == a.dim, r == b.dim, a.dim, b.dim

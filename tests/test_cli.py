@@ -1,13 +1,19 @@
 """Tests for the command-line interface.
 
 Everything runs in-process through ``gkmcalc.cli.main`` with captured
-stdout; determinism is asserted on raw output bytes.
+stdout, except the closed-stdout test, which needs a real pipe;
+determinism is asserted on raw output bytes.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gkmcalc
 from gkmcalc.cli import main
 
 
@@ -202,6 +208,20 @@ class TestExitCodes:
         )
         assert code == 1 and err.startswith("error:")
         assert len(err.splitlines()) == 1
+
+    def test_closed_stdout_exits_quietly(self):
+        # about 200 KB of output, more than a pipe buffer holds, so the
+        # writer meets the closed pipe
+        env = dict(os.environ, PYTHONPATH=str(Path(gkmcalc.__file__).parents[1]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "gkmcalc.cli", "example", "simplex", "--n", "12"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert proc.stdout.read(16)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_unknown_flag(self, capsys):
         code, _, err = run_cli(capsys, "cohomology", "-", "--frobnicate")

@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmcalc.errors import InputShapeError, SubspaceContainmentError
+from gkmcalc.examples import builtin_hirzebruch
 from gkmcalc.exactlin import (
     MatrixQ,
     SubspaceQ,
     canonical_subspace,
+    inclusion,
     int_row,
     kernel_basis,
     rank_of_rows,
@@ -27,8 +29,14 @@ from gkmcalc.exactlin import (
     subspace_relations,
 )
 from gkmcalc.symalg import restriction_matrix
+from gkmcalc.toric import simplex_polytope
 
-from oracles import _scaled_int_rows, subspace_relations_by_reduction
+from oracles import (
+    _scaled_int_rows,
+    dense_restriction_matrix,
+    subspace_relations_by_rank,
+    subspace_relations_by_reduction,
+)
 from oracles import reduce_int_rows as dense_reduce_int_rows
 
 
@@ -312,9 +320,22 @@ class TestSubspaceRelations:
         rel = subspace_relations(a, b)
         want = subspace_relations_by_reduction(a, b)
         assert (rel.a_contains_b, rel.b_contains_a, rel.dim_a, rel.dim_b) == want
+        assert subspace_relations_by_rank(a, b) == want
         assert rel.equal == (a == b)
         for ambient, sub, inside in ((a, b, want[0]), (b, a, want[1])):
+            inc = inclusion(ambient, sub)
+            assert (inc is not None) == inside
             if inside:
+                # form j over den is column j of the degree-1 restriction
+                den, forms = inc
+                m = dense_restriction_matrix(ambient, sub, 1)
+                assert len(forms) == ambient.dim
+                for j, form in enumerate(forms):
+                    col = [Fraction(0)] * sub.dim
+                    for i, num in form:
+                        assert type(num) is int and num
+                        col[i] = Fraction(num, den)
+                    assert col == [m.entry(i, j) for i in range(sub.dim)]
                 restriction_matrix(ambient, sub, degree)
             else:
                 with pytest.raises(SubspaceContainmentError):
@@ -337,3 +358,37 @@ class TestJson:
     def test_matrix_round_trip(self):
         m = MatrixQ.from_rows([[Fraction(1, 2), 3], [0, Fraction(-7, 5)]])
         assert MatrixQ.from_json(m.to_json()) == m
+
+    # library input takes Fractions, ints (not bools) and strict rational
+    # strings, the JSON form; a float would bring in its binary expansion
+    @pytest.mark.parametrize(
+        "build, want",
+        [
+            (lambda: simplex_polytope(1, [0.1, 1]), InputShapeError),
+            (lambda: builtin_hirzebruch(1, 0.1), InputShapeError),
+            (lambda: canonical_subspace([(0.5, 1)], 2), InputShapeError),
+            (lambda: canonical_subspace([(None, 1)], 2), InputShapeError),
+            (lambda: canonical_subspace([("x", 1)], 2), InputShapeError),
+            (lambda: MatrixQ.from_rows([["x"]]), InputShapeError),
+            (lambda: MatrixQ.from_rows([["1e1"]]), InputShapeError),
+            (lambda: MatrixQ.from_rows([[" 1/2"]]), InputShapeError),
+            (lambda: MatrixQ.from_rows([["1/0"]]), InputShapeError),
+            (lambda: MatrixQ.from_rows([[True]]), InputShapeError),
+            (lambda: canonical_subspace([("1/2", 1)], 2).rows, ((1, 2),)),
+            (lambda: MatrixQ.from_rows([["-3/6", 2]]).row(0), (Fraction(-1, 2), 2)),
+            (lambda: builtin_hirzebruch(1, "3/2"), builtin_hirzebruch(1, Fraction(3, 2))),
+            (lambda: simplex_polytope(1, ["1/2", 1]).vertices[0].coords, (2, 0)),
+        ],
+        ids=[
+            "polytope-float", "hirzebruch-float", "subspace-float", "subspace-none",
+            "subspace-word", "matrix-word", "matrix-exponent", "matrix-space",
+            "matrix-zero-denominator", "matrix-bool", "subspace-string",
+            "matrix-string", "hirzebruch-string", "polytope-string",
+        ],
+    )
+    def test_rational_library_input(self, build, want):
+        if want is InputShapeError:
+            with pytest.raises(InputShapeError):
+                build()
+        else:
+            assert build() == want

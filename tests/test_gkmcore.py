@@ -447,6 +447,17 @@ class TestClassProduct:
         with pytest.raises(InputShapeError):
             class_product(g, fake, fake)
 
+    @pytest.mark.parametrize("graph_n, a_n, b_n", [(3, 2, 3), (2, 3, 3)],
+                             ids=["mixed-on-simplex3", "simplex3-on-simplex2"])
+    def test_class_of_another_graph_rejected(self, graph_n, a_n, b_n):
+        # degree-2 classes of simplex(2) have 2x1 vertex blocks and those of
+        # simplex(3) 3x1 blocks, so the mismatch shows at the first block
+        # (at the parent: an IndexError, and a product of truncated columns)
+        a = equivariant_basis(builtin_simplex(a_n), 2)[0]
+        b = equivariant_basis(builtin_simplex(b_n), 2)[0]
+        with pytest.raises(InputShapeError, match=re.escape("('v0', 1, 0)")):
+            class_product(builtin_simplex(graph_n), a, b)
+
 
 class TestGraphJson:
     def test_round_trip_builtins(self):

@@ -1,5 +1,6 @@
 """Tests for degree series arithmetic and the series-level theorems."""
 
+import dataclasses
 import random
 
 import pytest
@@ -326,6 +327,17 @@ class TestRunChecks:
         report = run_checks(builtin_simplex(2), 4)
         assert report.inconclusive
         assert not report.failed
+
+    def test_even_manifold_dim_rejected_before_the_kernel(self, monkeypatch):
+        import gkmcalc.gkmcore
+
+        def kernel_must_not_run(*args):
+            raise AssertionError("equivariant_dims ran before the input check")
+
+        monkeypatch.setattr(gkmcalc.gkmcore, "equivariant_dims", kernel_must_not_run)
+        graph = dataclasses.replace(builtin_simplex(2), manifold_dim=6)
+        with pytest.raises(InputShapeError, match="manifold_dim must be odd"):
+            run_checks(graph, 12)
 
 
 def test_default_cutoff():
