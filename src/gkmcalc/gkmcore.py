@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import (
@@ -144,6 +145,11 @@ class GradedMap:
             if q == degree:
                 return m
         return None
+
+    @cached_property
+    def int_rows(self) -> dict[int, tuple[tuple[int, dict[int, int]], ...]]:
+        """Each block's rows as :func:`~gkmcalc.exactlin.int_row` pairs, by degree."""
+        return {q: tuple(map(int_row, m.row_lists())) for q, m in self.blocks}
 
     @property
     def is_identity(self) -> bool:
@@ -621,11 +627,10 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
                 (e.target, e.pullback_target, -1),
             ):
                 block = index.get((vid, d, q))
-                pb = pullback.block(q)
-                if block is None or pb is None:
+                prows = pullback.int_rows.get(q)
+                if block is None or prows is None:
                     continue
                 rmap = restriction_matrix(graph.vertex(vid).isotropy, e.isotropy, d)
-                prows = [int_row(pb.row(i)) for i in range(pb.rows)]
                 contributions.append((block, rmap, prows, sign))
             if not contributions:
                 continue

@@ -5,7 +5,10 @@ polynomial algebra S(V*), in the basis of monomials in the coordinates
 dual to the canonical (RREF) basis of V.  The central operation is the
 restriction map S(W*)_d -> S(V*)_d induced by an inclusion V <= W: write
 the canonical basis of V in the canonical basis of W and substitute the
-resulting linear forms into each monomial.
+resulting linear forms into each monomial.  The maps are a map of graded
+algebras, so they are cached per pair (W, V): the linear forms are read
+once, and degree d is grown from degree d - 1 by one linear-form
+multiplication per monomial.
 
 Grading convention: the generators of S(V*) sit in cohomological degree 2,
 so polynomial degree d contributes to cohomological degree 2d.
@@ -20,10 +23,12 @@ from math import comb
 from .errors import InputShapeError, SubspaceContainmentError
 from .exactlin import SubspaceQ, inclusion
 
-#: Entries kept by each of the ``monomial_basis`` and ``restriction_matrix``
-#: caches, so that long-lived use stays within a fixed memory.  One pass of
-#: any ``pipebench`` workload needs at most about 1,200 restriction maps
-#: (``simplex(5)`` up to degree 16 needs 270), so none of them evicts.
+#: Entries kept by each of the ``monomial_basis``, ``restriction_matrix``
+#: (one map) and ``_graded`` (one pair, with every degree built for it so
+#: far) caches, so that long-lived use stays within a bounded memory.  One
+#: pass of any ``pipebench`` workload asks for at most about 1,200 maps of
+#: at most 230 pairs, and builds at most about 1,000 (``simplex(5)`` up to
+#: degree 16 asks for 270 of 30 pairs and builds 240), so none of them evicts.
 CACHE_SIZE = 4096
 
 
@@ -105,35 +110,43 @@ class RestrictionMap:
     rows: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _expand_monomial(alpha, linear_forms, nvars_sub):
-    """Expand prod_j (linear_forms[j]) ** alpha[j] into {exponent: coeff}."""
-    poly = {(0,) * nvars_sub: 1}
-    for j, power in enumerate(alpha):
-        if not power:
+@lru_cache(maxsize=CACHE_SIZE)
+def _graded(ambient: SubspaceQ, sub: SubspaceQ):
+    """``(den, forms, maps)`` for sub <= ambient: the linear forms of
+    :func:`~gkmcalc.exactlin.inclusion` and the restriction maps built so
+    far, by degree, which :func:`restriction_matrix` extends."""
+    inc = inclusion(ambient, sub)
+    if inc is None:
+        raise SubspaceContainmentError(
+            f"subspace of dim {sub.dim} is not contained in the ambient of dim {ambient.dim}"
+        )
+    return *inc, {0: RestrictionMap(ambient, sub, 0, 1, (((0, 1),),))}
+
+
+def _times_forms(prev: RestrictionMap, den: int, forms) -> RestrictionMap:
+    """The next degree's map: the image of an ambient monomial alpha is the
+    image of alpha - e_j times form j, j the first variable of alpha."""
+    ambient, sub, degree = prev.ambient, prev.sub, prev.degree + 1
+    images = [[] for _ in range(sym_dim(ambient.dim, degree - 1))]
+    for mono, pairs in zip(monomial_basis(sub.dim, degree - 1).monomials, prev.rows):
+        for col, num in pairs:
+            images[col].append((mono, num))
+    prev_index = monomial_basis(ambient.dim, degree - 1).index
+    sub_index = monomial_basis(sub.dim, degree).index
+    rows: list[list[tuple[int, int]]] = [[] for _ in sub_index]
+    for col, alpha in enumerate(monomial_basis(ambient.dim, degree).monomials):
+        j = alpha.index(next(filter(None, alpha)))
+        if not forms[j]:
             continue
-        form = linear_forms[j]
-        if not form:
-            return {}
-        if len(form) == 1:
-            # a single term only shifts exponents, all powers at once
-            i, c = form[0]
-            cp = c**power
-            poly = {
-                mono[:i] + (mono[i] + power,) + mono[i + 1 :]: coeff * cp
-                for mono, coeff in poly.items()
-            }
-            continue
-        for _ in range(power):
-            out: dict[tuple[int, ...], int] = {}
-            for mono, coeff in poly.items():
-                for i, c in form:
-                    key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
-                    prev = out.get(key)
-                    out[key] = coeff * c if prev is None else prev + coeff * c
-            poly = {k: v for k, v in out.items() if v}
-            if not poly:
-                return {}
-    return poly
+        poly: dict[tuple[int, ...], int] = {}
+        for mono, num in images[prev_index[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]]:
+            for i, c in forms[j]:
+                key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+                poly[key] = poly.get(key, 0) + num * c
+        for mono, coeff in poly.items():
+            if coeff:
+                rows[sub_index[mono]].append((col, coeff))
+    return RestrictionMap(ambient, sub, degree, prev.scale * den, tuple(map(tuple, rows)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -146,16 +159,10 @@ def restriction_matrix(ambient: SubspaceQ, sub: SubspaceQ, degree: int) -> Restr
     """
     if degree < 0:
         raise InputShapeError("negative polynomial degree")
-    inc = inclusion(ambient, sub)
-    if inc is None:
-        raise SubspaceContainmentError(
-            f"subspace of dim {sub.dim} is not contained in the ambient of dim {ambient.dim}"
-        )
-    den, linear_forms = inc
-    amb_basis = monomial_basis(ambient.dim, degree)
-    sub_basis = monomial_basis(sub.dim, degree)
-    rows: list[list[tuple[int, int]]] = [[] for _ in sub_basis.monomials]
-    for col, alpha in enumerate(amb_basis.monomials):
-        for mono, coeff in _expand_monomial(alpha, linear_forms, sub.dim).items():
-            rows[sub_basis.index[mono]].append((col, coeff))
-    return RestrictionMap(ambient, sub, degree, den**degree, tuple(map(tuple, rows)))
+    den, forms, maps = _graded(ambient, sub)
+    # a loop, not recursion, so the call depth does not grow with the degree;
+    # a degree is added only after the one below and never replaced, so
+    # threads may grow one pair's maps together
+    for d in range(len(maps), degree + 1):
+        maps.setdefault(d, _times_forms(maps[d - 1], den, forms))
+    return maps[degree]

@@ -18,6 +18,9 @@ restricted along every edge and compared, the check that the library
 replaced with the rows of its constraint system, here restricting through
 :func:`dense_restriction_matrix`.  And so is :func:`dense`, the dense
 rational matrix of a restriction map, which the library no longer builds.
+And so is :func:`expanded_restriction_matrix`, which expands each
+monomial of a degree on its own, the build that the library replaced with
+growing each degree from the one below.
 """
 
 from fractions import Fraction
@@ -25,7 +28,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from gkmcalc.errors import InputShapeError, UnsupportedRingStructureError
-from gkmcalc.exactlin import MatrixQ, _as_rational, rank_of_rows
+from gkmcalc.exactlin import MatrixQ, _as_rational, inclusion, rank_of_rows
 from gkmcalc.gkmcore import (
     EquivariantClass,
     GkmGraph,
@@ -33,7 +36,7 @@ from gkmcalc.gkmcore import (
     _layout,
     _require_valid,
 )
-from gkmcalc.symalg import monomial_basis, restriction_matrix, sym_dim
+from gkmcalc.symalg import RestrictionMap, monomial_basis, restriction_matrix, sym_dim
 
 
 def compositions(total, parts):
@@ -420,6 +423,54 @@ def dense_restriction_matrix(ambient, sub, degree):
     return MatrixQ.from_rows(
         [[col.get(mono, 0) for col in columns] for mono in sub_monos], len(amb_monos)
     )
+
+
+def _expand_monomial(alpha, linear_forms, nvars_sub):
+    """Expand prod_j (linear_forms[j]) ** alpha[j] into {exponent: coeff}."""
+    poly = {(0,) * nvars_sub: 1}
+    for j, power in enumerate(alpha):
+        if not power:
+            continue
+        form = linear_forms[j]
+        if not form:
+            return {}
+        if len(form) == 1:
+            # a single term only shifts exponents, all powers at once
+            i, c = form[0]
+            cp = c**power
+            poly = {
+                mono[:i] + (mono[i] + power,) + mono[i + 1 :]: coeff * cp
+                for mono, coeff in poly.items()
+            }
+            continue
+        for _ in range(power):
+            out = {}
+            for mono, coeff in poly.items():
+                for i, c in form:
+                    key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+                    prev = out.get(key)
+                    out[key] = coeff * c if prev is None else prev + coeff * c
+            poly = {k: v for k, v in out.items() if v}
+            if not poly:
+                return {}
+    return poly
+
+
+def expanded_restriction_matrix(ambient, sub, degree):
+    """The :class:`RestrictionMap` of one degree, each ambient monomial
+    expanded on its own as a product of the linear forms of the inclusion;
+    None when sub is not contained in ambient."""
+    inc = inclusion(ambient, sub)
+    if inc is None:
+        return None
+    den, linear_forms = inc
+    amb_basis = monomial_basis(ambient.dim, degree)
+    sub_basis = monomial_basis(sub.dim, degree)
+    rows = [[] for _ in sub_basis.monomials]
+    for col, alpha in enumerate(amb_basis.monomials):
+        for mono, coeff in _expand_monomial(alpha, linear_forms, sub.dim).items():
+            rows[sub_basis.index[mono]].append((col, coeff))
+    return RestrictionMap(ambient, sub, degree, den**degree, tuple(map(tuple, rows)))
 
 
 def edgewise_class_product(graph, a, b):

@@ -1,16 +1,21 @@
 """Tests for graded symmetric algebra pieces and restriction maps."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from gkmcalc import symalg
 from gkmcalc.errors import SubspaceContainmentError
-from gkmcalc.exactlin import MatrixQ, canonical_subspace, rref
-from gkmcalc.symalg import CACHE_SIZE, monomial_basis, restriction_matrix, sym_dim
+from gkmcalc.examples import builtin_simplex
+from gkmcalc.exactlin import MatrixQ, canonical_subspace, inclusion, rref
+from gkmcalc.gkmcore import equivariant_dims
+from gkmcalc.symalg import CACHE_SIZE, _graded, monomial_basis, restriction_matrix, sym_dim
 
-from oracles import contains, dense, dense_restriction_matrix
+from oracles import contains, dense, dense_restriction_matrix, expanded_restriction_matrix
 from test_exactlin import invertible_matrix, random_matrix
 
 
@@ -97,10 +102,12 @@ class TestRestrictionMatrix:
                 assert len(piv) == sym_dim(sub.dim, d)
 
     def test_matches_rational_substitution(self):
-        # the integer rows over one scale against substitution over Q, from
-        # an empty cache and with the degrees visited in a random order; the
+        # the integer rows over one scale against substitution over Q, and
+        # value for value (scale and rows) against expanding each monomial on
+        # its own; the degrees are visited in a random order, with the caches
+        # emptied before the first and before about a third of the others, so
+        # degrees are built both from cold and from warm lower degrees; the
         # reversed pair, when not contained, is refused at every degree
-        restriction_matrix.cache_clear()
         rng = random.Random(17)
         for kind in ("coordinate", "generic") * 15:
             r = rng.randint(1, 4)
@@ -112,10 +119,13 @@ class TestRestrictionMatrix:
                 amb_rows = random_matrix(rng, rng.randint(1, r), r)
                 sub_rows = random_combinations(rng, amb_rows, rng.randint(0, len(amb_rows)))
             amb, sub = canonical_subspace(amb_rows, r), canonical_subspace(sub_rows, r)
-            degrees = list(range(6))
+            degrees = list(range(8))
             rng.shuffle(degrees)
             for d in degrees:
+                if d == degrees[0] or rng.random() < 0.3:
+                    clear_restriction_caches()
                 rm = restriction_matrix(amb, sub, d)
+                assert rm == expanded_restriction_matrix(amb, sub, d)
                 assert dense(rm) == dense_restriction_matrix(amb, sub, d)
                 assert type(rm.scale) is int and rm.scale > 0
                 for pairs in rm.rows:
@@ -165,6 +175,55 @@ class TestRestrictionMatrix:
             sub2 = canonical_subspace([[scale * x for x in sub_rows[0]]], 3)
             assert dense(restriction_matrix(amb2, sub2, 3)) == base
 
+    def test_deep_degree_from_cold_caches(self):
+        # each degree is grown from the one below; a cold call far past the
+        # recursion limit still answers, so the build is not recursive
+        clear_restriction_caches()
+        a = canonical_subspace([(1, 0)], 2)
+        rm = restriction_matrix(a, a, 1500)
+        assert rm.scale == 1 and dense(rm) == MatrixQ.identity(1)
+
+    def test_containment_read_once_per_pair(self, monkeypatch):
+        # every degree of a pair reads the linear forms of one inclusion
+        calls = []
+
+        def counting(ambient, sub):
+            calls.append((ambient, sub))
+            return inclusion(ambient, sub)
+
+        monkeypatch.setattr(symalg, "inclusion", counting)
+        clear_restriction_caches()
+        g = builtin_simplex(4)
+        equivariant_dims(g, 14)
+        pairs = {(g.vertex(v).isotropy, e.isotropy) for e in g.edges for v in (e.source, e.target)}
+        assert len(calls) == len(pairs) and set(calls) == pairs
+
+    def test_threads_growing_one_pair_match_the_oracle(self):
+        # eight threads extend the degrees of one pair at once from cold
+        # caches, switching often; a lost or doubled degree would put a map
+        # under the wrong degree
+        rng = random.Random(3)
+        amb = canonical_subspace(random_matrix(rng, 4, 4), 4)
+        sub = canonical_subspace(random_combinations(rng, list(amb.rows), 3), 4)
+        degrees = [d for _ in range(4) for d in range(9)]
+        rng.shuffle(degrees)
+        clear_restriction_caches()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(restriction_matrix, amb, sub, d) for d in degrees]
+                maps = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for d, rm in zip(degrees, maps):
+            assert rm == expanded_restriction_matrix(amb, sub, d)
+
+
+def clear_restriction_caches():
+    restriction_matrix.cache_clear()
+    _graded.cache_clear()
+
 
 def random_combinations(rng, rows, k):
     """k random rational combinations of the given rows."""
@@ -189,7 +248,7 @@ def test_binomial_growth_of_graded_dimensions():
 
 
 def test_caches_are_bounded():
-    for cached in (monomial_basis, restriction_matrix):
+    for cached in (monomial_basis, restriction_matrix, _graded):
         assert cached.cache_info().maxsize == CACHE_SIZE
     for d in range(CACHE_SIZE + 1):
         monomial_basis(1, d)
