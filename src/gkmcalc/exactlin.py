@@ -135,15 +135,6 @@ class MatrixQ:
                 )
         return MatrixQ(self.rows, other.cols, out)
 
-    def mul_vector(self, vec) -> tuple[Fraction, ...]:
-        vec = [_as_rational(x) for x in vec]
-        if len(vec) != self.cols:
-            raise InputShapeError("vector length does not match column count")
-        return tuple(
-            sum(self.entry(i, k) * vec[k] for k in range(self.cols))
-            for i in range(self.rows)
-        )
-
     def __eq__(self, other):
         if not isinstance(other, MatrixQ):
             return NotImplemented

@@ -34,7 +34,6 @@ from .errors import (
 from .exactlin import (
     MatrixQ,
     SubspaceQ,
-    inclusion,
     int_row,
     is_int,
     kernel_rows,
@@ -42,7 +41,7 @@ from .exactlin import (
     subspace_from_json,
 )
 from .series import DegreeSeries
-from .symalg import monomial_basis, restriction_matrix, sym_dim
+from .symalg import contains, monomial_basis, restriction_matrix, sym_dim
 
 
 @dataclass(frozen=True)
@@ -466,7 +465,7 @@ def validate_graph(graph: GkmGraph) -> ValidationReport:
     for e in graph.edges:
         for vid in (e.source, e.target):
             v = graph.vertex(vid)
-            if inclusion(v.isotropy, e.isotropy) is None or v.isotropy.dim != e.isotropy.dim + 1:
+            if not contains(v.isotropy, e.isotropy) or v.isotropy.dim != e.isotropy.dim + 1:
                 bad_containment.append((e.id, vid))
     checks.append(
         ValidationCheck(

@@ -8,7 +8,9 @@ the canonical basis of V in the canonical basis of W and substitute the
 resulting linear forms into each monomial.  The maps are a map of graded
 algebras, so they are cached per pair (W, V): the linear forms are read
 once, and degree d is grown from degree d - 1 by one linear-form
-multiplication per monomial.
+multiplication per monomial.  That cache also keeps the answer when V is
+not in W, and graph validation reads containment from it too
+(:func:`contains`), so each pair is decided once.
 
 Grading convention: the generators of S(V*) sit in cohomological degree 2,
 so polynomial degree d contributes to cohomological degree 2d.
@@ -23,12 +25,13 @@ from math import comb
 from .errors import InputShapeError, SubspaceContainmentError
 from .exactlin import SubspaceQ, inclusion
 
-#: Entries kept by each of the ``monomial_basis``, ``restriction_matrix``
-#: (one map) and ``_graded`` (one pair, with every degree built for it so
-#: far) caches, so that long-lived use stays within a bounded memory.  One
-#: pass of any ``pipebench`` workload asks for at most about 1,200 maps of
-#: at most 230 pairs, and builds at most about 1,000 (``simplex(5)`` up to
-#: degree 16 asks for 270 of 30 pairs and builds 240), so none of them evicts.
+#: Entries kept by each of the ``monomial_basis`` and ``_graded`` (one
+#: pair, with its containment answer and every degree built for it so far)
+#: caches, so that long-lived use stays within a bounded memory.  Validation
+#: and restriction share the pairs: one pass of any ``pipebench`` workload
+#: holds at most about 540 pairs, most of them only validated, and builds at
+#: most about 1,000 maps (``simplex(5)`` up to degree 16 holds 30 pairs and
+#: builds 240), so neither evicts.
 CACHE_SIZE = 4096
 
 
@@ -112,15 +115,19 @@ class RestrictionMap:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _graded(ambient: SubspaceQ, sub: SubspaceQ):
-    """``(den, forms, maps)`` for sub <= ambient: the linear forms of
-    :func:`~gkmcalc.exactlin.inclusion` and the restriction maps built so
-    far, by degree, which :func:`restriction_matrix` extends."""
+    """``(den, forms, maps)`` for sub <= ambient, None when sub is not in
+    ambient: the linear forms of :func:`~gkmcalc.exactlin.inclusion` and the
+    restriction maps built so far, by degree, which :func:`restriction_matrix`
+    extends."""
     inc = inclusion(ambient, sub)
     if inc is None:
-        raise SubspaceContainmentError(
-            f"subspace of dim {sub.dim} is not contained in the ambient of dim {ambient.dim}"
-        )
+        return None
     return *inc, {0: RestrictionMap(ambient, sub, 0, 1, (((0, 1),),))}
+
+
+def contains(ambient: SubspaceQ, sub: SubspaceQ) -> bool:
+    """Whether sub lies in ambient, decided once per pair by :func:`_graded`."""
+    return _graded(ambient, sub) is not None
 
 
 def _times_forms(prev: RestrictionMap, den: int, forms) -> RestrictionMap:
@@ -149,7 +156,6 @@ def _times_forms(prev: RestrictionMap, den: int, forms) -> RestrictionMap:
     return RestrictionMap(ambient, sub, degree, prev.scale * den, tuple(map(tuple, rows)))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def restriction_matrix(ambient: SubspaceQ, sub: SubspaceQ, degree: int) -> RestrictionMap:
     """Restriction of degree-``degree`` polynomials along sub <= ambient.
 
@@ -159,7 +165,12 @@ def restriction_matrix(ambient: SubspaceQ, sub: SubspaceQ, degree: int) -> Restr
     """
     if degree < 0:
         raise InputShapeError("negative polynomial degree")
-    den, forms, maps = _graded(ambient, sub)
+    graded = _graded(ambient, sub)
+    if graded is None:
+        raise SubspaceContainmentError(
+            f"subspace of dim {sub.dim} is not contained in the ambient of dim {ambient.dim}"
+        )
+    den, forms, maps = graded
     # a loop, not recursion, so the call depth does not grow with the degree;
     # a degree is added only after the one below and never replaced, so
     # threads may grow one pair's maps together

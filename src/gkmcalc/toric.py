@@ -15,14 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    InputShapeError,
-    IsotropyRankError,
-    SimplicityError,
-    ValidationError,
-)
+from .errors import InputShapeError, IsotropyRankError, SimplicityError
 from .exactlin import _as_rational, canonical_subspace, is_int, vector_from_json, vector_to_json
-from .gkmcore import GkmEdge, GkmGraph, GkmVertex, validate_graph
+from .gkmcore import GkmEdge, GkmGraph, GkmVertex, _require_valid
 
 
 @dataclass(frozen=True)
@@ -163,12 +158,7 @@ def polytope_skeleton(polytope: MomentPolytope) -> GkmGraph:
         manifold_dim=2 * n + 1,
         bottom_orbit_dim=1,
     )
-    report = validate_graph(graph)
-    if not report.valid:
-        raise ValidationError(
-            f"polytope skeleton fails graph validation: {', '.join(report.failures)}",
-            report,
-        )
+    _require_valid(graph)
     return graph
 
 

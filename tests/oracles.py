@@ -16,8 +16,10 @@ unchanged.
 So is the ring product checked edge by edge: both endpoint polynomials
 restricted along every edge and compared, the check that the library
 replaced with the rows of its constraint system, here restricting through
-:func:`dense_restriction_matrix`.  And so is :func:`dense`, the dense
-rational matrix of a restriction map, which the library no longer builds.
+:func:`dense_restriction_matrix` and :func:`mul_vector`, the dense
+``Fraction`` matrix-vector product that the library no longer has.  And so
+is :func:`dense`, the dense rational matrix of a restriction map, which the
+library no longer builds.
 And so is :func:`expanded_restriction_matrix`, which expands each
 monomial of a degree on its own, the build that the library replaced with
 growing each degree from the one below.
@@ -473,6 +475,17 @@ def expanded_restriction_matrix(ambient, sub, degree):
     return RestrictionMap(ambient, sub, degree, den**degree, tuple(map(tuple, rows)))
 
 
+def mul_vector(matrix, vec):
+    """The dense ``Fraction`` product of a :class:`MatrixQ` with a vector."""
+    vec = [_as_rational(x) for x in vec]
+    if len(vec) != matrix.cols:
+        raise InputShapeError("vector length does not match column count")
+    return tuple(
+        sum(matrix.entry(i, k) * vec[k] for k in range(matrix.cols))
+        for i in range(matrix.rows)
+    )
+
+
 def edgewise_class_product(graph, a, b):
     """Componentwise product of two point-fiber kernel classes; raises
     :class:`InputShapeError` when the two endpoint polynomials of some edge
@@ -500,8 +513,8 @@ def edgewise_class_product(graph, a, b):
             comps.append((v.id, d, 0, MatrixQ(len(basis), 1, coeffs[v.id])))
     for e in graph.edges:
         values = [
-            dense_restriction_matrix(graph.vertex(vid).isotropy, e.isotropy, d)
-            .mul_vector(coeffs[vid])
+            mul_vector(dense_restriction_matrix(graph.vertex(vid).isotropy, e.isotropy, d),
+                       coeffs[vid])
             for vid in (e.source, e.target)
         ]
         if values[0] != values[1]:

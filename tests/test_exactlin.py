@@ -34,6 +34,7 @@ from gkmcalc.toric import simplex_polytope
 from oracles import (
     _scaled_int_rows,
     dense_restriction_matrix,
+    mul_vector,
     subspace_relations_by_rank,
     subspace_relations_by_reduction,
 )
@@ -173,7 +174,7 @@ class TestKernelBasis:
             ker = kernel_basis(m)
             assert len(piv) + ker.rows == nc
             for i in range(ker.rows):
-                assert not any(m.mul_vector(ker.row(i)))
+                assert not any(mul_vector(m, ker.row(i)))
 
     def test_rank_nullity_large(self):
         # a 40x40 random rational matrix, the largest size exercised

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gkmcalc.errors import (
     InputShapeError,
+    SubspaceContainmentError,
     UnsupportedRingStructureError,
     ValidationError,
 )
@@ -36,6 +37,7 @@ from gkmcalc.gkmcore import (
     _classes_from_rows,
     _layout,
 )
+from gkmcalc.symalg import _graded, restriction_matrix
 
 from oracles import (
     convolve,
@@ -128,11 +130,21 @@ class TestValidation:
         assert "SELF_LOOP" in report.failures
 
     def test_containment_violation(self):
-        # edge isotropy not contained in the second endpoint isotropy
+        # edge isotropy not contained in the second endpoint isotropy; the
+        # negative answer is cached for validation and restriction together,
+        # and stays a failure on revalidation and an error on restriction
         g = two_vertex_graph([(1, 0)], [(0, 1)], [(1, 0)])
-        report = validate_graph(g)
-        assert not report.valid
-        assert "CONTAINMENT" in report.failures
+        _graded.cache_clear()
+        for _ in range(2):
+            report = validate_graph(g)
+            assert not report.valid
+            assert "CONTAINMENT" in report.failures
+            assert report.check("CONTAINMENT").detail == (
+                "containment/codimension violations at [('e', 'a'), ('e', 'b')]"
+            )
+        with pytest.raises(SubspaceContainmentError):
+            restriction_matrix(g.vertex("b").isotropy, g.edges[0].isotropy, 1)
+        restriction_matrix(g.vertex("a").isotropy, g.edges[0].isotropy, 1)
 
     def test_codimension_violation(self):
         # containment holds but codimension is 2, not 1

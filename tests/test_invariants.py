@@ -156,11 +156,10 @@ def test_concurrent_degrees_match_sequential():
     from concurrent.futures import ThreadPoolExecutor
 
     from gkmcalc import equivariant_basis
-    from gkmcalc.symalg import _graded, monomial_basis, restriction_matrix
+    from gkmcalc.symalg import _graded, monomial_basis
 
     g = builtin_stiefel()
     sequential = {m: equivariant_basis(g, m) for m in range(9)}
-    restriction_matrix.cache_clear()
     _graded.cache_clear()
     monomial_basis.cache_clear()
     with ThreadPoolExecutor(max_workers=4) as pool:

@@ -12,7 +12,7 @@ from gkmcalc import symalg
 from gkmcalc.errors import SubspaceContainmentError
 from gkmcalc.examples import builtin_simplex
 from gkmcalc.exactlin import MatrixQ, canonical_subspace, inclusion, rref
-from gkmcalc.gkmcore import equivariant_dims
+from gkmcalc.gkmcore import class_product, equivariant_basis, equivariant_dims, validate_graph
 from gkmcalc.symalg import CACHE_SIZE, _graded, monomial_basis, restriction_matrix, sym_dim
 
 from oracles import contains, dense, dense_restriction_matrix, expanded_restriction_matrix
@@ -123,7 +123,7 @@ class TestRestrictionMatrix:
             rng.shuffle(degrees)
             for d in degrees:
                 if d == degrees[0] or rng.random() < 0.3:
-                    clear_restriction_caches()
+                    _graded.cache_clear()
                 rm = restriction_matrix(amb, sub, d)
                 assert rm == expanded_restriction_matrix(amb, sub, d)
                 assert dense(rm) == dense_restriction_matrix(amb, sub, d)
@@ -178,23 +178,33 @@ class TestRestrictionMatrix:
     def test_deep_degree_from_cold_caches(self):
         # each degree is grown from the one below; a cold call far past the
         # recursion limit still answers, so the build is not recursive
-        clear_restriction_caches()
+        _graded.cache_clear()
         a = canonical_subspace([(1, 0)], 2)
         rm = restriction_matrix(a, a, 1500)
         assert rm.scale == 1 and dense(rm) == MatrixQ.identity(1)
 
-    def test_containment_read_once_per_pair(self, monkeypatch):
-        # every degree of a pair reads the linear forms of one inclusion
+    def test_containment_read_once_per_pair(self):
+        # one graph through every entry point decides each (vertex, edge)
+        # pair once, for validation and restriction together; inclusion is
+        # counted by its code object, so a call from any import site counts
         calls = []
 
-        def counting(ambient, sub):
-            calls.append((ambient, sub))
-            return inclusion(ambient, sub)
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is inclusion.__code__:
+                calls.append((frame.f_locals["ambient"], frame.f_locals["sub"]))
 
-        monkeypatch.setattr(symalg, "inclusion", counting)
-        clear_restriction_caches()
+        _graded.cache_clear()
         g = builtin_simplex(4)
-        equivariant_dims(g, 14)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            validate_graph(g)
+            equivariant_dims(g, 14)
+            equivariant_basis(g, 2)
+            basis = equivariant_basis(g, 2)
+            class_product(g, basis[0], basis[-1])
+        finally:
+            sys.setprofile(previous)
         pairs = {(g.vertex(v).isotropy, e.isotropy) for e in g.edges for v in (e.source, e.target)}
         assert len(calls) == len(pairs) and set(calls) == pairs
 
@@ -207,7 +217,7 @@ class TestRestrictionMatrix:
         sub = canonical_subspace(random_combinations(rng, list(amb.rows), 3), 4)
         degrees = [d for _ in range(4) for d in range(9)]
         rng.shuffle(degrees)
-        clear_restriction_caches()
+        _graded.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -218,11 +228,6 @@ class TestRestrictionMatrix:
             sys.setswitchinterval(interval)
         for d, rm in zip(degrees, maps):
             assert rm == expanded_restriction_matrix(amb, sub, d)
-
-
-def clear_restriction_caches():
-    restriction_matrix.cache_clear()
-    _graded.cache_clear()
 
 
 def random_combinations(rng, rows, k):
@@ -248,7 +253,11 @@ def test_binomial_growth_of_graded_dimensions():
 
 
 def test_caches_are_bounded():
-    for cached in (monomial_basis, restriction_matrix, _graded):
+    # every degree of a pair is kept by _graded, so restriction_matrix has no
+    # cache of its own
+    caches = [name for name, value in vars(symalg).items() if hasattr(value, "cache_info")]
+    assert caches == ["monomial_basis", "_graded"]
+    for cached in (monomial_basis, _graded):
         assert cached.cache_info().maxsize == CACHE_SIZE
     for d in range(CACHE_SIZE + 1):
         monomial_basis(1, d)

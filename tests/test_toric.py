@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkmcalc.errors import InputShapeError, IsotropyRankError, SimplicityError
+from gkmcalc.errors import InputShapeError, IsotropyRankError, SimplicityError, ValidationError
 from gkmcalc.examples import builtin_simplex
 from gkmcalc.gkmcore import equivariant_dims, validate_graph
 from gkmcalc.series import basic_from_equivariant
@@ -17,6 +17,8 @@ from gkmcalc.toric import (
     polytope_skeleton,
     simplex_polytope,
 )
+
+from test_cli import run_cli
 
 
 def square_polytope():
@@ -128,6 +130,26 @@ class TestPolytopeSkeleton:
         broken = MomentPolytope(p.rank, p.vertices, tuple(facets))
         with pytest.raises(IsotropyRankError):
             polytope_skeleton(broken)
+
+    def test_disconnected_skeleton_rejected(self, capsys, monkeypatch):
+        # two disjoint triangles: a simple incidence whose skeleton fails
+        # graph validation, in the library and at the command line
+        p = simplex_polytope(2, (1, 1, 1))
+        twin = tuple(PolytopeVertex("w" + v.id, v.coords) for v in p.vertices)
+        facets = p.facets + tuple(
+            PolytopeFacet(f.normal, tuple("w" + vid for vid in f.vertices)) for f in p.facets
+        )
+        two = MomentPolytope(p.rank, p.vertices + twin, facets)
+        with pytest.raises(ValidationError) as info:
+            polytope_skeleton(two)
+        assert info.value.report.failures == ("DISCONNECTED",)
+        code, out, err = run_cli(
+            capsys, "toric-skeleton", "-", stdin=json.dumps(two.to_json()),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "DISCONNECTED" in err
+        assert "Traceback" not in err
 
     def test_unknown_vertex_in_facet(self):
         with pytest.raises(InputShapeError):
