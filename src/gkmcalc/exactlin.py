@@ -118,23 +118,6 @@ class MatrixQ:
     def row_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def mul(self, other: "MatrixQ") -> "MatrixQ":
-        if self.cols != other.rows:
-            raise InputShapeError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(
-                    sum(ri[k] * other.entry(k, j) for k in range(self.cols))
-                )
-        return MatrixQ(self.rows, other.cols, out)
-
     def __eq__(self, other):
         if not isinstance(other, MatrixQ):
             return NotImplemented
@@ -429,30 +412,165 @@ class SubspaceRelation:
         return self.a_contains_b and self.b_contains_a
 
 
-def inclusion(ambient: SubspaceQ, sub: SubspaceQ):
-    """``(den, forms)`` if ``sub`` lies in ``ambient``, else None.
+def _normalized(vec) -> tuple[int, ...]:
+    """The primitive integer multiple of a nonzero int vector with a positive
+    leading entry."""
+    g = gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
 
-    On sub the k-th coordinate function of ambient's canonical basis is the sum
-    of ``num / den * z_i`` over the int pairs ``(i, num)`` in ``forms[k]``, ``z_i``
-    dual to sub's canonical basis.  In RREF the coordinates of a sub row are its
-    entries at the ambient pivots; it lies in ambient iff they recombine into it.
+
+def _is_reduced(rows, pivots) -> bool:
+    """Whether int rows with these leading columns are in reduced echelon form."""
+    return all(p < q for p, q in zip(pivots, pivots[1:])) and all(
+        not other[p] for m, p in enumerate(pivots) for o, other in enumerate(rows) if o != m
+    )
+
+
+def _spanned(vectors, rows, pivots) -> bool:
+    """Whether every vector lies in the span of reduced echelon int rows: in
+    it iff its entries at the pivots recombine the rows, each over its pivot
+    entry, into it."""
+    scale = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    return all(
+        scale * x == sum(vec[p] * (scale // row[p]) * row[j] for row, p in zip(rows, pivots))
+        for vec in vectors for j, x in enumerate(vec)
+    )
+
+
+def coordinates(basis, vectors):
+    """``(den, forms)`` if every vector lies in the span of ``basis``, else None.
+
+    ``basis`` and ``vectors`` are tuples of nonzero int tuples, each standing
+    for itself divided by its leading (first nonzero) entry, so the rows of a
+    :class:`SubspaceQ` stand for its canonical RREF basis.  ``forms`` writes
+    the vectors in the basis: on the span of the vectors the k-th coordinate
+    function of the basis is the sum of ``num / den * z_i`` over the int pairs
+    ``(i, num)`` in ``forms[k]``, ``z_i`` dual to the vectors.
+
+    In a reduced echelon basis the coordinates of a vector are its entries at
+    the pivots; a vector that is a row of any other basis has the one
+    coordinate 1; otherwise one elimination of the basis beside the identity
+    writes its reduced echelon form in it.
     """
-    if ambient.ambient_dim != sub.ambient_dim:
-        raise InputShapeError(
-            f"ambient dimensions differ: {ambient.ambient_dim} vs {sub.ambient_dim}"
-        )
-    amb = list(zip(ambient.rows, ambient.pivot_columns()))
-    scale = lcm(*(row[p] for row, p in amb))
-    for srow in sub.rows:
-        if any(scale * x != sum(srow[p] * (scale // row[p]) * row[j] for row, p in amb)
-               for j, x in enumerate(srow)):
+    n = len(basis[0]) if basis else len(vectors[0]) if vectors else 0
+    if any(len(row) != n for row in (*basis, *vectors)):
+        raise InputShapeError(f"rows of different lengths in ambient dimension {n}")
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    leads = [next(x for x in row if x) for row in vectors]
+    if _is_reduced(basis, pivots):
+        if not _spanned(vectors, basis, pivots):
             return None
-    subs = list(zip(sub.rows, sub.pivot_columns()))
-    den = lcm(*(row[c] for row, c in subs))
-    return den, [[(i, r[p] * (den // r[c])) for i, (r, c) in enumerate(subs) if r[p]]
-                 for _, p in amb]
+        den = lcm(*leads)
+        return den, [[(i, vec[p] * (den // lead)) for i, (vec, lead) in enumerate(zip(vectors, leads))
+                      if vec[p]] for p in pivots]
+    where = {row: k for k, row in enumerate(basis)}
+    if all(vec in where for vec in vectors):
+        forms = [[] for _ in basis]
+        for i, vec in enumerate(vectors):
+            forms[where[vec]].append((i, 1))
+        return 1, forms
+    # rows [B_c | e_c] reduce to [R_m | T_m]: R_m = sum_c T_m[c] B_c in reduced
+    # echelon form, so a vector is sum_m vec[p_m] R_m / R_m[p_m] when spanned
+    k = len(basis)
+    red, epivots = reduce_int_rows(
+        [{**{j: x for j, x in enumerate(row) if x}, n + c: 1} for c, row in enumerate(basis)], n + k
+    )
+    if epivots[-1] >= n:
+        raise InputShapeError("basis rows are linearly dependent")
+    echelon = [tuple(row.get(j, 0) for j in range(n)) for row in red]
+    if not _spanned(vectors, echelon, epivots):
+        return None
+    scale = lcm(*(row[p] for row, p in zip(red, epivots)))
+    den = scale * lcm(*leads)
+    forms = []
+    for c, p in enumerate(pivots):
+        form = []
+        for i, (vec, lead) in enumerate(zip(vectors, leads)):
+            num = sum(vec[q] * row.get(n + c, 0) * (scale // row[q]) for row, q in zip(red, epivots))
+            if num:
+                form.append((i, num * basis[c][p] * (den // (scale * lead))))
+        forms.append(form)
+    return den, forms
+
+
+def hyperplane_normal(ambient: SubspaceQ, sub: SubspaceQ) -> tuple[int, ...]:
+    """The primitive integer functional, positive first, whose kernel in
+    ambient is sub, in the coordinates dual to ambient's canonical basis.
+
+    sub must be a hyperplane of ambient.  Its pivots are then ambient's but
+    one, s, and its canonical basis row i is the ambient basis row of its own
+    pivot plus ``r_i[p_s] / r_i[c_i]`` times row s, so the normal is read off
+    without elimination; it is a coordinate functional iff sub's rows are
+    ambient's rows but one.
+    """
+    apiv = ambient.pivot_columns()
+    spiv = sub.pivot_columns()
+    s = next(m for m, p in enumerate(apiv) if p not in spiv)
+    den = lcm(*(row[c] for row, c in zip(sub.rows, spiv)))
+    normal = [0] * ambient.dim
+    normal[s] = den
+    for row, c in zip(sub.rows, spiv):
+        normal[apiv.index(c)] = -row[apiv[s]] * (den // row[c])
+    return _normalized(normal)
+
+
+def dual_basis(ambient: SubspaceQ, functionals):
+    """``(kept, lines)``: the int functionals on ambient, in the coordinates
+    dual to its canonical basis, taken in order and kept while independent of
+    those kept, until there are ``ambient.dim``, by their indices; and the
+    basis of ambient dual to the kept ones, line i killed by every kept
+    functional but the i-th.
+
+    The lines are primitive int rows of Q^ambient_dim with a positive leading
+    entry.  Each functional is reduced, beside a unit tag, against the
+    echelon rows of those kept, so one elimination decides independence and
+    then, by back substitution, inverts the kept matrix: its columns are the
+    lines in canonical coordinates.  Raises InputShapeError when fewer than
+    ``ambient.dim`` are independent.
+    """
+    k = ambient.dim
+    echelon: dict[int, dict[int, int]] = {}
+    kept = []
+    for index, functional in enumerate(functionals):
+        if len(kept) == k:
+            break
+        row = {j: x for j, x in enumerate(functional) if x}
+        row[k + len(kept)] = 1
+        c = min(row)
+        while c in echelon:
+            _eliminate(row, echelon[c], c)
+            c = min(row)
+        if c >= k:
+            continue
+        if row[c] < 0:
+            for j in row:
+                row[j] = -row[j]
+        echelon[c] = row
+        kept.append(index)
+    if len(kept) < k:
+        raise InputShapeError(f"fewer than {k} independent functionals")
+    red, _ = reduce_int_rows(list(echelon.values()), 2 * k)
+    # row m of the inverse is red[m][k + i] / red[m][m]; canonical basis row m
+    # is ambient.rows[m] over its pivot entry
+    inv = lcm(*(row[m] for m, row in enumerate(red)))
+    leads = [row[p] for row, p in zip(ambient.rows, ambient.pivot_columns())]
+    den = lcm(*leads)
+    weights = [(inv // row[m]) * (den // lead) for m, (row, lead) in enumerate(zip(red, leads))]
+    lines = []
+    for i in range(k):
+        coeffs = [(row.get(k + i, 0) * w, b) for row, w, b in zip(red, weights, ambient.rows)]
+        lines.append(_normalized([sum(c * b[j] for c, b in coeffs if c)
+                                  for j in range(ambient.ambient_dim)]))
+    return kept, lines
 
 
 def subspace_relations(a: SubspaceQ, b: SubspaceQ) -> SubspaceRelation:
     """Exact containment and equality decisions for two subspaces."""
-    return SubspaceRelation(inclusion(a, b) is not None, inclusion(b, a) is not None, a.dim, b.dim)
+    if a.ambient_dim != b.ambient_dim:
+        raise InputShapeError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
+    return SubspaceRelation(
+        coordinates(a.rows, b.rows) is not None, coordinates(b.rows, a.rows) is not None,
+        a.dim, b.dim,
+    )

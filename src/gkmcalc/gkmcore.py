@@ -34,6 +34,8 @@ from .errors import (
 from .exactlin import (
     MatrixQ,
     SubspaceQ,
+    dual_basis,
+    hyperplane_normal,
     int_row,
     is_int,
     kernel_rows,
@@ -41,7 +43,7 @@ from .exactlin import (
     subspace_from_json,
 )
 from .series import DegreeSeries
-from .symalg import contains, monomial_basis, restriction_matrix, sym_dim
+from .symalg import contains, monomial_basis, restriction_rows, sym_dim
 
 
 @dataclass(frozen=True)
@@ -604,12 +606,67 @@ def _layout(graph: GkmGraph, total_degree: int) -> tuple[tuple[_Block, ...], int
     return tuple(blocks), offset
 
 
-def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
+def _adapted_bases(graph: GkmGraph):
+    """Bases of the vertex and edge isotropies in which most edge conditions
+    restrict each monomial to one monomial: ``(vertex bases, edge bases,
+    keepers)``, bases by id as int rows in the sense of
+    :func:`~gkmcalc.exactlin.coordinates`, and for each edge id the endpoint
+    whose lines give its basis, or None.
+
+    At a vertex the incident edges are taken in id order, each kept while the
+    normal of its isotropy stays independent of those kept, then canonical
+    coordinate functionals fill up; the dual lines, sorted, are the vertex's
+    basis, so a kept edge's isotropy is spanned by the other lines.  An edge
+    takes those other lines at its source if the source kept it, else at its
+    target, else its canonical rows.  Where every incident isotropy is a
+    coordinate hyperplane of the canonical basis, that basis is what the rule
+    chooses; it is taken without elimination, with its cache entries.  On a
+    toric skeleton both endpoints of an edge have its lines, so every
+    constraint row has two nonzeros.  Kernel dimensions do not depend on the
+    bases chosen.
+    """
+    incident: dict[str, list[GkmEdge]] = {v.id: [] for v in graph.vertices}
+    for e in sorted(graph.edges, key=lambda e: e.id):
+        incident[e.source].append(e)
+        incident[e.target].append(e)
+    vertex_bases = {}
+    others = {}  # (vertex id, edge id) -> the other lines, where the vertex kept the edge
+    for v in graph.vertices:
+        rows, edges = v.isotropy.rows, incident[v.id]
+        own = set(rows)
+        if all(own.issuperset(e.isotropy.rows) for e in edges):
+            vertex_bases[v.id] = rows
+            others.update(((v.id, e.id), e.isotropy.rows) for e in edges)
+            continue
+        k = len(rows)
+        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        kept, lines = dual_basis(
+            v.isotropy, [hyperplane_normal(v.isotropy, e.isotropy) for e in edges] + units
+        )
+        vertex_bases[v.id] = tuple(sorted(lines, reverse=True))
+        for i, line in zip(kept, lines):
+            if i < len(edges):
+                others[v.id, edges[i].id] = tuple(x for x in vertex_bases[v.id] if x != line)
+    edge_bases, keepers = {}, {}
+    for e in graph.edges:
+        keepers[e.id] = next((vid for vid in (e.source, e.target) if (vid, e.id) in others), None)
+        edge_bases[e.id] = others.get((keepers[e.id], e.id), e.isotropy.rows)
+    return vertex_bases, edge_bases, keepers
+
+
+def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, bases=None):
     """Rows of the edge-restriction map at one total degree.
 
     Each row is an integer multiple of a row of the map, as a sparse
-    ``{col: int}`` dict; rows that are zero are left out.
+    ``{col: int}`` dict; rows that are zero are left out.  Polynomials are
+    written in the coordinates dual to the canonical isotropy bases, or to
+    ``bases``, a pair of vertex and edge bases by id as
+    :func:`_adapted_bases` returns.
     """
+    if bases is None:
+        bases = ({v.id: v.isotropy.rows for v in graph.vertices},
+                 {e.id: e.isotropy.rows for e in graph.edges})
+    vertex_bases, edge_bases = bases
     index = {(b.vertex, b.poly_degree, b.fiber_degree): b for b in blocks}
     rows: list[dict[int, int]] = []
     for e in graph.edges:
@@ -629,22 +686,22 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
                 prows = pullback.int_rows.get(q)
                 if block is None or prows is None:
                     continue
-                rmap = restriction_matrix(graph.vertex(vid).isotropy, e.isotropy, d)
-                contributions.append((block, rmap, prows, sign))
+                scale, rmap = restriction_rows(vertex_bases[vid], edge_bases[e.id], d)
+                contributions.append((block, scale, rmap, prows, sign))
             if not contributions:
                 continue
             # one multiplier per pullback row clears the denominators of both sides
             den = [
-                lcm(*(rmap.scale * prows[ip][0] for _, rmap, prows, _ in contributions))
+                lcm(*(scale * prows[ip][0] for _, scale, _, prows, _ in contributions))
                 for ip in range(e_fdim)
             ]
             for ir in range(e_pdim):
                 for ip in range(e_fdim):
                     row = {}
-                    for block, rmap, prows, sign in contributions:
+                    for block, scale, rmap, prows, sign in contributions:
                         pden, ppairs = prows[ip]
-                        f = sign * (den[ip] // (rmap.scale * pden))
-                        for jr, r in rmap.rows[ir]:
+                        f = sign * (den[ip] // (scale * pden))
+                        for jr, r in rmap[ir]:
                             base = block.offset + jr * block.fiber_dim
                             for jp, p in ppairs.items():
                                 row[base + jp] = f * r * p
@@ -658,18 +715,20 @@ def equivariant_dims(graph: GkmGraph, max_degree: int) -> DegreeSeries:
 
     For each total degree m <= max_degree the dimension is the kernel
     dimension of the edge-restriction map described in the module
-    docstring; the result carries the mandatory cutoff.
+    docstring, in the bases of :func:`_adapted_bases`; the result carries
+    the mandatory cutoff.
     """
     if max_degree < 0:
         raise InputShapeError("max_degree must be nonnegative")
     _require_valid(graph)
+    bases = _adapted_bases(graph)[:2]
     dims = []
     for m in range(max_degree + 1):
         blocks, total = _layout(graph, m)
         if total == 0:
             dims.append(0)
             continue
-        rows = _constraint_rows(graph, m, blocks, total)
+        rows = _constraint_rows(graph, m, blocks, total, bases)
         _, pivots = reduce_int_rows(rows, total, rank_only=True)
         dims.append(total - len(pivots))
     return DegreeSeries(tuple(dims))

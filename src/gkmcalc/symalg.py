@@ -1,16 +1,21 @@
 """Graded pieces of symmetric algebras on rational subspaces.
 
-For a subspace V of Q^r this module works with the degree-d piece of the
-polynomial algebra S(V*), in the basis of monomials in the coordinates
-dual to the canonical (RREF) basis of V.  The central operation is the
-restriction map S(W*)_d -> S(V*)_d induced by an inclusion V <= W: write
-the canonical basis of V in the canonical basis of W and substitute the
-resulting linear forms into each monomial.  The maps are a map of graded
-algebras, so they are cached per pair (W, V): the linear forms are read
-once, and degree d is grown from degree d - 1 by one linear-form
+For a subspace V of Q^r with a basis this module works with the degree-d
+piece of the polynomial algebra S(V*), in the basis of monomials in the
+coordinates dual to that basis.  A basis is a tuple of int rows, each
+standing for itself over its leading entry (see
+:func:`~gkmcalc.exactlin.coordinates`); the rows of a :class:`SubspaceQ`
+are its canonical (RREF) basis, the one the public functions use.  The
+central operation is the restriction map S(W*)_d -> S(V*)_d induced by an
+inclusion V <= W: write the basis of V in the basis of W and substitute
+the resulting linear forms into each monomial.  The maps are a map of
+graded algebras, so they are cached per pair of bases: the linear forms
+are read once, and degree d is grown from degree d - 1 by one linear-form
 multiplication per monomial.  That cache also keeps the answer when V is
-not in W, and graph validation reads containment from it too
-(:func:`contains`), so each pair is decided once.
+not in W, and graph validation reads containment from it for canonical
+pairs too (:func:`contains`), so each pair is decided once.
+``gkmcore.equivariant_dims`` asks for pairs of adapted bases, in which
+most maps send a monomial to one monomial.
 
 Grading convention: the generators of S(V*) sit in cohomological degree 2,
 so polynomial degree d contributes to cohomological degree 2d.
@@ -23,15 +28,17 @@ from functools import lru_cache
 from math import comb
 
 from .errors import InputShapeError, SubspaceContainmentError
-from .exactlin import SubspaceQ, inclusion
+from .exactlin import SubspaceQ, coordinates
 
 #: Entries kept by each of the ``monomial_basis`` and ``_graded`` (one
-#: pair, with its containment answer and every degree built for it so far)
-#: caches, so that long-lived use stays within a bounded memory.  Validation
-#: and restriction share the pairs: one pass of any ``pipebench`` workload
-#: holds at most about 540 pairs, most of them only validated, and builds at
-#: most about 1,000 maps (``simplex(5)`` up to degree 16 holds 30 pairs and
-#: builds 240), so neither evicts.
+#: pair of bases, with its containment answer and every degree built for it
+#: so far) caches, so that long-lived use stays within a bounded memory.
+#: Validation reads the canonical pairs and ``equivariant_dims`` adds the
+#: adapted ones where they differ: one pass of any ``pipebench`` workload
+#: holds at most about 750 pairs (``cli-stream``; ``generic-series`` holds
+#: 384, half of them adapted) and builds about 1,000 maps
+#: (``simplex(5)`` up to degree 16 holds 30 pairs and builds 240), so
+#: neither evicts.
 CACHE_SIZE = 4096
 
 
@@ -114,34 +121,34 @@ class RestrictionMap:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _graded(ambient: SubspaceQ, sub: SubspaceQ):
-    """``(den, forms, maps)`` for sub <= ambient, None when sub is not in
-    ambient: the linear forms of :func:`~gkmcalc.exactlin.inclusion` and the
-    restriction maps built so far, by degree, which :func:`restriction_matrix`
-    extends."""
-    inc = inclusion(ambient, sub)
+def _graded(ambient, sub):
+    """``(den, forms, maps)`` for a pair of bases, None when sub's span is not
+    in ambient's: the linear forms of :func:`~gkmcalc.exactlin.coordinates`
+    and the ``(scale, rows)`` of the restriction maps built so far, by degree,
+    which :func:`restriction_rows` extends."""
+    inc = coordinates(ambient, sub)
     if inc is None:
         return None
-    return *inc, {0: RestrictionMap(ambient, sub, 0, 1, (((0, 1),),))}
+    return *inc, {0: (1, (((0, 1),),))}
 
 
 def contains(ambient: SubspaceQ, sub: SubspaceQ) -> bool:
     """Whether sub lies in ambient, decided once per pair by :func:`_graded`."""
-    return _graded(ambient, sub) is not None
+    return _graded(ambient.rows, sub.rows) is not None
 
 
-def _times_forms(prev: RestrictionMap, den: int, forms) -> RestrictionMap:
-    """The next degree's map: the image of an ambient monomial alpha is the
-    image of alpha - e_j times form j, j the first variable of alpha."""
-    ambient, sub, degree = prev.ambient, prev.sub, prev.degree + 1
-    images = [[] for _ in range(sym_dim(ambient.dim, degree - 1))]
-    for mono, pairs in zip(monomial_basis(sub.dim, degree - 1).monomials, prev.rows):
+def _times_forms(prev, ambient_dim: int, sub_dim: int, degree: int, forms):
+    """The rows of degree ``degree`` from those of the degree below: the image
+    of an ambient monomial alpha is the image of alpha - e_j times form j, j
+    the first variable of alpha."""
+    images = [[] for _ in range(sym_dim(ambient_dim, degree - 1))]
+    for mono, pairs in zip(monomial_basis(sub_dim, degree - 1).monomials, prev):
         for col, num in pairs:
             images[col].append((mono, num))
-    prev_index = monomial_basis(ambient.dim, degree - 1).index
-    sub_index = monomial_basis(sub.dim, degree).index
+    prev_index = monomial_basis(ambient_dim, degree - 1).index
+    sub_index = monomial_basis(sub_dim, degree).index
     rows: list[list[tuple[int, int]]] = [[] for _ in sub_index]
-    for col, alpha in enumerate(monomial_basis(ambient.dim, degree).monomials):
+    for col, alpha in enumerate(monomial_basis(ambient_dim, degree).monomials):
         j = alpha.index(next(filter(None, alpha)))
         if not forms[j]:
             continue
@@ -153,7 +160,28 @@ def _times_forms(prev: RestrictionMap, den: int, forms) -> RestrictionMap:
         for mono, coeff in poly.items():
             if coeff:
                 rows[sub_index[mono]].append((col, coeff))
-    return RestrictionMap(ambient, sub, degree, prev.scale * den, tuple(map(tuple, rows)))
+    return tuple(map(tuple, rows))
+
+
+def restriction_rows(ambient, sub, degree: int):
+    """``(scale, rows)`` of the degree-``degree`` restriction along a pair of
+    bases (see :func:`~gkmcalc.exactlin.coordinates`), as in
+    :class:`RestrictionMap`, in the monomials of the coordinates dual to them.
+    Raises :class:`SubspaceContainmentError` when sub's span is not in
+    ambient's."""
+    graded = _graded(ambient, sub)
+    if graded is None:
+        raise SubspaceContainmentError(
+            f"subspace of dim {len(sub)} is not contained in the ambient of dim {len(ambient)}"
+        )
+    den, forms, maps = graded
+    # a loop, not recursion, so the call depth does not grow with the degree;
+    # a degree is added only after the one below and never replaced, so
+    # threads may grow one pair's maps together
+    for d in range(len(maps), degree + 1):
+        scale, rows = maps[d - 1]
+        maps.setdefault(d, (scale * den, _times_forms(rows, len(ambient), len(sub), d, forms)))
+    return maps[degree]
 
 
 def restriction_matrix(ambient: SubspaceQ, sub: SubspaceQ, degree: int) -> RestrictionMap:
@@ -165,15 +193,8 @@ def restriction_matrix(ambient: SubspaceQ, sub: SubspaceQ, degree: int) -> Restr
     """
     if degree < 0:
         raise InputShapeError("negative polynomial degree")
-    graded = _graded(ambient, sub)
-    if graded is None:
-        raise SubspaceContainmentError(
-            f"subspace of dim {sub.dim} is not contained in the ambient of dim {ambient.dim}"
+    if ambient.ambient_dim != sub.ambient_dim:
+        raise InputShapeError(
+            f"ambient dimensions differ: {ambient.ambient_dim} vs {sub.ambient_dim}"
         )
-    den, forms, maps = graded
-    # a loop, not recursion, so the call depth does not grow with the degree;
-    # a degree is added only after the one below and never replaced, so
-    # threads may grow one pair's maps together
-    for d in range(len(maps), degree + 1):
-        maps.setdefault(d, _times_forms(maps[d - 1], den, forms))
-    return maps[degree]
+    return RestrictionMap(ambient, sub, degree, *restriction_rows(ambient.rows, sub.rows, degree))

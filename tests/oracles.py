@@ -17,7 +17,8 @@ So is the ring product checked edge by edge: both endpoint polynomials
 restricted along every edge and compared, the check that the library
 replaced with the rows of its constraint system, here restricting through
 :func:`dense_restriction_matrix` and :func:`mul_vector`, the dense
-``Fraction`` matrix-vector product that the library no longer has.  And so
+``Fraction`` matrix-vector product that the library no longer has; so are
+:func:`matmul` and :func:`is_zero`, which only tests use.  And so
 is :func:`dense`, the dense rational matrix of a restriction map, which the
 library no longer builds.
 And so is :func:`expanded_restriction_matrix`, which expands each
@@ -30,7 +31,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from gkmcalc.errors import InputShapeError, UnsupportedRingStructureError
-from gkmcalc.exactlin import MatrixQ, _as_rational, inclusion, rank_of_rows
+from gkmcalc.exactlin import MatrixQ, _as_rational, coordinates, rank_of_rows
 from gkmcalc.gkmcore import (
     EquivariantClass,
     GkmGraph,
@@ -462,7 +463,7 @@ def expanded_restriction_matrix(ambient, sub, degree):
     """The :class:`RestrictionMap` of one degree, each ambient monomial
     expanded on its own as a product of the linear forms of the inclusion;
     None when sub is not contained in ambient."""
-    inc = inclusion(ambient, sub)
+    inc = coordinates(ambient.rows, sub.rows)
     if inc is None:
         return None
     den, linear_forms = inc
@@ -473,6 +474,20 @@ def expanded_restriction_matrix(ambient, sub, degree):
         for mono, coeff in _expand_monomial(alpha, linear_forms, sub.dim).items():
             rows[sub_basis.index[mono]].append((col, coeff))
     return RestrictionMap(ambient, sub, degree, den**degree, tuple(map(tuple, rows)))
+
+
+def matmul(a, b):
+    """The dense ``Fraction`` product of two :class:`MatrixQ`."""
+    if a.cols != b.rows:
+        raise InputShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    return MatrixQ(a.rows, b.cols, [
+        sum(a.entry(i, k) * b.entry(k, j) for k in range(a.cols))
+        for i in range(a.rows) for j in range(b.cols)
+    ])
+
+
+def is_zero(matrix) -> bool:
+    return not any(matrix.entries)
 
 
 def mul_vector(matrix, vec):

@@ -47,6 +47,7 @@ from oracles import (
     dense,
     face_ring_dims_by_enumeration,
     hirzebruch_equivariant_oracle,
+    matmul,
     simplex_equivariant_oracle,
 )
 from test_exactlin import random_matrix
@@ -269,7 +270,7 @@ def test_criterion_8e_linear_algebra_invariants():
             ab = dense(restriction_matrix(a, b, d))
             bc = dense(restriction_matrix(b, c, d))
             ac = dense(restriction_matrix(a, c, d))
-            assert bc.mul(ab) == ac
+            assert matmul(bc, ab) == ac
             _, piv = rref(ab)
             assert len(piv) == sym_dim(b.dim, d)
 

@@ -1,0 +1,146 @@
+"""Adapted vertex coordinates: the kernel dimensions of ``equivariant_dims``.
+
+``equivariant_dims`` writes each vertex's polynomials in a basis of its
+isotropy chosen from the graph (``gkmcore._adapted_bases``).  Dimensions
+do not depend on that choice, so they are checked against the canonical
+system, kept as the oracle, and against the dense path; on toric skeletons
+the adapted system has two nonzeros per row, which is what makes it fast.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gkmcalc.examples import builtin_fiber_join, builtin_simplex, builtin_stiefel
+from gkmcalc.exactlin import dual_basis, hyperplane_normal, reduce_int_rows
+from gkmcalc.gkmcore import (
+    GkmEdge,
+    GkmGraph,
+    GkmVertex,
+    _adapted_bases,
+    _constraint_rows,
+    _layout,
+    equivariant_dims,
+)
+
+from oracles import dense_equivariant_dims
+from test_gkmcore import coordinate_changes, fixture_graph
+
+GENERIC = {"generic_simplex4": 8, "generic_cube3": 8, "generic_cube4": 6}
+
+
+def systems(graph, max_degree, bases=None):
+    """``(total degree, rows, columns)`` of each nonempty constraint system."""
+    for m in range(max_degree + 1):
+        blocks, total = _layout(graph, m)
+        if total:
+            yield m, _constraint_rows(graph, m, blocks, total, bases), total
+
+
+def canonical_dims(graph, max_degree):
+    dims = [0] * (max_degree + 1)
+    for m, rows, total in systems(graph, max_degree):
+        dims[m] = total - len(reduce_int_rows(rows, total, rank_only=True)[1])
+    return dims
+
+
+@pytest.mark.parametrize("name", GENERIC)
+def test_generic_dims_match_canonical_and_dense(name):
+    graph = fixture_graph(name)
+    cutoff = GENERIC[name]
+    dims = list(equivariant_dims(graph, cutoff).coeffs)
+    assert dims == canonical_dims(graph, cutoff) == dense_equivariant_dims(graph, cutoff)
+
+
+def test_stiefel_dims_match_canonical_and_dense():
+    graph = builtin_stiefel()
+    dims = list(equivariant_dims(graph, 12).coeffs)
+    assert dims == canonical_dims(graph, 12) == dense_equivariant_dims(graph, 12)
+
+
+@pytest.mark.parametrize("name", GENERIC)
+def test_generic_rows_have_two_nonzeros(name):
+    # every edge is kept at both of its endpoints and both have its lines, so
+    # each restriction sends a monomial to one monomial; the canonical
+    # system of the same graph is denser
+    graph = fixture_graph(name)
+    vertex_bases, edge_bases, keepers = _adapted_bases(graph)
+    assert None not in keepers.values()
+    for m, rows, _ in systems(graph, 8, (vertex_bases, edge_bases)):
+        assert rows and all(len(row) == 2 for row in rows), m
+    assert any(len(row) > 2 for _, rows, _ in systems(graph, 4) for row in rows)
+
+
+def test_stiefel_takes_the_fallback():
+    # valence 3 in dimension 2: each vertex keeps two of its edges, and an
+    # edge kept at neither endpoint keeps its canonical basis
+    graph = builtin_stiefel()
+    _, edge_bases, keepers = _adapted_bases(graph)
+    fallback = [eid for eid, keeper in keepers.items() if keeper is None]
+    assert fallback
+    for eid in fallback:
+        edge = next(e for e in graph.edges if e.id == eid)
+        assert edge_bases[eid] == edge.isotropy.rows
+
+
+def test_coordinate_graphs_keep_the_canonical_bases():
+    # where every incident isotropy is a coordinate hyperplane the canonical
+    # basis is taken without elimination: it is the rule's own choice there
+    for graph in (builtin_simplex(3), builtin_fiber_join(2, 1)):
+        vertex_bases, edge_bases, _ = _adapted_bases(graph)
+        assert vertex_bases == {v.id: v.isotropy.rows for v in graph.vertices}
+        assert edge_bases == {e.id: e.isotropy.rows for e in graph.edges}
+        for v in graph.vertices:
+            edges = sorted((e for e in graph.edges if v.id in (e.source, e.target)),
+                           key=lambda e: e.id)
+            units = [tuple(int(i == j) for j in range(v.isotropy.dim))
+                     for i in range(v.isotropy.dim)]
+            normals = [hyperplane_normal(v.isotropy, e.isotropy) for e in edges]
+            kept, lines = dual_basis(v.isotropy, normals + units)
+            assert kept[:len(edges)] == list(range(len(edges)))
+            assert tuple(sorted(lines, reverse=True)) == v.isotropy.rows
+
+
+METAMORPHIC = {
+    "stiefel": (builtin_stiefel(), 10),
+    "generic_simplex4": (fixture_graph("generic_simplex4"), 6),
+    "generic_cube3": (fixture_graph("generic_cube3"), 6),
+    "fiber_join(2,1)": (builtin_fiber_join(2, 1), 6),
+}
+REFERENCE = {name: equivariant_dims(g, cutoff) for name, (g, cutoff) in METAMORPHIC.items()}
+
+
+@st.composite
+def relabelled(draw):
+    """``(name, graph)``: a graph of ``METAMORPHIC`` under new vertex and edge
+    ids, in a new vertex and edge order, with edges reversed at random, in
+    new torus coordinates.  The ids set the order in which each vertex
+    offers its edges to the adapted basis, so its choice changes."""
+    name = draw(st.sampled_from(sorted(METAMORPHIC)))
+    graph, _ = METAMORPHIC[name]
+    moved = draw(coordinate_changes(graph.rank))
+    vids = draw(st.permutations([f"v{i}" for i in range(len(graph.vertices))]))
+    eids = draw(st.permutations([f"e{i}" for i in range(len(graph.edges))]))
+    vid = {v.id: new for v, new in zip(graph.vertices, vids)}
+    vertices = [GkmVertex(vid[v.id], moved(v.isotropy), v.fiber) for v in graph.vertices]
+    edges = []
+    for e, new in zip(graph.edges, eids):
+        ends = ((vid[e.source], e.pullback_source), (vid[e.target], e.pullback_target))
+        if draw(st.booleans()):
+            ends = ends[::-1]
+        (src, p_src), (tgt, p_tgt) = ends
+        edges.append(GkmEdge(new, src, tgt, moved(e.isotropy), e.edge_fiber, p_src, p_tgt))
+    return name, GkmGraph(
+        rank=graph.rank,
+        vertices=tuple(draw(st.permutations(vertices))),
+        edges=tuple(draw(st.permutations(edges))),
+        manifold_dim=graph.manifold_dim,
+        bottom_orbit_dim=graph.bottom_orbit_dim,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(relabelled())
+def test_dims_do_not_depend_on_labels_order_or_coordinates(case):
+    name, graph = case
+    assert equivariant_dims(graph, METAMORPHIC[name][1]) == REFERENCE[name]

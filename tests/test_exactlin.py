@@ -7,6 +7,7 @@ library's fraction-free core must agree with it entry for entry.
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,9 @@ from gkmcalc.exactlin import (
     MatrixQ,
     SubspaceQ,
     canonical_subspace,
-    inclusion,
+    coordinates,
+    dual_basis,
+    hyperplane_normal,
     int_row,
     kernel_basis,
     rank_of_rows,
@@ -70,6 +73,21 @@ def random_matrix(rng, rows, cols, scale=9):
         [Fraction(rng.randint(-scale, scale), rng.randint(1, 4)) for _ in range(cols)]
         for _ in range(rows)
     ]
+
+
+def random_combinations(rng, rows, k):
+    """k random rational combinations of the given rows."""
+    if not rows or k == 0:
+        return []
+    out = []
+    for _ in range(k):
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in rows]
+        if not any(coeffs):
+            coeffs[rng.randrange(len(rows))] = Fraction(1)
+        out.append(
+            [sum(c * Fraction(row[j]) for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
+        )
+    return out
 
 
 def random_int_rows(rng, nrows, ncols, scale=9, density=1.0):
@@ -324,7 +342,7 @@ class TestSubspaceRelations:
         assert subspace_relations_by_rank(a, b) == want
         assert rel.equal == (a == b)
         for ambient, sub, inside in ((a, b, want[0]), (b, a, want[1])):
-            inc = inclusion(ambient, sub)
+            inc = coordinates(ambient.rows, sub.rows)
             assert (inc is not None) == inside
             if inside:
                 # form j over den is column j of the degree-1 restriction
@@ -341,6 +359,109 @@ class TestSubspaceRelations:
             else:
                 with pytest.raises(SubspaceContainmentError):
                     restriction_matrix(ambient, sub, degree)
+
+
+def lead_normalized(row):
+    """An int row over its leading entry, the vector it stands for."""
+    lead = next(x for x in row if x)
+    return [Fraction(x, lead) for x in row]
+
+
+def as_int_row(vec):
+    den = 1
+    for x in vec:
+        den = lcm(den, Fraction(x).denominator)
+    return tuple(int(x * den) for x in vec)
+
+
+class TestBases:
+    @settings(max_examples=200, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), n=st.integers(1, 5),
+           shape=st.sampled_from(["canonical", "drawn", "mixed", "outside"]))
+    def test_coordinates_write_vectors_in_the_basis(self, rng, n, shape):
+        # every path: a canonical basis, vectors drawn from the basis rows,
+        # combinations in a basis in no echelon form, and a vector outside
+        k = rng.randint(1, n)
+        space = canonical_subspace(random_matrix(rng, k, n), n)
+        k = space.dim
+        if shape == "canonical":
+            basis = space.rows
+        else:
+            mix = invertible_matrix(rng, k)
+            basis = tuple(as_int_row([sum(c * x for c, x in zip(row, col))
+                                      for col in zip(*map(lead_normalized, space.rows))])
+                          for row in mix)
+        if shape == "drawn":
+            vectors = tuple(rng.sample(basis, rng.randint(0, k)))
+        else:
+            vectors = tuple(
+                as_int_row(v) for v in random_combinations(rng, [lead_normalized(b) for b in basis],
+                                                         rng.randint(0, k))
+                if any(v)
+            )
+        if shape == "outside" and k < n:
+            vectors += tuple(r for r in canonical_subspace(random_matrix(rng, n, n), n).rows
+                             if coordinates(space.rows, (r,)) is None)[:1]
+        inside = all(coordinates(space.rows, (v,)) is not None for v in vectors)
+        got = coordinates(basis, vectors)
+        assert (got is not None) == inside
+        if got is None:
+            return
+        den, forms = got
+        assert len(forms) == len(basis)
+        for i, vec in enumerate(vectors):
+            combo = [Fraction(0)] * n
+            for form, b in zip(forms, map(lead_normalized, basis)):
+                for j, num in form:
+                    if j == i:
+                        assert type(num) is int and num
+                        combo = [x + Fraction(num, den) * y for x, y in zip(combo, b)]
+            assert combo == lead_normalized(vec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), n=st.integers(1, 5))
+    def test_hyperplane_normal_and_dual_basis(self, rng, n):
+        ambient = canonical_subspace(random_matrix(rng, rng.randint(1, n), n), n)
+        k = ambient.dim
+        coords = [lead_normalized(r) for r in ambient.rows]
+
+        def value(functional, vec):
+            # vec in ambient, read in coordinates dual to the canonical basis
+            return sum(f * vec[p] for f, p in zip(functional, ambient.pivot_columns()))
+
+        hyperplanes = [canonical_subspace(random_combinations(rng, coords, k - 1), n)
+                       for _ in range(rng.randint(0, 4))]
+        normals = []
+        for sub in hyperplanes:
+            if sub.dim != k - 1:
+                continue
+            normal = hyperplane_normal(ambient, sub)
+            assert gcd(*normal) == 1 and next(x for x in normal if x) > 0
+            assert all(value(normal, lead_normalized(r)) == 0 for r in sub.rows)
+            assert any(value(normal, c) for c in coords)
+            assert (sum(map(bool, normal)) == 1) == (set(sub.rows) <= set(ambient.rows))
+            normals.append(normal)
+        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        candidates = normals + units
+        kept, lines = dual_basis(ambient, candidates)
+        # greedy: each candidate is kept iff independent of those kept before
+        chosen = []
+        for i, f in enumerate(candidates):
+            if len(chosen) < k and rank_of_rows(chosen + [f], k) > len(chosen):
+                chosen.append(f)
+                assert i in kept
+            else:
+                assert i not in kept
+        for i, line in enumerate(lines):
+            assert coordinates(ambient.rows, (line,)) is not None
+            assert gcd(*line) == 1 and next(x for x in line if x) > 0
+            for j, f in enumerate(kept):
+                assert bool(value(candidates[f], line)) == (i == j)
+
+    def test_dependent_functionals_rejected(self):
+        plane = canonical_subspace([(1, 0, 0), (0, 1, 0)], 3)
+        with pytest.raises(InputShapeError):
+            dual_basis(plane, [(1, 2), (2, 4)])
 
 
 class TestJson:

@@ -4,6 +4,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -573,30 +574,21 @@ class TestGradedTypes:
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
+DATA = Path(__file__).parent / "data"
+
+
+def fixture_graph(name):
+    """A graph JSON fixture under tests/data: the generic toric skeletons
+    ``generic_simplex4``, ``generic_cube3`` and ``generic_cube4`` are the
+    one-skeleta of polytope 0 of ``pipebench/gen.py``'s pools of generic
+    simplices and cubes, whose facet normals are in general position."""
+    return graph_from_json(json.loads((DATA / f"{name}.json").read_text()))
+
 
 @st.composite
-def kernel_graphs(draw, random_pullbacks=True, point_fibered=False):
-    """Valid graphs from the builtin families, non-point fibers included
-    (only the point-fibered simplex and Stiefel families with
-    ``point_fibered``), in random torus coordinates, with random fiber
-    pullbacks (unless ``random_pullbacks`` is false), vertex order and edge
-    orientations."""
-    if point_fibered:
-        families = ("simplex", "stiefel")
-    else:
-        families = ("simplex", "fiber_join", "hirzebruch", "stiefel")
-    family = draw(st.sampled_from(families))
-    if family == "simplex":
-        graph = builtin_simplex(draw(st.integers(1, 3)))
-    elif family == "fiber_join":
-        graph = builtin_fiber_join(draw(st.integers(1, 2)), draw(st.integers(0, 2)))
-    elif family == "hirzebruch":
-        scale = draw(small_fractions.filter(bool))
-        graph = builtin_hirzebruch(draw(st.integers(1, 3)), pullback_scale=scale)
-    else:
-        graph = builtin_stiefel()
-    r = graph.rank
-    # an invertible change of coordinates: unit lower x diagonal x unit upper
+def coordinate_changes(draw, r):
+    """A random invertible change of the torus coordinates of Q^r (unit
+    lower x diagonal x unit upper), as the map it induces on subspaces."""
     ints = st.integers(-2, 2)
     lower = [[draw(ints) if j < i else int(i == j) for j in range(r)] for i in range(r)]
     upper = [[draw(ints) if j > i else int(i == j) for j in range(r)] for i in range(r)]
@@ -612,6 +604,36 @@ def kernel_graphs(draw, random_pullbacks=True, point_fibered=False):
             for row in subspace.rows
         ]
         return canonical_subspace(rows, r)
+
+    return moved
+
+
+@st.composite
+def kernel_graphs(draw, random_pullbacks=True, point_fibered=False):
+    """Valid graphs from the builtin families and the generic toric
+    skeletons of rank 4 and 5, non-point fibers included (only the
+    point-fibered simplex, generic and Stiefel families with
+    ``point_fibered``), in random torus coordinates, with random fiber
+    pullbacks (unless ``random_pullbacks`` is false), vertex order and edge
+    orientations."""
+    if point_fibered:
+        families = ("simplex", "generic", "stiefel")
+    else:
+        families = ("simplex", "fiber_join", "hirzebruch", "generic", "stiefel")
+    family = draw(st.sampled_from(families))
+    if family == "simplex":
+        graph = builtin_simplex(draw(st.integers(1, 3)))
+    elif family == "fiber_join":
+        graph = builtin_fiber_join(draw(st.integers(1, 2)), draw(st.integers(0, 2)))
+    elif family == "hirzebruch":
+        scale = draw(small_fractions.filter(bool))
+        graph = builtin_hirzebruch(draw(st.integers(1, 3)), pullback_scale=scale)
+    elif family == "generic":
+        graph = fixture_graph(draw(st.sampled_from(("generic_cube3", "generic_simplex4"))))
+    else:
+        graph = builtin_stiefel()
+    r = graph.rank
+    moved = draw(coordinate_changes(r))
 
     def pullback(source, edge_fiber, given_map):
         if not random_pullbacks or not draw(st.booleans()):

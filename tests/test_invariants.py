@@ -24,6 +24,8 @@ from gkmcalc.examples import (
 )
 from gkmcalc.series import DegreeSeries
 
+from oracles import is_zero
+
 
 def test_public_api_is_pinned():
     # the public API changes only on purpose: update this list with it
@@ -108,7 +110,7 @@ def test_gysin_endpoints_for_point_like_top():
                 for _ in range(dims[k + 1])
             ]
             m = MatrixQ.from_rows(entries, dims[k])
-            if k == 0 and m.is_zero():
+            if k == 0 and is_zero(m):
                 ok = False
             mats.append(m)
         if not ok:

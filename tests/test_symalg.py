@@ -11,12 +11,12 @@ import pytest
 from gkmcalc import symalg
 from gkmcalc.errors import SubspaceContainmentError
 from gkmcalc.examples import builtin_simplex
-from gkmcalc.exactlin import MatrixQ, canonical_subspace, inclusion, rref
+from gkmcalc.exactlin import MatrixQ, canonical_subspace, coordinates, rref
 from gkmcalc.gkmcore import class_product, equivariant_basis, equivariant_dims, validate_graph
 from gkmcalc.symalg import CACHE_SIZE, _graded, monomial_basis, restriction_matrix, sym_dim
 
-from oracles import contains, dense, dense_restriction_matrix, expanded_restriction_matrix
-from test_exactlin import invertible_matrix, random_matrix
+from oracles import contains, dense, dense_restriction_matrix, expanded_restriction_matrix, matmul
+from test_exactlin import invertible_matrix, random_combinations, random_matrix
 
 
 class TestSymDim:
@@ -153,7 +153,7 @@ class TestRestrictionMatrix:
                 ab = dense(restriction_matrix(a, b, d))
                 bc = dense(restriction_matrix(b, c, d))
                 ac = dense(restriction_matrix(a, c, d))
-                assert bc.mul(ab) == ac
+                assert matmul(bc, ab) == ac
 
     def test_invariant_under_input_recombination(self):
         # feeding recombined spanning sets through canonicalization changes
@@ -185,13 +185,15 @@ class TestRestrictionMatrix:
 
     def test_containment_read_once_per_pair(self):
         # one graph through every entry point decides each (vertex, edge)
-        # pair once, for validation and restriction together; inclusion is
-        # counted by its code object, so a call from any import site counts
+        # pair once, for validation and restriction together (on coordinate
+        # isotropies the adapted bases of equivariant_dims are the canonical
+        # ones); coordinates is counted by its code object, so a call from any
+        # import site counts
         calls = []
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code is inclusion.__code__:
-                calls.append((frame.f_locals["ambient"], frame.f_locals["sub"]))
+            if event == "call" and frame.f_code is coordinates.__code__:
+                calls.append((frame.f_locals["basis"], frame.f_locals["vectors"]))
 
         _graded.cache_clear()
         g = builtin_simplex(4)
@@ -205,7 +207,8 @@ class TestRestrictionMatrix:
             class_product(g, basis[0], basis[-1])
         finally:
             sys.setprofile(previous)
-        pairs = {(g.vertex(v).isotropy, e.isotropy) for e in g.edges for v in (e.source, e.target)}
+        pairs = {(g.vertex(v).isotropy.rows, e.isotropy.rows)
+                 for e in g.edges for v in (e.source, e.target)}
         assert len(calls) == len(pairs) and set(calls) == pairs
 
     def test_threads_growing_one_pair_match_the_oracle(self):
@@ -228,21 +231,6 @@ class TestRestrictionMatrix:
             sys.setswitchinterval(interval)
         for d, rm in zip(degrees, maps):
             assert rm == expanded_restriction_matrix(amb, sub, d)
-
-
-def random_combinations(rng, rows, k):
-    """k random rational combinations of the given rows."""
-    if not rows or k == 0:
-        return []
-    out = []
-    for _ in range(k):
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in rows]
-        if not any(coeffs):
-            coeffs[rng.randrange(len(rows))] = Fraction(1)
-        out.append(
-            [sum(c * Fraction(row[j]) for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
-        )
-    return out
 
 
 def test_binomial_growth_of_graded_dimensions():
