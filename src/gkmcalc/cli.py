@@ -137,6 +137,8 @@ def _read_json(path: str):
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputShapeError(f"malformed JSON in {path!r}: {exc}") from None
+    except ValueError as exc:  # an integer past Python's str-to-int digit limit
+        raise InputShapeError(f"cannot read {path!r}: {exc}") from None
 
 
 def _load_graph(path: str) -> GkmGraph:
@@ -164,10 +166,14 @@ def _resolve_cutoff(arg: int | None, default: int) -> int:
 
 
 def _emit(obj, fmt: str, table_renderer=None):
-    if fmt == "table" and table_renderer is not None:
-        print(table_renderer(obj))
-    else:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+    try:
+        if fmt == "table" and table_renderer is not None:
+            text = table_renderer(obj)
+        else:
+            text = json.dumps(obj, indent=2, sort_keys=True)
+    except ValueError as exc:  # an integer past Python's int-to-str digit limit
+        raise InputShapeError(f"cannot write the result: {exc}") from None
+    print(text)
 
 
 def _series_table(obj) -> str:

@@ -36,7 +36,12 @@ def is_int(value) -> bool:
 
 def rational_to_json(q: Fraction):
     """``3/2 -> "3/2"``, ``-4 -> -4`` (bare int for denominator 1)."""
-    return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    if q.denominator == 1:
+        return q.numerator
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # past Python's int-to-str digit limit
+        raise InputShapeError(f"cannot write a rational: {exc}") from None
 
 
 def rational_from_json(obj) -> Fraction:
@@ -49,6 +54,8 @@ def rational_from_json(obj) -> Fraction:
         return Fraction(obj)
     except ZeroDivisionError as exc:
         raise InputShapeError(f"bad rational {obj!r}: {exc}") from None
+    except ValueError as exc:  # past Python's str-to-int digit limit
+        raise InputShapeError(f"rational of {len(obj)} characters: {exc}") from None
 
 
 def _as_rational(value) -> Fraction:
@@ -451,8 +458,9 @@ def coordinates(basis, vectors):
 
     In a reduced echelon basis the coordinates of a vector are its entries at
     the pivots; a vector that is a row of any other basis has the one
-    coordinate 1; otherwise one elimination of the basis beside the identity
-    writes its reduced echelon form in it.
+    coordinate 1; otherwise one reduction of the basis beside the vectors, as
+    columns, solves for every vector at once.  Raises InputShapeError when
+    that reduction finds the basis rows linearly dependent.
     """
     n = len(basis[0]) if basis else len(vectors[0]) if vectors else 0
     if any(len(row) != n for row in (*basis, *vectors)):
@@ -471,28 +479,20 @@ def coordinates(basis, vectors):
         for i, vec in enumerate(vectors):
             forms[where[vec]].append((i, 1))
         return 1, forms
-    # rows [B_c | e_c] reduce to [R_m | T_m]: R_m = sum_c T_m[c] B_c in reduced
-    # echelon form, so a vector is sum_m vec[p_m] R_m / R_m[p_m] when spanned
+    # [B^T | V^T] reduces to [D | X]: vector i is sum_c X[c][i] / D[c][c] B_c
+    # when the basis columns are the pivots 0..k-1 and no other column is
     k = len(basis)
-    red, epivots = reduce_int_rows(
-        [{**{j: x for j, x in enumerate(row) if x}, n + c: 1} for c, row in enumerate(basis)], n + k
+    red, cpivots = reduce_int_rows(
+        [{c: x for c, x in enumerate(col) if x} for col in zip(*basis, *vectors)], k + len(vectors)
     )
-    if epivots[-1] >= n:
+    if cpivots[:k] != list(range(k)):
         raise InputShapeError("basis rows are linearly dependent")
-    echelon = [tuple(row.get(j, 0) for j in range(n)) for row in red]
-    if not _spanned(vectors, echelon, epivots):
+    if len(cpivots) > k:
         return None
-    scale = lcm(*(row[p] for row, p in zip(red, epivots)))
-    den = scale * lcm(*leads)
-    forms = []
-    for c, p in enumerate(pivots):
-        form = []
-        for i, (vec, lead) in enumerate(zip(vectors, leads)):
-            num = sum(vec[q] * row.get(n + c, 0) * (scale // row[q]) for row, q in zip(red, epivots))
-            if num:
-                form.append((i, num * basis[c][p] * (den // (scale * lead))))
-        forms.append(form)
-    return den, forms
+    den = lcm(*(row[c] for c, row in enumerate(red))) * lcm(*leads)
+    return den, [[(i, row[k + i] * b[p] * (den // (row[c] * lead)))
+                  for i, lead in enumerate(leads) if k + i in row]
+                 for c, (row, b, p) in enumerate(zip(red, basis, pivots))]
 
 
 def hyperplane_normal(ambient: SubspaceQ, sub: SubspaceQ) -> tuple[int, ...]:
@@ -519,49 +519,32 @@ def hyperplane_normal(ambient: SubspaceQ, sub: SubspaceQ) -> tuple[int, ...]:
 def dual_basis(ambient: SubspaceQ, functionals):
     """``(kept, lines)``: the int functionals on ambient, in the coordinates
     dual to its canonical basis, taken in order and kept while independent of
-    those kept, until there are ``ambient.dim``, by their indices; and the
-    basis of ambient dual to the kept ones, line i killed by every kept
-    functional but the i-th.
+    those kept, by their indices; and the basis of ambient dual to the kept
+    ones, line i killed by every kept functional but the i-th.
 
     The lines are primitive int rows of Q^ambient_dim with a positive leading
-    entry.  Each functional is reduced, beside a unit tag, against the
-    echelon rows of those kept, so one elimination decides independence and
-    then, by back substitution, inverts the kept matrix: its columns are the
-    lines in canonical coordinates.  Raises InputShapeError when fewer than
-    ``ambient.dim`` are independent.
+    entry.  One reduction of the functionals as columns beside the identity,
+    one row per canonical coordinate, does both: its pivot columns are the
+    kept functionals, and the identity block of reduced row i is line i in
+    canonical coordinates, up to a positive scalar.  Raises InputShapeError
+    when fewer than ``ambient.dim`` are independent, which puts a pivot in
+    the identity block.
     """
-    k = ambient.dim
-    echelon: dict[int, dict[int, int]] = {}
-    kept = []
-    for index, functional in enumerate(functionals):
-        if len(kept) == k:
-            break
-        row = {j: x for j, x in enumerate(functional) if x}
-        row[k + len(kept)] = 1
-        c = min(row)
-        while c in echelon:
-            _eliminate(row, echelon[c], c)
-            c = min(row)
-        if c >= k:
-            continue
-        if row[c] < 0:
-            for j in row:
-                row[j] = -row[j]
-        echelon[c] = row
-        kept.append(index)
-    if len(kept) < k:
+    k, m = ambient.dim, len(functionals)
+    red, kept = reduce_int_rows(
+        [{**{j: f[c] for j, f in enumerate(functionals) if f[c]}, m + c: 1} for c in range(k)],
+        m + k,
+    )
+    if kept and kept[-1] >= m:
         raise InputShapeError(f"fewer than {k} independent functionals")
-    red, _ = reduce_int_rows(list(echelon.values()), 2 * k)
-    # row m of the inverse is red[m][k + i] / red[m][m]; canonical basis row m
-    # is ambient.rows[m] over its pivot entry
-    inv = lcm(*(row[m] for m, row in enumerate(red)))
+    # canonical basis row c is ambient.rows[c] over its pivot entry
     leads = [row[p] for row, p in zip(ambient.rows, ambient.pivot_columns())]
     den = lcm(*leads)
-    weights = [(inv // row[m]) * (den // lead) for m, (row, lead) in enumerate(zip(red, leads))]
     lines = []
-    for i in range(k):
-        coeffs = [(row.get(k + i, 0) * w, b) for row, w, b in zip(red, weights, ambient.rows)]
-        lines.append(_normalized([sum(c * b[j] for c, b in coeffs if c)
+    for row in red:
+        coeffs = [(row[m + c] * (den // lead), b)
+                  for c, (lead, b) in enumerate(zip(leads, ambient.rows)) if m + c in row]
+        lines.append(_normalized([sum(x * b[j] for x, b in coeffs)
                                   for j in range(ambient.ambient_dim)]))
     return kept, lines
 

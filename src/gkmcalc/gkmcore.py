@@ -608,22 +608,22 @@ def _layout(graph: GkmGraph, total_degree: int) -> tuple[tuple[_Block, ...], int
 
 def _adapted_bases(graph: GkmGraph):
     """Bases of the vertex and edge isotropies in which most edge conditions
-    restrict each monomial to one monomial: ``(vertex bases, edge bases,
-    keepers)``, bases by id as int rows in the sense of
-    :func:`~gkmcalc.exactlin.coordinates`, and for each edge id the endpoint
-    whose lines give its basis, or None.
+    restrict each monomial to one monomial: ``(vertex bases, edge bases)``,
+    bases by id as int rows in the sense of
+    :func:`~gkmcalc.exactlin.coordinates`.
 
     At a vertex the incident edges are taken in id order, each kept while the
     normal of its isotropy stays independent of those kept, then canonical
-    coordinate functionals fill up; the dual lines, sorted, are the vertex's
-    basis, so a kept edge's isotropy is spanned by the other lines.  An edge
-    takes those other lines at its source if the source kept it, else at its
-    target, else its canonical rows.  Where every incident isotropy is a
-    coordinate hyperplane of the canonical basis, that basis is what the rule
-    chooses; it is taken without elimination, with its cache entries.  On a
-    toric skeleton both endpoints of an edge have its lines, so every
-    constraint row has two nonzeros.  Kernel dimensions do not depend on the
-    bases chosen.
+    coordinate functionals fill up; :func:`~gkmcalc.exactlin.dual_basis`
+    makes that choice and finds the dual lines in one reduction.  The lines,
+    sorted, are the vertex's basis, so a kept edge's isotropy is spanned by
+    the other lines.  An edge takes those other lines at its source if the
+    source kept it, else at its target, else its canonical rows.  Where
+    every incident isotropy is a coordinate hyperplane of the canonical
+    basis, that basis is what the rule chooses; it is taken without
+    elimination, with its cache entries.  On a toric skeleton both endpoints
+    of an edge have its lines, so every constraint row has two nonzeros.
+    Kernel dimensions do not depend on the bases chosen.
     """
     incident: dict[str, list[GkmEdge]] = {v.id: [] for v in graph.vertices}
     for e in sorted(graph.edges, key=lambda e: e.id):
@@ -647,11 +647,11 @@ def _adapted_bases(graph: GkmGraph):
         for i, line in zip(kept, lines):
             if i < len(edges):
                 others[v.id, edges[i].id] = tuple(x for x in vertex_bases[v.id] if x != line)
-    edge_bases, keepers = {}, {}
-    for e in graph.edges:
-        keepers[e.id] = next((vid for vid in (e.source, e.target) if (vid, e.id) in others), None)
-        edge_bases[e.id] = others.get((keepers[e.id], e.id), e.isotropy.rows)
-    return vertex_bases, edge_bases, keepers
+    edge_bases = {
+        e.id: others.get((e.source, e.id), others.get((e.target, e.id), e.isotropy.rows))
+        for e in graph.edges
+    }
+    return vertex_bases, edge_bases
 
 
 def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, bases=None):
@@ -721,7 +721,7 @@ def equivariant_dims(graph: GkmGraph, max_degree: int) -> DegreeSeries:
     if max_degree < 0:
         raise InputShapeError("max_degree must be nonnegative")
     _require_valid(graph)
-    bases = _adapted_bases(graph)[:2]
+    bases = _adapted_bases(graph)
     dims = []
     for m in range(max_degree + 1):
         blocks, total = _layout(graph, m)

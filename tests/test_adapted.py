@@ -64,8 +64,9 @@ def test_generic_rows_have_two_nonzeros(name):
     # each restriction sends a monomial to one monomial; the canonical
     # system of the same graph is denser
     graph = fixture_graph(name)
-    vertex_bases, edge_bases, keepers = _adapted_bases(graph)
-    assert None not in keepers.values()
+    vertex_bases, edge_bases = _adapted_bases(graph)
+    for e in graph.edges:
+        assert set(edge_bases[e.id]) <= set(vertex_bases[e.source]) & set(vertex_bases[e.target])
     for m, rows, _ in systems(graph, 8, (vertex_bases, edge_bases)):
         assert rows and all(len(row) == 2 for row in rows), m
     assert any(len(row) > 2 for _, rows, _ in systems(graph, 4) for row in rows)
@@ -75,19 +76,20 @@ def test_stiefel_takes_the_fallback():
     # valence 3 in dimension 2: each vertex keeps two of its edges, and an
     # edge kept at neither endpoint keeps its canonical basis
     graph = builtin_stiefel()
-    _, edge_bases, keepers = _adapted_bases(graph)
-    fallback = [eid for eid, keeper in keepers.items() if keeper is None]
+    vertex_bases, edge_bases = _adapted_bases(graph)
+    fallback = [e for e in graph.edges
+                if not any(set(edge_bases[e.id]) <= set(vertex_bases[vid])
+                           for vid in (e.source, e.target))]
     assert fallback
-    for eid in fallback:
-        edge = next(e for e in graph.edges if e.id == eid)
-        assert edge_bases[eid] == edge.isotropy.rows
+    for edge in fallback:
+        assert edge_bases[edge.id] == edge.isotropy.rows
 
 
 def test_coordinate_graphs_keep_the_canonical_bases():
     # where every incident isotropy is a coordinate hyperplane the canonical
     # basis is taken without elimination: it is the rule's own choice there
     for graph in (builtin_simplex(3), builtin_fiber_join(2, 1)):
-        vertex_bases, edge_bases, _ = _adapted_bases(graph)
+        vertex_bases, edge_bases = _adapted_bases(graph)
         assert vertex_bases == {v.id: v.isotropy.rows for v in graph.vertices}
         assert edge_bases == {e.id: e.isotropy.rows for e in graph.edges}
         for v in graph.vertices:

@@ -28,6 +28,23 @@ def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+#: Python's int/str conversion digit limit, 0 where there is none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+#: an integer of half the limit's digits: its square is past the limit
+HALF = int("7" * (DIGIT_LIMIT // 2 + 1))
+
+
+def triangle(normals) -> str:
+    """A moment triangle in rank 3 with the given facet normals, as JSON."""
+    return json.dumps({
+        "rank": 3,
+        "vertices": [{"id": v, "coords": c} for v, c in
+                     (("a", [1, 0, 0]), ("b", [0, 1, 0]), ("c", [0, 0, 1]))],
+        "facets": [{"normal": n, "vertices": vs}
+                   for n, vs in zip(normals, (["a", "b"], ["b", "c"], ["a", "c"]))],
+    })
+
+
 @pytest.fixture
 def simplex2_json(capsys):
     code, out, _ = run_cli(capsys, "example", "simplex", "--n", "2")
@@ -208,6 +225,21 @@ class TestExitCodes:
         )
         assert code == 1 and err.startswith("error:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int/str digit limit in this Python")
+    @pytest.mark.parametrize("cmd,text", [
+        # an integer too long to parse, a rational too long to parse, and
+        # isotropies whose numerators or integer entries are too long to print
+        ("validate", '{"rank": %s, "vertices": [], "edges": []}' % ("1" * (DIGIT_LIMIT + 1))),
+        ("validate", json.dumps({"rank": 1, "edges": [], "vertices": [
+            {"id": "a", "isotropy": [["1/" + "7" * (DIGIT_LIMIT + 1)]]}]})),
+        ("toric-skeleton", triangle([[HALF, 1, 0], [0, HALF, 1], [1, 0, HALF]])),
+        ("toric-skeleton", triangle([[1, -HALF, 0], [0, 1, -HALF], [0, 0, 1]])),
+    ], ids=["json-int", "rational", "output-rational", "output-int"])
+    def test_past_the_int_digit_limit(self, capsys, monkeypatch, cmd, text):
+        code, _, err = run_cli(capsys, cmd, "-", stdin=text, monkeypatch=monkeypatch)
+        assert code == 1 and err.startswith("error:")
+        assert len(err.splitlines()) == 1 and "limit" in err
 
     def test_closed_stdout_exits_quietly(self):
         # about 200 KB of output, more than a pipe buffer holds, so the

@@ -377,10 +377,11 @@ def as_int_row(vec):
 class TestBases:
     @settings(max_examples=200, deadline=None)
     @given(rng=st.randoms(use_true_random=False), n=st.integers(1, 5),
-           shape=st.sampled_from(["canonical", "drawn", "mixed", "outside"]))
+           shape=st.sampled_from(["canonical", "drawn", "mixed", "outside", "dependent"]))
     def test_coordinates_write_vectors_in_the_basis(self, rng, n, shape):
         # every path: a canonical basis, vectors drawn from the basis rows,
-        # combinations in a basis in no echelon form, and a vector outside
+        # combinations in a basis in no echelon form, a vector outside, and
+        # a dependent basis, which is rejected once a vector is not its row
         k = rng.randint(1, n)
         space = canonical_subspace(random_matrix(rng, k, n), n)
         k = space.dim
@@ -402,6 +403,15 @@ class TestBases:
         if shape == "outside" and k < n:
             vectors += tuple(r for r in canonical_subspace(random_matrix(rng, n, n), n).rows
                              if coordinates(space.rows, (r,)) is None)[:1]
+        if shape == "dependent" and basis:
+            extra = as_int_row(random_combinations(rng, [lead_normalized(b) for b in basis], 1)[0])
+            basis += (extra,)
+            # k + 2 multiples of the new row are not all among the k + 1 rows
+            multiples = (tuple(m * x for x in extra) for m in range(1, k + 3))
+            vectors += (next(v for v in multiples if v not in basis),)
+            with pytest.raises(InputShapeError):
+                coordinates(basis, vectors)
+            return
         inside = all(coordinates(space.rows, (v,)) is not None for v in vectors)
         got = coordinates(basis, vectors)
         assert (got is not None) == inside
@@ -421,7 +431,7 @@ class TestBases:
     @settings(max_examples=200, deadline=None)
     @given(rng=st.randoms(use_true_random=False), n=st.integers(1, 5))
     def test_hyperplane_normal_and_dual_basis(self, rng, n):
-        ambient = canonical_subspace(random_matrix(rng, rng.randint(1, n), n), n)
+        ambient = canonical_subspace(random_matrix(rng, rng.randint(0, n), n), n)
         k = ambient.dim
         coords = [lead_normalized(r) for r in ambient.rows]
 
@@ -444,6 +454,7 @@ class TestBases:
         units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
         candidates = normals + units
         kept, lines = dual_basis(ambient, candidates)
+        assert len(kept) == len(lines) == k
         # greedy: each candidate is kept iff independent of those kept before
         chosen = []
         for i, f in enumerate(candidates):
