@@ -34,11 +34,22 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+#: Ints of at most this many bits have fewer decimal digits than the lowest
+#: int-to-str digit limit Python allows (640), so they are written unchecked.
+_SHORT_INT_BITS = 3 * 640
+
+
 def rational_to_json(q: Fraction):
-    """``3/2 -> "3/2"``, ``-4 -> -4`` (bare int for denominator 1)."""
-    if q.denominator == 1:
-        return q.numerator
+    """``3/2 -> "3/2"``, ``-4 -> -4`` (bare int for denominator 1).
+
+    Raises InputShapeError for a rational that JSON cannot write, past
+    Python's int-to-str digit limit."""
     try:
+        if q.denominator == 1:
+            n = q.numerator
+            if n.bit_length() > _SHORT_INT_BITS:
+                str(n)  # what json.dumps will do, so that it fails here
+            return n
         return f"{q.numerator}/{q.denominator}"
     except ValueError as exc:  # past Python's int-to-str digit limit
         raise InputShapeError(f"cannot write a rational: {exc}") from None

@@ -43,7 +43,7 @@ from .exactlin import (
     subspace_from_json,
 )
 from .series import DegreeSeries
-from .symalg import contains, monomial_basis, restriction_rows, sym_dim
+from .symalg import contains, monomial_basis, restriction_images, sym_dim
 
 
 @dataclass(frozen=True)
@@ -686,8 +686,8 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, bas
                 prows = pullback.int_rows.get(q)
                 if block is None or prows is None:
                     continue
-                scale, rmap = restriction_rows(vertex_bases[vid], edge_bases[e.id], d)
-                contributions.append((block, scale, rmap, prows, sign))
+                scale, images = restriction_images(vertex_bases[vid], edge_bases[e.id], d)
+                contributions.append((block, scale, images, prows, sign))
             if not contributions:
                 continue
             # one multiplier per pullback row clears the denominators of both sides
@@ -695,18 +695,21 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, bas
                 lcm(*(scale * prows[ip][0] for _, scale, _, prows, _ in contributions))
                 for ip in range(e_fdim)
             ]
-            for ir in range(e_pdim):
-                for ip in range(e_fdim):
-                    row = {}
-                    for block, scale, rmap, prows, sign in contributions:
-                        pden, ppairs = prows[ip]
-                        f = sign * (den[ip] // (scale * pden))
-                        for jr, r in rmap[ir]:
-                            base = block.offset + jr * block.fiber_dim
+            # row (ir, ip) at ir * e_fdim + ip; each endpoint's images are
+            # scattered into the rows by increasing column, source first
+            grid = [{} for _ in range(e_pdim * e_fdim)]
+            for block, scale, images, prows, sign in contributions:
+                width = block.fiber_dim
+                for ip, (pden, ppairs) in enumerate(prows):
+                    f = sign * (den[ip] // (scale * pden))
+                    base = block.offset
+                    for image in images:
+                        for ir, r in image:
+                            row = grid[ir * e_fdim + ip]
                             for jp, p in ppairs.items():
                                 row[base + jp] = f * r * p
-                    if row:
-                        rows.append(row)
+                        base += width
+            rows += filter(None, grid)
     return rows
 
 

@@ -11,11 +11,14 @@ inclusion V <= W: write the basis of V in the basis of W and substitute
 the resulting linear forms into each monomial.  The maps are a map of
 graded algebras, so they are cached per pair of bases: the linear forms
 are read once, and degree d is grown from degree d - 1 by one linear-form
-multiplication per monomial.  That cache also keeps the answer when V is
-not in W, and graph validation reads containment from it for canonical
-pairs too (:func:`contains`), so each pair is decided once.
-``gkmcore.equivariant_dims`` asks for pairs of adapted bases, in which
-most maps send a monomial to one monomial.
+multiplication per monomial.  Each degree is kept as the images of the
+ambient monomials, and the growth addresses monomials by position only,
+through two tables of each degree's :class:`MonomialBasis`
+(:attr:`~MonomialBasis.down` and :attr:`~MonomialBasis.up`).  That cache
+also keeps the answer when V is not in W, and graph validation reads
+containment from it for canonical pairs too (:func:`contains`), so each
+pair is decided once.  ``gkmcore.equivariant_dims`` asks for pairs of
+adapted bases, in which most maps send a monomial to one monomial.
 
 Grading convention: the generators of S(V*) sit in cohomological degree 2,
 so polynomial degree d contributes to cohomological degree 2d.
@@ -24,7 +27,7 @@ so polynomial degree d contributes to cohomological degree 2d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .errors import InputShapeError, SubspaceContainmentError
@@ -38,7 +41,11 @@ from .exactlin import SubspaceQ, coordinates
 #: holds at most about 750 pairs (``cli-stream``; ``generic-series`` holds
 #: 384, half of them adapted) and builds about 1,000 maps
 #: (``simplex(5)`` up to degree 16 holds 30 pairs and builds 240), so
-#: neither evicts.
+#: neither evicts.  The ``down`` and ``up`` tables of a basis add about
+#: 64 bytes per monomial and 56 + 8 * var_count bytes per monomial one
+#: degree down (plus 28 bytes per position past 256), under half of what
+#: its monomials and ``index`` take: 0.06 MB beside 0.14 MB for the 30
+#: bases of a ``sparse-series`` pass.
 CACHE_SIZE = 4096
 
 
@@ -64,7 +71,9 @@ class MonomialBasis:
     Monomials are exponent tuples in graded-lexicographic order (all of one
     total degree, lexicographically decreasing), which fixes the row and
     column conventions of every matrix built on top.  ``index`` maps each
-    monomial to its position.
+    monomial to its position; ``down`` and ``up``, built on first use,
+    relate positions to those one degree down, so the restriction growth
+    does no exponent arithmetic.
     """
 
     var_count: int
@@ -77,6 +86,29 @@ class MonomialBasis:
 
     def __len__(self):
         return len(self.monomials)
+
+    @cached_property
+    def down(self) -> tuple[tuple[int, int], ...]:
+        """``(j, k)`` per monomial alpha, for degree >= 1: j is the first
+        variable of alpha and k the position of alpha - e_j one degree down."""
+        below = monomial_basis(self.var_count, self.degree - 1).index
+        pairs = []
+        for alpha in self.monomials:
+            j = 0
+            while not alpha[j]:
+                j += 1
+            pairs.append((j, below[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]))
+        return tuple(pairs)
+
+    @cached_property
+    def up(self) -> tuple[tuple[int, ...], ...]:
+        """For degree >= 1, ``up[k][i]`` is the position of beta + e_i, beta
+        the monomial at position k one degree down."""
+        index, n = self.index, self.var_count
+        return tuple(
+            tuple(index[beta[:i] + (beta[i] + 1,) + beta[i + 1 :]] for i in range(n))
+            for beta in monomial_basis(n, self.degree - 1).monomials
+        )
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -124,8 +156,8 @@ class RestrictionMap:
 def _graded(ambient, sub):
     """``(den, forms, maps)`` for a pair of bases, None when sub's span is not
     in ambient's: the linear forms of :func:`~gkmcalc.exactlin.coordinates`
-    and the ``(scale, rows)`` of the restriction maps built so far, by degree,
-    which :func:`restriction_rows` extends."""
+    and the ``(scale, images)`` of the restriction maps built so far, by
+    degree, which :func:`restriction_images` extends."""
     inc = coordinates(ambient, sub)
     if inc is None:
         return None
@@ -138,37 +170,36 @@ def contains(ambient: SubspaceQ, sub: SubspaceQ) -> bool:
 
 
 def _times_forms(prev, ambient_dim: int, sub_dim: int, degree: int, forms):
-    """The rows of degree ``degree`` from those of the degree below: the image
-    of an ambient monomial alpha is the image of alpha - e_j times form j, j
-    the first variable of alpha."""
-    images = [[] for _ in range(sym_dim(ambient_dim, degree - 1))]
-    for mono, pairs in zip(monomial_basis(sub_dim, degree - 1).monomials, prev):
-        for col, num in pairs:
-            images[col].append((mono, num))
-    prev_index = monomial_basis(ambient_dim, degree - 1).index
-    sub_index = monomial_basis(sub_dim, degree).index
-    rows: list[list[tuple[int, int]]] = [[] for _ in sub_index]
-    for col, alpha in enumerate(monomial_basis(ambient_dim, degree).monomials):
-        j = alpha.index(next(filter(None, alpha)))
-        if not forms[j]:
+    """The images of degree ``degree`` from those of the degree below: the
+    image of an ambient monomial alpha is the image of alpha - e_j times form
+    j, j the first variable of alpha.  A one-term form times a one-term image
+    is one term, so it needs no summing."""
+    up = monomial_basis(sub_dim, degree).up
+    images = []
+    for j, below in monomial_basis(ambient_dim, degree).down:
+        form, image = forms[j], prev[below]
+        if len(form) == 1 == len(image):
+            (i, c), = form
+            (mono, num), = image
+            images.append(((up[mono][i], num * c),))
             continue
-        poly: dict[tuple[int, ...], int] = {}
-        for mono, num in images[prev_index[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]]:
-            for i, c in forms[j]:
-                key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+        poly: dict[int, int] = {}
+        for mono, num in image:
+            raised = up[mono]
+            for i, c in form:
+                key = raised[i]
                 poly[key] = poly.get(key, 0) + num * c
-        for mono, coeff in poly.items():
-            if coeff:
-                rows[sub_index[mono]].append((col, coeff))
-    return tuple(map(tuple, rows))
+        images.append(tuple((mono, coeff) for mono, coeff in poly.items() if coeff))
+    return tuple(images)
 
 
-def restriction_rows(ambient, sub, degree: int):
-    """``(scale, rows)`` of the degree-``degree`` restriction along a pair of
-    bases (see :func:`~gkmcalc.exactlin.coordinates`), as in
-    :class:`RestrictionMap`, in the monomials of the coordinates dual to them.
-    Raises :class:`SubspaceContainmentError` when sub's span is not in
-    ambient's."""
+def restriction_images(ambient, sub, degree: int):
+    """``(scale, images)`` of the degree-``degree`` restriction along a pair
+    of bases (see :func:`~gkmcalc.exactlin.coordinates`), in the monomials of
+    the coordinates dual to them: ``images[col]`` is the image of ambient
+    monomial ``col`` times ``scale``, as ``((sub monomial, num), ...)`` with
+    each ``num`` a nonzero int.  Raises :class:`SubspaceContainmentError`
+    when sub's span is not in ambient's."""
     graded = _graded(ambient, sub)
     if graded is None:
         raise SubspaceContainmentError(
@@ -179,8 +210,8 @@ def restriction_rows(ambient, sub, degree: int):
     # a degree is added only after the one below and never replaced, so
     # threads may grow one pair's maps together
     for d in range(len(maps), degree + 1):
-        scale, rows = maps[d - 1]
-        maps.setdefault(d, (scale * den, _times_forms(rows, len(ambient), len(sub), d, forms)))
+        scale, images = maps[d - 1]
+        maps.setdefault(d, (scale * den, _times_forms(images, len(ambient), len(sub), d, forms)))
     return maps[degree]
 
 
@@ -197,4 +228,9 @@ def restriction_matrix(ambient: SubspaceQ, sub: SubspaceQ, degree: int) -> Restr
         raise InputShapeError(
             f"ambient dimensions differ: {ambient.ambient_dim} vs {sub.ambient_dim}"
         )
-    return RestrictionMap(ambient, sub, degree, *restriction_rows(ambient.rows, sub.rows, degree))
+    scale, images = restriction_images(ambient.rows, sub.rows, degree)
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(sym_dim(sub.dim, degree))]
+    for col, image in enumerate(images):
+        for mono, num in image:
+            rows[mono].append((col, num))
+    return RestrictionMap(ambient, sub, degree, scale, tuple(map(tuple, rows)))

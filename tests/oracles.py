@@ -23,7 +23,9 @@ is :func:`dense`, the dense rational matrix of a restriction map, which the
 library no longer builds.
 And so is :func:`expanded_restriction_matrix`, which expands each
 monomial of a degree on its own, the build that the library replaced with
-growing each degree from the one below.
+growing each degree from the one below; and :func:`grown_restriction_rows`,
+that growth as it was on exponent tuples, before the library grew each
+degree through the index tables of its monomial bases.
 """
 
 from fractions import Fraction
@@ -459,21 +461,71 @@ def _expand_monomial(alpha, linear_forms, nvars_sub):
     return poly
 
 
-def expanded_restriction_matrix(ambient, sub, degree):
-    """The :class:`RestrictionMap` of one degree, each ambient monomial
-    expanded on its own as a product of the linear forms of the inclusion;
-    None when sub is not contained in ambient."""
-    inc = coordinates(ambient.rows, sub.rows)
+def expanded_restriction_rows(ambient, sub, degree):
+    """``(scale, rows)`` of one degree along a pair of bases, as
+    ``symalg.RestrictionMap`` stores them, each ambient monomial expanded on
+    its own as a product of the linear forms of
+    :func:`~gkmcalc.exactlin.coordinates`; None when sub's span is not in
+    ambient's."""
+    inc = coordinates(ambient, sub)
     if inc is None:
         return None
     den, linear_forms = inc
-    amb_basis = monomial_basis(ambient.dim, degree)
-    sub_basis = monomial_basis(sub.dim, degree)
+    amb_basis = monomial_basis(len(ambient), degree)
+    sub_basis = monomial_basis(len(sub), degree)
     rows = [[] for _ in sub_basis.monomials]
     for col, alpha in enumerate(amb_basis.monomials):
-        for mono, coeff in _expand_monomial(alpha, linear_forms, sub.dim).items():
+        for mono, coeff in _expand_monomial(alpha, linear_forms, len(sub)).items():
             rows[sub_basis.index[mono]].append((col, coeff))
-    return RestrictionMap(ambient, sub, degree, den**degree, tuple(map(tuple, rows)))
+    return den**degree, tuple(map(tuple, rows))
+
+
+def expanded_restriction_matrix(ambient, sub, degree):
+    """The :class:`RestrictionMap` of one degree along the canonical bases,
+    by :func:`expanded_restriction_rows`; None when sub is not contained in
+    ambient."""
+    out = expanded_restriction_rows(ambient.rows, sub.rows, degree)
+    return None if out is None else RestrictionMap(ambient, sub, degree, *out)
+
+
+def _times_forms(prev, ambient_dim: int, sub_dim: int, degree: int, forms):
+    """The rows of degree ``degree`` from those of the degree below: the image
+    of an ambient monomial alpha is the image of alpha - e_j times form j, j
+    the first variable of alpha."""
+    images = [[] for _ in range(sym_dim(ambient_dim, degree - 1))]
+    for mono, pairs in zip(monomial_basis(sub_dim, degree - 1).monomials, prev):
+        for col, num in pairs:
+            images[col].append((mono, num))
+    prev_index = monomial_basis(ambient_dim, degree - 1).index
+    sub_index = monomial_basis(sub_dim, degree).index
+    rows: list[list[tuple[int, int]]] = [[] for _ in sub_index]
+    for col, alpha in enumerate(monomial_basis(ambient_dim, degree).monomials):
+        j = alpha.index(next(filter(None, alpha)))
+        if not forms[j]:
+            continue
+        poly: dict[tuple[int, ...], int] = {}
+        for mono, num in images[prev_index[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]]:
+            for i, c in forms[j]:
+                key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+                poly[key] = poly.get(key, 0) + num * c
+        for mono, coeff in poly.items():
+            if coeff:
+                rows[sub_index[mono]].append((col, coeff))
+    return tuple(map(tuple, rows))
+
+
+def grown_restriction_rows(ambient, sub, degree):
+    """``(scale, rows)`` as :func:`expanded_restriction_rows` gives them,
+    grown from degree 0 by the tuple-keyed :func:`_times_forms`, with no
+    cache of maps; None when sub's span is not in ambient's."""
+    inc = coordinates(ambient, sub)
+    if inc is None:
+        return None
+    den, forms = inc
+    scale, rows = 1, (((0, 1),),)
+    for d in range(1, degree + 1):
+        scale, rows = scale * den, _times_forms(rows, len(ambient), len(sub), d, forms)
+    return scale, rows
 
 
 def matmul(a, b):

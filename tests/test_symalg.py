@@ -4,19 +4,50 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmcalc import symalg
-from gkmcalc.errors import SubspaceContainmentError
-from gkmcalc.examples import builtin_simplex
+from gkmcalc.errors import GkmError, SubspaceContainmentError
+from gkmcalc.examples import builtin_simplex, builtin_stiefel
 from gkmcalc.exactlin import MatrixQ, canonical_subspace, coordinates, rref
-from gkmcalc.gkmcore import class_product, equivariant_basis, equivariant_dims, validate_graph
-from gkmcalc.symalg import CACHE_SIZE, _graded, monomial_basis, restriction_matrix, sym_dim
+from gkmcalc.gkmcore import (
+    _adapted_bases,
+    class_product,
+    equivariant_basis,
+    equivariant_dims,
+    validate_graph,
+)
+from gkmcalc.symalg import (
+    CACHE_SIZE,
+    _graded,
+    monomial_basis,
+    restriction_images,
+    restriction_matrix,
+    sym_dim,
+)
+from gkmcalc.toric import MomentPolytope, PolytopeFacet, PolytopeVertex, polytope_skeleton
 
-from oracles import contains, dense, dense_restriction_matrix, expanded_restriction_matrix, matmul
-from test_exactlin import invertible_matrix, random_combinations, random_matrix
+from oracles import (
+    contains,
+    dense,
+    dense_restriction_matrix,
+    expanded_restriction_matrix,
+    expanded_restriction_rows,
+    grown_restriction_rows,
+    matmul,
+)
+from test_exactlin import (
+    as_int_row,
+    invertible_matrix,
+    lead_normalized,
+    random_combinations,
+    random_matrix,
+)
 
 
 class TestSymDim:
@@ -47,6 +78,26 @@ class TestMonomialBasis:
 
     def test_deterministic(self):
         assert monomial_basis(3, 5).monomials == monomial_basis(3, 5).monomials
+
+    def test_index_tables_match_exponent_arithmetic(self):
+        # down and up against adding and removing e_j on the exponent tuples,
+        # built from a cold cache, then a degree far past the recursion limit
+        monomial_basis.cache_clear()
+        for n in range(6):
+            for d in range(1, 9):
+                basis, below = monomial_basis(n, d), monomial_basis(n, d - 1)
+                assert len(basis.down) == len(basis.monomials)
+                for (j, k), alpha in zip(basis.down, basis.monomials):
+                    assert alpha[:j] == (0,) * j and alpha[j] > 0
+                    assert below.monomials[k] == alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
+                assert len(basis.up) == len(below.monomials)
+                for raised, beta in zip(basis.up, below.monomials):
+                    assert len(raised) == n
+                    for i, pos in enumerate(raised):
+                        assert basis.monomials[pos] == beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+        monomial_basis.cache_clear()
+        deep = monomial_basis(1, 1500)
+        assert deep.down == ((0, 0),) and deep.up == ((0,),)
 
 
 class TestRestrictionMatrix:
@@ -231,6 +282,128 @@ class TestRestrictionMatrix:
             sys.setswitchinterval(interval)
         for d, rm in zip(degrees, maps):
             assert rm == expanded_restriction_matrix(amb, sub, d)
+
+
+def random_generic_skeleton(rng):
+    """The one-skeleton of a simplex or a cube of dimension 2 or 3 whose
+    facet normals are small random integers, drawn again until the skeleton
+    is a valid GKM graph (it reads the incidence and the normals only)."""
+    n = rng.randint(2, 3)
+    if rng.random() < 0.5:
+        ids = [f"v{j}" for j in range(n + 1)]
+        incidence = [[v for v in ids if v != f"v{j}"] for j in range(n + 1)]
+    else:
+        ids = ["c" + "".join(bits) for bits in product("01", repeat=n)]
+        incidence = [[v for v in ids if v[1 + i] == b] for i in range(n) for b in "01"]
+    vertices = tuple(PolytopeVertex(v, (Fraction(0),) * (n + 1)) for v in ids)
+    while True:
+        facets = tuple(
+            PolytopeFacet(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n + 1)), tuple(vs))
+            for vs in incidence
+        )
+        try:
+            return polytope_skeleton(MomentPolytope(n + 1, vertices, facets))
+        except GkmError:
+            continue
+
+
+def mixed_basis(rng, rows):
+    """A basis of the span of the int rows ``rows`` in no echelon form."""
+    mix = invertible_matrix(rng, len(rows))
+    vectors = [lead_normalized(row) for row in rows]
+    return tuple(as_int_row([sum(c * v[j] for c, v in zip(coeffs, vectors))
+                             for j in range(len(rows[0]))]) for coeffs in mix)
+
+
+STIEFEL = builtin_stiefel()
+STIEFEL_BASES = _adapted_bases(STIEFEL)
+
+
+@st.composite
+def basis_pairs(draw):
+    """``(kind, pairs)``: pairs ``(ambient, sub)`` of bases as
+    :func:`~gkmcalc.exactlin.coordinates` takes them.  ``adapted``: the
+    (vertex, edge) pairs of ``_adapted_bases`` on a random generic skeleton,
+    where every form has one term; ``fallback``: the Stiefel pairs whose edge
+    keeps its canonical basis, read by a reduction; ``zero``: a sub of
+    dimension 0 in a random ambient and in one of dimension 0; ``multi``:
+    random bases in no echelon form, so forms and images have many terms;
+    ``sparse``: a coordinate ambient and a sub of vectors with entries -1, 0
+    and 1, so one-term and longer forms meet and terms cancel."""
+    kind = draw(st.sampled_from(("adapted", "fallback", "zero", "multi", "sparse")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "adapted":
+        graph = random_generic_skeleton(rng)
+        vertex_bases, edge_bases = _adapted_bases(graph)
+        pairs = [(vertex_bases[v], edge_bases[e.id])
+                 for e in graph.edges for v in (e.source, e.target)]
+        return kind, rng.sample(pairs, min(len(pairs), 6))
+    if kind == "fallback":
+        vertex_bases, edge_bases = STIEFEL_BASES
+        pairs = [(vertex_bases[v], edge_bases[e.id]) for e in STIEFEL.edges
+                 for v in (e.source, e.target) if edge_bases[e.id] == e.isotropy.rows]
+        assert pairs
+        return kind, pairs
+    r = rng.randint(1, 4)
+    if kind == "sparse":
+        ambient = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+        k = rng.randint(1, r)
+        while True:
+            sub = tuple(tuple(rng.choice((-1, 0, 0, 1)) for _ in range(r)) for _ in range(k))
+            if canonical_subspace(sub, r).dim == k:
+                return kind, [(ambient, sub)]
+    ambient = ()
+    while not ambient:
+        ambient = canonical_subspace(random_matrix(rng, rng.randint(1, r), r), r).rows
+    if kind == "zero":
+        return kind, [(mixed_basis(rng, ambient), ()), ((), ())]
+    sub = canonical_subspace(random_combinations(rng, [lead_normalized(row) for row in ambient],
+                                                 rng.randint(1, len(ambient))), r).rows
+    return kind, [(mixed_basis(rng, ambient), mixed_basis(rng, sub))]
+
+
+def by_column(rows, ncols):
+    """Rows as :class:`~gkmcalc.symalg.RestrictionMap` stores them, turned
+    into the images of the ambient monomials, each sorted."""
+    images = [[] for _ in range(ncols)]
+    for mono, pairs in enumerate(rows):
+        for col, num in pairs:
+            images[col].append((mono, num))
+    return [tuple(image) for image in images]
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis_pairs(), st.integers(0, 2**32 - 1))
+def test_images_on_bases_match_expansion_and_tuple_growth(case, seed):
+    # restriction_images on pairs of bases, against expanding each monomial
+    # on its own and against the tuple-keyed growth it replaced; the degrees
+    # are visited in a random order, with both caches emptied before the
+    # first and before about a third of the others; a pair the other way
+    # round, when not contained, is refused at every degree
+    kind, pairs = case
+    rng = random.Random(seed)
+    for ambient, sub in pairs:
+        degrees = list(range(8))
+        rng.shuffle(degrees)
+        for d in degrees:
+            if d == degrees[0] or rng.random() < 0.3:
+                _graded.cache_clear()
+                monomial_basis.cache_clear()
+            scale, images = restriction_images(ambient, sub, d)
+            expected = expanded_restriction_rows(ambient, sub, d)
+            assert grown_restriction_rows(ambient, sub, d) == expected
+            assert len(images) == sym_dim(len(ambient), d)
+            assert type(scale) is int and scale == expected[0]
+            assert [tuple(sorted(image)) for image in images] == by_column(expected[1], len(images))
+            for image in images:
+                assert len({mono for mono, _ in image}) == len(image)
+                assert all(type(num) is int and num for _, num in image)
+            if kind == "adapted":
+                assert all(len(image) <= 1 for image in images)
+        if sub and expanded_restriction_rows(sub, ambient, 0) is None:
+            for d in degrees:
+                with pytest.raises(SubspaceContainmentError):
+                    restriction_images(sub, ambient, d)
 
 
 def test_binomial_growth_of_graded_dimensions():

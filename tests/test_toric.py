@@ -18,7 +18,7 @@ from gkmcalc.toric import (
     simplex_polytope,
 )
 
-from test_cli import run_cli
+from test_cli import DIGIT_LIMIT, run_cli, triangle
 
 
 def square_polytope():
@@ -168,3 +168,19 @@ class TestPolytopeJson:
     def test_missing_rank(self):
         with pytest.raises(InputShapeError):
             MomentPolytope.from_json({"vertices": [], "facets": []})
+
+
+@pytest.mark.skipif(not 0 < DIGIT_LIMIT < 2 * 2385,
+                    reason="needs an int/str digit limit below the square of B")
+def test_skeleton_entry_past_the_digit_limit_is_an_input_error(capsys, monkeypatch):
+    # B has 2,386 digits, and the skeleton of the triangle has an integer
+    # isotropy entry of about B**2: to_json refuses it with InputShapeError,
+    # as it does a p/q past the limit, instead of returning an int that
+    # json.dumps rejects later with a plain ValueError; the CLI exits 1
+    b = int("7" * 2386)
+    text = triangle([[1, -b, 0], [0, 1, -b], [0, 0, 1]])
+    skeleton = polytope_skeleton(MomentPolytope.from_json(json.loads(text)))
+    with pytest.raises(InputShapeError, match="limit"):
+        skeleton.to_json()
+    code, _, err = run_cli(capsys, "toric-skeleton", "-", stdin=text, monkeypatch=monkeypatch)
+    assert code == 1 and err.startswith("error:") and "limit" in err
