@@ -219,6 +219,103 @@ def _eliminate(row, prow, c):
     _primitive(row)
 
 
+def _find(up, c):
+    """``(root, num, den)`` with ``x_c = num / den * x_root`` in the weighted
+    union-find ``up`` (non-root column -> ``(parent, num, den)``); points
+    every column on the path straight at the root."""
+    link = up.get(c)
+    if link is None:
+        return c, 1, 1
+    if link[0] not in up:
+        return link
+    path = []
+    while c in up:
+        path.append(c)
+        c = up[c][0]
+    num = den = 1
+    for k in reversed(path):
+        _, n, d = up[k]
+        num *= n
+        den *= d
+        g = gcd(num, den)
+        if g > 1:
+            num //= g
+            den //= g
+        up[k] = (c, num, den)
+    return c, num, den
+
+
+def _doubleton_classes(rows):
+    """``(up, dead, wide)``: the classes of columns that the rows with at most
+    two entries tie together, and the other rows rewritten onto them.
+
+    Those rows alone force ``x_c = num / den * x_root`` on each class, whose
+    root is its largest column; ``up`` maps each non-root column to its
+    parent and factor.  A one-entry row, or a row closing a cycle whose
+    factors do not agree, forces the class to 0: its root is in ``dead``.
+    ``wide`` holds the rows of three or more entries in the roots of the
+    live classes, denominators cleared and zero rows dropped; they pass
+    through untouched when no column was tied or killed.
+    """
+    up: dict[int, tuple[int, int, int]] = {}
+    dead: set[int] = set()
+    wide = []
+    for row in rows:
+        if len(row) != 2:
+            if len(row) > 2:
+                wide.append(row)
+            elif row:
+                dead.add(_find(up, next(iter(row)))[0])
+            continue
+        (i, a), (j, b) = row.items()
+        ri, ni, di = _find(up, i) if i in up else (i, 1, 1)
+        rj, nj, dj = _find(up, j) if j in up else (j, 1, 1)
+        # a * ni/di * x_ri + b * nj/dj * x_rj = 0
+        num, den = -b * nj * di, a * ni * dj
+        if ri == rj:
+            if num != den:
+                dead.add(ri)
+            continue
+        if ri > rj:
+            ri, rj, num, den = rj, ri, den, num
+        # x_ri = num/den * x_rj: the smaller root hangs under the larger
+        if den < 0:
+            num, den = -num, -den
+        g = gcd(num, den)
+        up[ri] = (rj, num // g, den // g)
+        if ri in dead:
+            dead.discard(ri)
+            dead.add(rj)
+    if not (up or dead):
+        return up, dead, wide
+    rewritten = []
+    for row in wide:
+        if up.keys().isdisjoint(row) and dead.isdisjoint(row):
+            rewritten.append(row)
+            continue
+        # sum the terms over one common denominator, scale
+        merged: dict[int, int] = {}
+        scale = 1
+        for c, v in row.items():
+            d = 1
+            if c in up:
+                c, n, d = _find(up, c)
+                v *= n
+            if c in dead:
+                continue
+            if scale % d:
+                f = d // gcd(scale, d)
+                scale *= f
+                for k in merged:
+                    merged[k] *= f
+            merged[c] = merged.get(c, 0) + v * (scale // d)
+        if 0 in merged.values():
+            merged = {c: v for c, v in merged.items() if v}
+        if merged:
+            rewritten.append(merged)
+    return up, dead, rewritten
+
+
 def reduce_int_rows(rows, ncols, rank_only=False):
     """Integer-normalized reduced row echelon form of sparse integer rows.
 
@@ -234,9 +331,22 @@ def reduce_int_rows(rows, ncols, rank_only=False):
     the row that leads with it and has the fewest nonzeros, then the
     smallest entry there, which keeps fill-in and integer growth low.
 
-    With ``rank_only=True`` the back substitution is skipped and ``reduced``
-    holds an (unnormalized) echelon form; only ``pivots`` is meaningful.
+    With ``rank_only=True`` the same ``pivots`` come back by a shorter way.
+    The rows of at most two entries are resolved first, by a weighted
+    union-find on the columns (:func:`_doubleton_classes`; a zero entry
+    would tie two columns by a zero factor, so there must be none), and
+    only the wider rows, rewritten onto the roots of the classes, are
+    eliminated.
+    ``reduced`` then holds an echelon form, without back substitution, of
+    those rewritten rows, not of the input rows; only ``pivots`` is
+    meaningful.  The pivots agree with the fixed order's: every kernel
+    vector is a combination of the vectors of the live classes, each
+    nonzero on its whole class, so its last nonzero column is a class root,
+    the largest column of its class.  The free columns are the roots left
+    free by the rewritten rows, and the pivots are all other columns.
     """
+    if rank_only:
+        up, dead, rows = _doubleton_classes(rows)
     # rows grouped by their leading column; every row still in a group is
     # zero left of that column
     groups: dict[int, list[dict[int, int]]] = {}
@@ -265,7 +375,7 @@ def reduce_int_rows(rows, ncols, rank_only=False):
         reduced.append(prow)
         pivots.append(c)
     if rank_only:
-        return reduced, pivots
+        return reduced, sorted([*up, *dead, *pivots])
     # back substitution, last row first: the rows below are already reduced,
     # so cancelling one pivot column brings in no other
     where = {c: i for i, c in enumerate(pivots)}

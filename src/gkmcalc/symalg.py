@@ -18,7 +18,7 @@ through two tables of each degree's :class:`MonomialBasis`
 also keeps the answer when V is not in W, and graph validation reads
 containment from it for canonical pairs too (:func:`contains`), so each
 pair is decided once.  ``gkmcore.equivariant_dims`` asks for pairs of
-adapted bases, in which most maps send a monomial to one monomial.
+adapted bases, in which most maps send a monomial to one monomial or to 0.
 
 Grading convention: the generators of S(V*) sit in cohomological degree 2,
 so polynomial degree d contributes to cohomological degree 2d.
@@ -172,12 +172,16 @@ def contains(ambient: SubspaceQ, sub: SubspaceQ) -> bool:
 def _times_forms(prev, ambient_dim: int, sub_dim: int, degree: int, forms):
     """The images of degree ``degree`` from those of the degree below: the
     image of an ambient monomial alpha is the image of alpha - e_j times form
-    j, j the first variable of alpha.  A one-term form times a one-term image
-    is one term, so it needs no summing."""
+    j, j the first variable of alpha.  An empty form or image gives an empty
+    image, and a one-term form times a one-term image is one term, so
+    neither needs summing."""
     up = monomial_basis(sub_dim, degree).up
     images = []
     for j, below in monomial_basis(ambient_dim, degree).down:
         form, image = forms[j], prev[below]
+        if not form or not image:
+            images.append(())
+            continue
         if len(form) == 1 == len(image):
             (i, c), = form
             (mono, num), = image

@@ -38,9 +38,11 @@ def systems(graph, max_degree, bases=None):
 
 
 def canonical_dims(graph, max_degree):
+    # pivots of the full reduction: the fixed-order loop, not the rank_only
+    # pre-pass that equivariant_dims runs
     dims = [0] * (max_degree + 1)
     for m, rows, total in systems(graph, max_degree):
-        dims[m] = total - len(reduce_int_rows(rows, total, rank_only=True)[1])
+        dims[m] = total - len(reduce_int_rows(rows, total)[1])
     return dims
 
 

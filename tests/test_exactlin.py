@@ -97,6 +97,81 @@ def random_int_rows(rng, nrows, ncols, scale=9, density=1.0):
     ]
 
 
+def dense(rows, nc):
+    return [[row.get(c, 0) for c in range(nc)] for row in rows]
+
+
+def combination(rng, rows):
+    """A random combination of sparse int rows with nonzero coefficients."""
+    out = {}
+    for row in rows:
+        f = rng.choice((-3, -1, 1, 2))
+        for c, v in row.items():
+            out[c] = out.get(c, 0) + f * v
+    return {c: v for c, v in out.items() if v}
+
+
+def doubleton_rows(rng, nc, nrows, big=False):
+    """Sparse int rows over nc columns, most with two entries: many hold for
+    one hidden vector with nonzero entries, so cycles close balanced as well
+    as unbalanced; the rest are one-entry rows, random pairs, and wide rows
+    that the two-entry rows reduce to two entries or to nothing."""
+    scale = 10**30 if big else 1
+    hidden = [rng.choice((-1, 1)) * rng.randint(1, 6) * rng.choice((1, scale)) for _ in range(nc)]
+    rows, pairs, singles = [], [], []
+    for _ in range(nrows):
+        kind = rng.random()
+        i, j = rng.sample(range(nc), 2)
+        if kind < 0.4:
+            # holds for the hidden vector, a non-unit multiple
+            f = rng.choice((-2, 1, 3, scale))
+            row = {i: f * hidden[j], j: -f * hidden[i]}
+            pairs.append(row)
+        elif kind < 0.55:
+            row = {i: rng.choice((-1, 1)) * rng.randint(1, 5) * rng.choice((1, scale)),
+                   j: rng.choice((-1, 1)) * rng.randint(1, 5)}
+        elif kind < 0.65:
+            row = {i: rng.choice((-4, 1, 2, scale))}
+            singles.append(i)
+        elif kind < 0.75 and len(pairs) >= 2:
+            # vanishes in the classes of the two-entry rows
+            row = combination(rng, rng.sample(pairs, 2))
+        elif kind < 0.85 and pairs:
+            # two entries more than that
+            row = combination(rng, [rng.choice(pairs), {i: rng.randint(1, 5), j: -scale}])
+        else:
+            # often with a column that a one-entry row kills
+            cols = rng.sample(range(nc), min(nc, 5))[:rng.randint(3, 5)]
+            if singles and rng.random() < 0.5:
+                cols[0] = rng.choice(singles)
+            row = {c: rng.choice((-2, -1, 1, 3)) for c in cols}
+        rows.append(row)
+    return rows
+
+
+def doubleton_inputs():
+    """``("doubleton", ncols, dense rows)`` cases of the rank_only pre-pass."""
+    # a balanced and an unbalanced triangle with non-unit coefficients; a
+    # dead class hung under a live one, a wide row left with one entry; a
+    # live class hung under a dead one, a wide row left with two entries;
+    # a wide row whose denominators are cleared beside 10^30 entries; a
+    # path of three links, compressed by a balanced cycle and then read
+    # again by another
+    yield "doubleton", 4, dense([{0: 2, 1: -3}, {1: 5, 2: 10}, {0: 2, 2: 6}], 4)
+    yield "doubleton", 4, dense([{0: 2, 1: -3}, {1: 5, 2: 10}, {0: 4, 2: 5}], 4)
+    yield "doubleton", 5, dense([{0: 7}, {0: 2, 3: -5}, {1: 1, 4: 1}, {1: 1, 2: 1, 3: 1, 4: 1}], 5)
+    yield "doubleton", 5, dense([{4: 3}, {1: 2, 4: -1}, {0: 1, 1: 1}, {0: 1, 2: 2, 3: 3}], 5)
+    yield "doubleton", 6, dense([{0: 2, 1: -4}, {2: 3, 3: -1}, {0: 1, 2: 1, 5: 1},
+                                 {1: 10**30, 3: -10**30, 4: 1}], 6)
+    yield "doubleton", 5, dense([{0: 1, 1: -2}, {1: 1, 2: -3}, {2: 1, 3: -5}, {0: 1, 3: -30},
+                                 {1: 1, 3: -15}, {0: 1, 1: 1, 4: 1}], 5)
+    rng = random.Random(14)
+    for _ in range(80):
+        nc = rng.randint(2, 16)
+        rows = doubleton_rows(rng, nc, rng.randint(1, 24), big=rng.random() < 0.3)
+        yield "doubleton", nc, dense(rows, nc)
+
+
 def oracle_inputs():
     """``(family, ncols, rows)`` cases for the comparison with the oracle."""
     rng = random.Random(20260808)
@@ -119,6 +194,9 @@ def oracle_inputs():
             row[i], row[j] = rng.randint(1, 5), -rng.randint(1, 5)
             rows.append(row)
         yield "two-entry", nc, rows
+    # what the rank_only pre-pass resolves: rows of at most two entries and
+    # the wide rows it rewrites onto their classes
+    yield from doubleton_inputs()
     rng = random.Random(9)
     for nr, nc in ((5, 6), (6, 6), (7, 4)):
         rows = random_int_rows(rng, nr, nc, scale=10**30)
@@ -209,6 +287,17 @@ class TestKernelBasis:
             ker = kernel_basis(m)
             rr, _ = rref(ker)
             assert rr == ker
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False), nc=st.integers(2, 24),
+       nrows=st.integers(0, 40), big=st.booleans())
+def test_rank_only_pivots_match_the_fixed_order(rng, nc, nrows, big):
+    rows = doubleton_rows(rng, nc, nrows, big)
+    _, want = dense_reduce_int_rows(dense(rows, nc), nc)
+    _, full = reduce_int_rows([dict(row) for row in rows], nc)
+    _, got = reduce_int_rows([dict(row) for row in rows], nc, rank_only=True)
+    assert got == full == want
 
 
 @st.composite
