@@ -245,36 +245,37 @@ def _find(up, c):
     return c, num, den
 
 
-def _doubleton_classes(rows):
-    """``(up, dead, wide)``: the classes of columns that the rows with at most
-    two entries tie together, and the other rows rewritten onto them.
+def _doubleton_classes(rows, ncols):
+    """``(up, wide)``: the classes of columns that the rows with at most two
+    entries tie together, and the other rows rewritten onto them.
 
-    Those rows alone force ``x_c = num / den * x_root`` on each class, whose
-    root is its largest column; ``up`` maps each non-root column to its
-    parent and factor.  A one-entry row, or a row closing a cycle whose
-    factors do not agree, forces the class to 0: its root is in ``dead``.
-    ``wide`` holds the rows of three or more entries in the roots of the
-    live classes, denominators cleared and zero rows dropped; they pass
-    through untouched when no column was tied or killed.
+    A forced zero is the extra column ``zero = ncols``: a one-entry row
+    ``{c: a}`` is read as ``{c: a, zero: 1}``.  Each class is held at
+    ``x_c = num / den * x_root``, its root its largest column; ``up`` maps
+    each non-root column to its parent and factor.  A row closing a cycle
+    whose factors disagree hangs its root under ``zero``, unless that root
+    is ``zero``.  ``wide`` holds the other rows on the roots, ``zero`` among
+    them, denominators cleared and zero rows dropped; a row touching no
+    tied column passes through as it is.
     """
+    zero = ncols
     up: dict[int, tuple[int, int, int]] = {}
-    dead: set[int] = set()
     wide = []
     for row in rows:
-        if len(row) != 2:
-            if len(row) > 2:
-                wide.append(row)
-            elif row:
-                dead.add(_find(up, next(iter(row)))[0])
+        if len(row) == 2:
+            (i, a), (j, b) = row.items()
+        elif len(row) == 1:
+            (i, a), (j, b) = *row.items(), (zero, 1)
+        else:
+            wide.append(row)
             continue
-        (i, a), (j, b) = row.items()
         ri, ni, di = _find(up, i) if i in up else (i, 1, 1)
         rj, nj, dj = _find(up, j) if j in up else (j, 1, 1)
         # a * ni/di * x_ri + b * nj/dj * x_rj = 0
         num, den = -b * nj * di, a * ni * dj
         if ri == rj:
-            if num != den:
-                dead.add(ri)
+            if num != den and ri != zero:
+                up[ri] = (zero, 1, 1)
             continue
         if ri > rj:
             ri, rj, num, den = rj, ri, den, num
@@ -283,14 +284,9 @@ def _doubleton_classes(rows):
             num, den = -num, -den
         g = gcd(num, den)
         up[ri] = (rj, num // g, den // g)
-        if ri in dead:
-            dead.discard(ri)
-            dead.add(rj)
-    if not (up or dead):
-        return up, dead, wide
     rewritten = []
     for row in wide:
-        if up.keys().isdisjoint(row) and dead.isdisjoint(row):
+        if up.keys().isdisjoint(row):
             rewritten.append(row)
             continue
         # sum the terms over one common denominator, scale
@@ -301,8 +297,6 @@ def _doubleton_classes(rows):
             if c in up:
                 c, n, d = _find(up, c)
                 v *= n
-            if c in dead:
-                continue
             if scale % d:
                 f = d // gcd(scale, d)
                 scale *= f
@@ -313,7 +307,7 @@ def _doubleton_classes(rows):
             merged = {c: v for c, v in merged.items() if v}
         if merged:
             rewritten.append(merged)
-    return up, dead, rewritten
+    return up, rewritten
 
 
 def reduce_int_rows(rows, ncols, rank_only=False):
@@ -336,17 +330,19 @@ def reduce_int_rows(rows, ncols, rank_only=False):
     union-find on the columns (:func:`_doubleton_classes`; a zero entry
     would tie two columns by a zero factor, so there must be none), and
     only the wider rows, rewritten onto the roots of the classes, are
-    eliminated.
+    eliminated; a forced zero is the extra column ``zero = ncols``.
     ``reduced`` then holds an echelon form, without back substitution, of
-    those rewritten rows, not of the input rows; only ``pivots`` is
-    meaningful.  The pivots agree with the fixed order's: every kernel
-    vector is a combination of the vectors of the live classes, each
-    nonzero on its whole class, so its last nonzero column is a class root,
-    the largest column of its class.  The free columns are the roots left
-    free by the rewritten rows, and the pivots are all other columns.
+    those rewritten rows (which may hold ``zero``), not of the input rows;
+    only ``pivots`` is meaningful.  They are the fixed order's pivots.  Add
+    the row ``x_zero = 0``; appended last, it changes no pivot before it.
+    With it, the input rows span what the forest rows (``x_c = f * x_root``,
+    one per column in ``up``, each leading with that column) and the
+    rewritten rows span.  The forest rows have distinct leading columns
+    that no rewritten row holds, so the pivots below ``ncols`` are ``up``
+    and the loop's pivots.
     """
     if rank_only:
-        up, dead, rows = _doubleton_classes(rows)
+        up, rows = _doubleton_classes(rows, ncols)
     # rows grouped by their leading column; every row still in a group is
     # zero left of that column
     groups: dict[int, list[dict[int, int]]] = {}
@@ -375,7 +371,7 @@ def reduce_int_rows(rows, ncols, rank_only=False):
         reduced.append(prow)
         pivots.append(c)
     if rank_only:
-        return reduced, sorted([*up, *dead, *pivots])
+        return reduced, sorted([*up, *pivots])
     # back substitution, last row first: the rows below are already reduced,
     # so cancelling one pivot column brings in no other
     where = {c: i for i, c in enumerate(pivots)}

@@ -688,8 +688,6 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, bas
                     continue
                 scale, images = restriction_images(vertex_bases[vid], edge_bases[e.id], d)
                 contributions.append((block, scale, images, prows, sign))
-            if not contributions:
-                continue
             # one multiplier per pullback row clears the denominators of both sides
             den = [
                 lcm(*(scale * prows[ip][0] for _, scale, _, prows, _ in contributions))

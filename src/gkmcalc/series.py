@@ -589,11 +589,14 @@ def run_checks(graph, cutoff: int) -> CheckReport:
                 )
             )
     else:
+        above = total > n + 1
         checks.append(
             CheckResult(
                 "minimal_orbit_count",
-                STATUS_PASS,
-                f"total {total} exceeds the minimum {n + 1}; minimal flag unset",
+                STATUS_PASS if above else STATUS_FAIL,
+                f"total {total} exceeds the minimum {n + 1}; minimal flag unset"
+                if above
+                else f"total {total} is below the minimum {n + 1}",
             )
         )
 

@@ -114,6 +114,21 @@ class TestPipelines:
         assert obj["minimal"] is True
         assert all(c["status"] == "pass" for c in obj["checks"])
 
+    def test_check_fails_below_the_minimal_orbit_count(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, "example", "simplex", "--n", "1")
+        assert code == 0
+        graph = json.loads(out)
+        graph["manifold_dim"] = 7
+        code, out, _ = run_cli(
+            capsys, "check", "-", "--max-degree", "10",
+            stdin=json.dumps(graph), monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["closed_orbit_lower_bound"]["status"] == "fail"
+        assert checks["minimal_orbit_count"]["status"] == "fail"
+        assert checks["minimal_orbit_count"]["detail"] == "total 2 is below the minimum 4"
+
     def test_round_trip_graph(self, capsys, monkeypatch, simplex2_json):
         code, out, _ = run_cli(
             capsys, "validate", "-", stdin=simplex2_json, monkeypatch=monkeypatch

@@ -152,11 +152,11 @@ def doubleton_rows(rng, nc, nrows, big=False):
 def doubleton_inputs():
     """``("doubleton", ncols, dense rows)`` cases of the rank_only pre-pass."""
     # a balanced and an unbalanced triangle with non-unit coefficients; a
-    # dead class hung under a live one, a wide row left with one entry; a
-    # live class hung under a dead one, a wide row left with two entries;
-    # a wide row whose denominators are cleared beside 10^30 entries; a
-    # path of three links, compressed by a balanced cycle and then read
-    # again by another
+    # forced zero tied to a larger column, a wide row left with one entry;
+    # a forced zero tied to smaller columns, a wide row left with two
+    # entries; a wide row whose denominators are cleared beside 10^30
+    # entries; a path of three links, compressed by a balanced cycle and
+    # then read again by another
     yield "doubleton", 4, dense([{0: 2, 1: -3}, {1: 5, 2: 10}, {0: 2, 2: 6}], 4)
     yield "doubleton", 4, dense([{0: 2, 1: -3}, {1: 5, 2: 10}, {0: 4, 2: 5}], 4)
     yield "doubleton", 5, dense([{0: 7}, {0: 2, 3: -5}, {1: 1, 4: 1}, {1: 1, 2: 1, 3: 1, 4: 1}], 5)
@@ -165,6 +165,18 @@ def doubleton_inputs():
                                  {1: 10**30, 3: -10**30, 4: 1}], 6)
     yield "doubleton", 5, dense([{0: 1, 1: -2}, {1: 1, 2: -3}, {2: 1, 3: -5}, {0: 1, 3: -30},
                                  {1: 1, 3: -15}, {0: 1, 1: 1, 4: 1}], 5)
+    # forced zeros, each a class under the extra column ncols: a wide row
+    # all of whose columns are in zero classes, one of them killed by an
+    # unbalanced cycle; a wide row mixing a live root, a free column and a
+    # zero class; a cycle closed inside a class already under the extra
+    # column; a one-entry row on a column that then joins a live class,
+    # which takes that class under the extra column too
+    yield "doubleton", 5, dense([{0: 3}, {1: 2, 2: -1}, {1: 1, 2: 1}, {0: 1, 1: 4, 2: -2},
+                                 {3: 1, 4: 2}], 5)
+    yield "doubleton", 5, dense([{1: 4}, {0: 1, 3: -2}, {0: 5, 1: 1, 2: 1},
+                                 {1: 2, 2: 3, 3: 1, 4: 1}], 5)
+    yield "doubleton", 4, dense([{0: 2}, {0: 1, 1: 1}, {1: 3, 0: 1}, {1: 1, 2: 1, 3: 1}], 4)
+    yield "doubleton", 5, dense([{0: 2, 4: -1}, {1: 3}, {1: 1, 4: 5}, {0: 1, 2: 1, 3: 1}], 5)
     rng = random.Random(14)
     for _ in range(80):
         nc = rng.randint(2, 16)

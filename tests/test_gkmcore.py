@@ -294,6 +294,33 @@ class TestEquivariantDims:
             )
             assert equivariant_dims(dressed, 12) == equivariant_dims(skeleton, 12)
 
+    def test_endpoint_without_the_edge_fiber_degree(self):
+        # the edge fiber has degree 2 but vertex a's point fiber does not, so
+        # only b's block enters the degree-2 fiber rows of the edge
+        sphere = GradedVS.of({0: 1, 2: 1})
+        pt = GradedVS.point()
+        g = GkmGraph(
+            rank=2,
+            vertices=(
+                GkmVertex("a", canonical_subspace([(1, 0)], 2)),
+                GkmVertex("b", canonical_subspace([(0, 1)], 2), fiber=sphere),
+            ),
+            edges=(
+                GkmEdge(
+                    "e",
+                    "a",
+                    "b",
+                    canonical_subspace([], 2),
+                    edge_fiber=sphere,
+                    pullback_source=GradedMap(pt, sphere, ((0, MatrixQ.from_rows([[1]])),)),
+                    pullback_target=GradedMap.identity(sphere),
+                ),
+            ),
+        )
+        dims = equivariant_dims(g, 10).coeffs
+        assert dims == (1, 0, 2, 0, 3, 0, 3, 0, 3, 0, 3)
+        assert list(dims) == dense_equivariant_dims(g, 10)
+
     def test_basis_recombination_invariance(self):
         rng = random.Random(17)
         g = builtin_simplex(2)

@@ -329,6 +329,23 @@ class TestRunChecks:
         assert report.inconclusive
         assert not report.failed
 
+    @pytest.mark.parametrize("graph, cutoff, lower, minimal", [
+        (dataclasses.replace(builtin_simplex(2), manifold_dim=None), 12, "skipped", "skipped"),
+        # 2 closed orbits, where a 7-manifold has at least 4
+        (dataclasses.replace(builtin_simplex(1), manifold_dim=7), 10, "fail", "fail"),
+        (dataclasses.replace(builtin_simplex(1), manifold_dim=7), 2,
+         "inconclusive", "inconclusive"),
+        # total 4 = n+1, but the series is 1 + 2t^2 + t^4
+        (dataclasses.replace(builtin_fiber_join(1, 0), manifold_dim=7), 12, "pass", "fail"),
+    ])
+    def test_orbit_count_outcomes(self, graph, cutoff, lower, minimal):
+        report = run_checks(graph, cutoff)
+        status = {c.name: c.status for c in report.checks}
+        assert status["closed_orbit_lower_bound"] == lower
+        assert status["minimal_orbit_count"] == minimal
+        assert report.failed == ("fail" in (lower, minimal))
+        assert not report.minimal
+
     def test_even_manifold_dim_rejected_before_the_kernel(self, monkeypatch):
         import gkmcalc.gkmcore
 
