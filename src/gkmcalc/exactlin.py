@@ -1,10 +1,11 @@
 """Exact rational linear algebra.
 
 Everything in gkmcalc is computed over the rationals with exact
-arithmetic: matrices of :class:`fractions.Fraction` entries, reduced row
-echelon forms, kernel bases and canonical subspace representations.  No
-floating point appears anywhere; equality of dimensions and subspaces is
-decidable and deterministic.
+arithmetic, on integer rows: one sparse fraction-free elimination gives
+ranks, reduced row echelon forms, kernel bases and canonical subspaces,
+and :class:`fractions.Fraction` entries appear only at the edges
+(:class:`MatrixQ`, JSON).  No floating point appears anywhere; equality
+of dimensions and subspaces is decidable and deterministic.
 
 Rationals serialize to JSON as bare integers when the denominator is 1 and
 as strings ``"p/q"`` otherwise; vectors are arrays, matrices arrays of
@@ -220,12 +221,11 @@ def _eliminate(row, prow, c):
 
 
 def _find(up, c):
-    """``(root, num, den)`` with ``x_c = num / den * x_root`` in the weighted
-    union-find ``up`` (non-root column -> ``(parent, num, den)``); points
-    every column on the path straight at the root."""
-    link = up.get(c)
-    if link is None:
-        return c, 1, 1
+    """``(root, num, den)`` with ``x_c = num / den * x_root`` for a non-root
+    column c of the weighted union-find ``up`` (non-root column ->
+    ``(parent, num, den)``); points every column on the path straight at
+    the root."""
+    link = up[c]
     if link[0] not in up:
         return link
     path = []
@@ -246,28 +246,27 @@ def _find(up, c):
 
 
 def _doubleton_classes(rows, ncols):
-    """``(up, wide)``: the classes of columns that the rows with at most two
-    entries tie together, and the other rows rewritten onto them.
+    """The classes of columns that rows of at most two entries tie together,
+    or None at the first row of three or more; empty rows are skipped and
+    ``rows`` is left as it is.
 
     A forced zero is the extra column ``zero = ncols``: a one-entry row
     ``{c: a}`` is read as ``{c: a, zero: 1}``.  Each class is held at
-    ``x_c = num / den * x_root``, its root its largest column; ``up`` maps
-    each non-root column to its parent and factor.  A row closing a cycle
-    whose factors disagree hangs its root under ``zero``, unless that root
-    is ``zero``.  ``wide`` holds the other rows on the roots, ``zero`` among
-    them, denominators cleared and zero rows dropped; a row touching no
-    tied column passes through as it is.
+    ``x_c = num / den * x_root``, its root its largest column; the returned
+    ``up`` maps each non-root column to its parent and factor.  A row
+    closing a cycle whose factors disagree hangs its root under ``zero``,
+    unless that root is ``zero``.
     """
     zero = ncols
     up: dict[int, tuple[int, int, int]] = {}
-    wide = []
     for row in rows:
         if len(row) == 2:
             (i, a), (j, b) = row.items()
         elif len(row) == 1:
             (i, a), (j, b) = *row.items(), (zero, 1)
+        elif row:
+            return None
         else:
-            wide.append(row)
             continue
         ri, ni, di = _find(up, i) if i in up else (i, 1, 1)
         rj, nj, dj = _find(up, j) if j in up else (j, 1, 1)
@@ -284,30 +283,7 @@ def _doubleton_classes(rows, ncols):
             num, den = -num, -den
         g = gcd(num, den)
         up[ri] = (rj, num // g, den // g)
-    rewritten = []
-    for row in wide:
-        if up.keys().isdisjoint(row):
-            rewritten.append(row)
-            continue
-        # sum the terms over one common denominator, scale
-        merged: dict[int, int] = {}
-        scale = 1
-        for c, v in row.items():
-            d = 1
-            if c in up:
-                c, n, d = _find(up, c)
-                v *= n
-            if scale % d:
-                f = d // gcd(scale, d)
-                scale *= f
-                for k in merged:
-                    merged[k] *= f
-            merged[c] = merged.get(c, 0) + v * (scale // d)
-        if 0 in merged.values():
-            merged = {c: v for c, v in merged.items() if v}
-        if merged:
-            rewritten.append(merged)
-    return up, rewritten
+    return up
 
 
 def reduce_int_rows(rows, ncols, rank_only=False):
@@ -325,24 +301,22 @@ def reduce_int_rows(rows, ncols, rank_only=False):
     the row that leads with it and has the fewest nonzeros, then the
     smallest entry there, which keeps fill-in and integer growth low.
 
-    With ``rank_only=True`` the same ``pivots`` come back by a shorter way.
-    The rows of at most two entries are resolved first, by a weighted
-    union-find on the columns (:func:`_doubleton_classes`; a zero entry
-    would tie two columns by a zero factor, so there must be none), and
-    only the wider rows, rewritten onto the roots of the classes, are
-    eliminated; a forced zero is the extra column ``zero = ncols``.
-    ``reduced`` then holds an echelon form, without back substitution, of
-    those rewritten rows (which may hold ``zero``), not of the input rows;
-    only ``pivots`` is meaningful.  They are the fixed order's pivots.  Add
-    the row ``x_zero = 0``; appended last, it changes no pivot before it.
-    With it, the input rows span what the forest rows (``x_c = f * x_root``,
-    one per column in ``up``, each leading with that column) and the
-    rewritten rows span.  The forest rows have distinct leading columns
-    that no rewritten row holds, so the pivots below ``ncols`` are ``up``
-    and the loop's pivots.
+    With ``rank_only=True`` only ``pivots`` is meaningful, and they are the
+    same, found one of two ways.  When every row has at most two entries, a
+    weighted union-find on the columns gives them (:func:`_doubleton_classes`;
+    a zero entry would tie two columns by a zero factor, so there must be
+    none); ``reduced`` is then empty and ``rows`` is left as it is.  Add the
+    row ``x_ncols = 0``; appended last, it changes no pivot before it.  The
+    input rows and it span what it and the forest rows span, one row
+    ``x_c = f * x_parent`` for each column c in ``up``, whose parent is a
+    larger column.  The forest rows so lead with distinct columns, and the
+    pivots are ``up``.  Otherwise the loop runs on every row, without back
+    substitution, and ``reduced`` holds an echelon form.
     """
     if rank_only:
-        up, rows = _doubleton_classes(rows, ncols)
+        up = _doubleton_classes(rows, ncols)
+        if up is not None:
+            return [], sorted(up)
     # rows grouped by their leading column; every row still in a group is
     # zero left of that column
     groups: dict[int, list[dict[int, int]]] = {}
@@ -371,7 +345,7 @@ def reduce_int_rows(rows, ncols, rank_only=False):
         reduced.append(prow)
         pivots.append(c)
     if rank_only:
-        return reduced, sorted([*up, *pivots])
+        return reduced, pivots
     # back substitution, last row first: the rows below are already reduced,
     # so cancelling one pivot column brings in no other
     where = {c: i for i, c in enumerate(pivots)}

@@ -39,7 +39,7 @@ def systems(graph, max_degree, bases=None):
 
 def canonical_dims(graph, max_degree):
     # pivots of the full reduction: the fixed-order loop, not the rank_only
-    # pre-pass that equivariant_dims runs
+    # union-find that equivariant_dims runs on two-entry systems
     dims = [0] * (max_degree + 1)
     for m, rows, total in systems(graph, max_degree):
         dims[m] = total - len(reduce_int_rows(rows, total)[1])

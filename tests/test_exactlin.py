@@ -111,16 +111,17 @@ def combination(rng, rows):
     return {c: v for c, v in out.items() if v}
 
 
-def doubleton_rows(rng, nc, nrows, big=False):
+def doubleton_rows(rng, nc, nrows, big, wide):
     """Sparse int rows over nc columns, most with two entries: many hold for
     one hidden vector with nonzero entries, so cycles close balanced as well
-    as unbalanced; the rest are one-entry rows, random pairs, and wide rows
-    that the two-entry rows reduce to two entries or to nothing."""
+    as unbalanced; the rest are one-entry rows, random pairs and, with
+    ``wide``, rows of three or more entries, some of which the two-entry
+    rows reduce to two entries or to nothing."""
     scale = 10**30 if big else 1
     hidden = [rng.choice((-1, 1)) * rng.randint(1, 6) * rng.choice((1, scale)) for _ in range(nc)]
     rows, pairs, singles = [], [], []
     for _ in range(nrows):
-        kind = rng.random()
+        kind = rng.random() * (1 if wide else 0.65)
         i, j = rng.sample(range(nc), 2)
         if kind < 0.4:
             # holds for the hidden vector, a non-unit multiple
@@ -150,37 +151,51 @@ def doubleton_rows(rng, nc, nrows, big=False):
 
 
 def doubleton_inputs():
-    """``("doubleton", ncols, dense rows)`` cases of the rank_only pre-pass."""
-    # a balanced and an unbalanced triangle with non-unit coefficients; a
-    # forced zero tied to a larger column, a wide row left with one entry;
-    # a forced zero tied to smaller columns, a wide row left with two
-    # entries; a wide row whose denominators are cleared beside 10^30
-    # entries; a path of three links, compressed by a balanced cycle and
-    # then read again by another
-    yield "doubleton", 4, dense([{0: 2, 1: -3}, {1: 5, 2: 10}, {0: 2, 2: 6}], 4)
-    yield "doubleton", 4, dense([{0: 2, 1: -3}, {1: 5, 2: 10}, {0: 4, 2: 5}], 4)
-    yield "doubleton", 5, dense([{0: 7}, {0: 2, 3: -5}, {1: 1, 4: 1}, {1: 1, 2: 1, 3: 1, 4: 1}], 5)
-    yield "doubleton", 5, dense([{4: 3}, {1: 2, 4: -1}, {0: 1, 1: 1}, {0: 1, 2: 2, 3: 3}], 5)
-    yield "doubleton", 6, dense([{0: 2, 1: -4}, {2: 3, 3: -1}, {0: 1, 2: 1, 5: 1},
-                                 {1: 10**30, 3: -10**30, 4: 1}], 6)
-    yield "doubleton", 5, dense([{0: 1, 1: -2}, {1: 1, 2: -3}, {2: 1, 3: -5}, {0: 1, 3: -30},
-                                 {1: 1, 3: -15}, {0: 1, 1: 1, 4: 1}], 5)
-    # forced zeros, each a class under the extra column ncols: a wide row
-    # all of whose columns are in zero classes, one of them killed by an
-    # unbalanced cycle; a wide row mixing a live root, a free column and a
-    # zero class; a cycle closed inside a class already under the extra
-    # column; a one-entry row on a column that then joins a live class,
-    # which takes that class under the extra column too
-    yield "doubleton", 5, dense([{0: 3}, {1: 2, 2: -1}, {1: 1, 2: 1}, {0: 1, 1: 4, 2: -2},
-                                 {3: 1, 4: 2}], 5)
-    yield "doubleton", 5, dense([{1: 4}, {0: 1, 3: -2}, {0: 5, 1: 1, 2: 1},
-                                 {1: 2, 2: 3, 3: 1, 4: 1}], 5)
-    yield "doubleton", 4, dense([{0: 2}, {0: 1, 1: 1}, {1: 3, 0: 1}, {1: 1, 2: 1, 3: 1}], 4)
-    yield "doubleton", 5, dense([{0: 2, 4: -1}, {1: 3}, {1: 1, 4: 5}, {0: 1, 2: 1, 3: 1}], 5)
+    """``("doubleton", ncols, dense rows)`` cases of the two rank_only paths.
+
+    Each system of rows of at most two entries comes alone, for the
+    union-find, and then with its wide rows after it, for the loop that
+    takes over from a partly built forest.
+    """
+    # (ncols, rows of at most two entries, wide rows)
+    cases = [
+        # a balanced and an unbalanced triangle with non-unit coefficients
+        (4, [{0: 2, 1: -3}, {1: 5, 2: 10}, {0: 2, 2: 6}], []),
+        (4, [{0: 2, 1: -3}, {1: 5, 2: 10}, {0: 4, 2: 5}], []),
+        # a forced zero tied to a larger column; one tied to smaller columns
+        (5, [{0: 7}, {0: 2, 3: -5}, {1: 1, 4: 1}], [{1: 1, 2: 1, 3: 1, 4: 1}]),
+        (5, [{4: 3}, {1: 2, 4: -1}, {0: 1, 1: 1}], [{0: 1, 2: 2, 3: 3}]),
+        # wide rows with 10^30 entries on tied columns
+        (6, [{0: 2, 1: -4}, {2: 3, 3: -1}], [{0: 1, 2: 1, 5: 1}, {1: 10**30, 3: -10**30, 4: 1}]),
+        # a path of three links, compressed by a balanced cycle and then
+        # read again by another
+        (5, [{0: 1, 1: -2}, {1: 1, 2: -3}, {2: 1, 3: -5}, {0: 1, 3: -30}, {1: 1, 3: -15}],
+         [{0: 1, 1: 1, 4: 1}]),
+        # forced zeros, each a class under the extra column ncols: a column
+        # killed by a one-entry row beside a pair killed by an unbalanced
+        # cycle; a one-entry row beside a live pair; a cycle closed inside a
+        # class already under the extra column; a one-entry row on a column
+        # that then joins a live class, which takes that class under the
+        # extra column too
+        (5, [{0: 3}, {1: 2, 2: -1}, {1: 1, 2: 1}, {3: 1, 4: 2}], [{0: 1, 1: 4, 2: -2}]),
+        (5, [{1: 4}, {0: 1, 3: -2}], [{0: 5, 1: 1, 2: 1}, {1: 2, 2: 3, 3: 1, 4: 1}]),
+        (4, [{0: 2}, {0: 1, 1: 1}, {1: 3, 0: 1}], [{1: 1, 2: 1, 3: 1}]),
+        (5, [{0: 2, 4: -1}, {1: 3}, {1: 1, 4: 5}], [{0: 1, 2: 1, 3: 1}]),
+        # an empty row among rows of two entries and one
+        (5, [{0: 1, 1: -1}, {}, {2: 3, 4: 1}, {1: 2}], []),
+    ]
+    for nc, doubletons, wide in cases:
+        yield "doubleton", nc, dense(doubletons, nc)
+        if wide:
+            yield "doubleton", nc, dense(doubletons + wide, nc)
+    # a wide row first, then rows that tie columns and kill them: the loop
+    # runs on every row, with no forest begun
+    yield "doubleton", 5, dense([{0: 1, 2: 1, 4: 1}, {0: 2, 1: -1}, {1: 1, 3: 1}, {3: 4},
+                                 {2: 1, 4: -3}], 5)
     rng = random.Random(14)
-    for _ in range(80):
+    for k in range(80):
         nc = rng.randint(2, 16)
-        rows = doubleton_rows(rng, nc, rng.randint(1, 24), big=rng.random() < 0.3)
+        rows = doubleton_rows(rng, nc, rng.randint(1, 24), big=rng.random() < 0.3, wide=k % 2 == 0)
         yield "doubleton", nc, dense(rows, nc)
 
 
@@ -206,8 +221,8 @@ def oracle_inputs():
             row[i], row[j] = rng.randint(1, 5), -rng.randint(1, 5)
             rows.append(row)
         yield "two-entry", nc, rows
-    # what the rank_only pre-pass resolves: rows of at most two entries and
-    # the wide rows it rewrites onto their classes
+    # the two rank_only paths: the union-find on rows of at most two
+    # entries, and the loop that takes over from it at a wide row
     yield from doubleton_inputs()
     rng = random.Random(9)
     for nr, nc in ((5, 6), (6, 6), (7, 4)):
@@ -303,9 +318,9 @@ class TestKernelBasis:
 
 @settings(max_examples=200, deadline=None)
 @given(rng=st.randoms(use_true_random=False), nc=st.integers(2, 24),
-       nrows=st.integers(0, 40), big=st.booleans())
-def test_rank_only_pivots_match_the_fixed_order(rng, nc, nrows, big):
-    rows = doubleton_rows(rng, nc, nrows, big)
+       nrows=st.integers(0, 40), big=st.booleans(), wide=st.booleans())
+def test_rank_only_pivots_match_the_fixed_order(rng, nc, nrows, big, wide):
+    rows = doubleton_rows(rng, nc, nrows, big, wide)
     _, want = dense_reduce_int_rows(dense(rows, nc), nc)
     _, full = reduce_int_rows([dict(row) for row in rows], nc)
     _, got = reduce_int_rows([dict(row) for row in rows], nc, rank_only=True)
