@@ -12,8 +12,6 @@ from .exactlin import (
     SubspaceQ,
     canonical_subspace,
     kernel_basis,
-    rref,
-    subspace_relations,
 )
 from .gkmcore import (
     GkmEdge,
@@ -38,7 +36,7 @@ from .series import (
     run_checks,
     stanley_reisner_hilbert,
 )
-from .symalg import restriction_matrix, sym_dim
+from .symalg import sym_dim
 from .toric import MomentPolytope, polytope_skeleton, simplex_polytope
 
 __version__ = "0.1.0"
@@ -68,12 +66,9 @@ __all__ = [
     "kernel_basis",
     "morse_bott_assemble",
     "polytope_skeleton",
-    "restriction_matrix",
-    "rref",
     "run_checks",
     "simplex_polytope",
     "stanley_reisner_hilbert",
-    "subspace_relations",
     "sym_dim",
     "validate_graph",
 ]

@@ -356,18 +356,6 @@ def reduce_int_rows(rows, ncols, rank_only=False):
     return reduced, pivots
 
 
-def _rational_rows(int_rows, pivots, ncols: int) -> list[list[Fraction]]:
-    """Dense rational RREF rows from the output of :func:`reduce_int_rows`."""
-    out = []
-    for row, c in zip(int_rows, pivots):
-        piv = row[c]
-        dense = [Fraction(0)] * ncols
-        for k, v in row.items():
-            dense[k] = Fraction(v, piv)
-        out.append(dense)
-    return out
-
-
 def kernel_rows(rows, ncols: int) -> list[list[Fraction]]:
     """RREF basis of the right null space of sparse integer rows.
 
@@ -394,27 +382,20 @@ def kernel_rows(rows, ncols: int) -> list[list[Fraction]]:
             vec[pc] = -v * (den // piv)
         spanning.append(vec)
     basis, bpivots = reduce_int_rows(spanning, ncols)
-    return _rational_rows(basis, bpivots, ncols)
+    out = []
+    for row, c in zip(basis, bpivots):
+        piv = row[c]
+        dense = [Fraction(0)] * ncols
+        for k, v in row.items():
+            dense[k] = Fraction(v, piv)
+        out.append(dense)
+    return out
 
 
 def rank_of_rows(rows, ncols: int) -> int:
     """Rank of a matrix given as rational rows, without normalizing output."""
     _, pivots = reduce_int_rows([int_row(r)[1] for r in rows], ncols, rank_only=True)
     return len(pivots)
-
-
-def rref(m: MatrixQ) -> tuple[MatrixQ, list[int]]:
-    """Reduced row echelon form with zero rows removed, plus pivot columns.
-
-    The RREF of a matrix is unique, so the result is independent of the
-    elimination strategy used internally.
-
-    >>> r, piv = rref(MatrixQ.from_rows([[2, 0], [0, 3]]))
-    >>> r == MatrixQ.identity(2), piv
-    (True, [0, 1])
-    """
-    int_rows, pivots = reduce_int_rows([int_row(m.row(i))[1] for i in range(m.rows)], m.cols)
-    return MatrixQ.from_rows(_rational_rows(int_rows, pivots, m.cols), m.cols), pivots
 
 
 def kernel_basis(m: MatrixQ) -> MatrixQ:
@@ -494,20 +475,6 @@ def subspace_from_json(obj, ambient_dim: int) -> SubspaceQ:
     if not isinstance(obj, list):
         raise InputShapeError("subspace must be an array of spanning row vectors")
     return canonical_subspace([vector_from_json(v) for v in obj], ambient_dim)
-
-
-@dataclass(frozen=True)
-class SubspaceRelation:
-    """Outcome of comparing two subspaces of the same ambient space."""
-
-    a_contains_b: bool
-    b_contains_a: bool
-    dim_a: int
-    dim_b: int
-
-    @property
-    def equal(self) -> bool:
-        return self.a_contains_b and self.b_contains_a
 
 
 def _normalized(vec) -> tuple[int, ...]:
@@ -638,13 +605,3 @@ def dual_basis(ambient: SubspaceQ, functionals):
         lines.append(_normalized([sum(x * b[j] for x, b in coeffs)
                                   for j in range(ambient.ambient_dim)]))
     return kept, lines
-
-
-def subspace_relations(a: SubspaceQ, b: SubspaceQ) -> SubspaceRelation:
-    """Exact containment and equality decisions for two subspaces."""
-    if a.ambient_dim != b.ambient_dim:
-        raise InputShapeError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
-    return SubspaceRelation(
-        coordinates(a.rows, b.rows) is not None, coordinates(b.rows, a.rows) is not None,
-        a.dim, b.dim,
-    )

@@ -5,20 +5,21 @@ piece of the polynomial algebra S(V*), in the basis of monomials in the
 coordinates dual to that basis.  A basis is a tuple of int rows, each
 standing for itself over its leading entry (see
 :func:`~gkmcalc.exactlin.coordinates`); the rows of a :class:`SubspaceQ`
-are its canonical (RREF) basis, the one the public functions use.  The
-central operation is the restriction map S(W*)_d -> S(V*)_d induced by an
-inclusion V <= W: write the basis of V in the basis of W and substitute
-the resulting linear forms into each monomial.  The maps are a map of
-graded algebras, so they are cached per pair of bases: the linear forms
-are read once, and degree d is grown from degree d - 1 by one linear-form
-multiplication per monomial.  Each degree is kept as the images of the
-ambient monomials, and the growth addresses monomials by position only,
-through two tables of each degree's :class:`MonomialBasis`
-(:attr:`~MonomialBasis.down` and :attr:`~MonomialBasis.up`).  That cache
-also keeps the answer when V is not in W, and graph validation reads
-containment from it for canonical pairs too (:func:`contains`), so each
-pair is decided once.  ``gkmcore.equivariant_dims`` asks for pairs of
-adapted bases, in which most maps send a monomial to one monomial or to 0.
+are its canonical (RREF) basis.  The central operation is the restriction
+map S(W*)_d -> S(V*)_d induced by an inclusion V <= W: write the basis of
+V in the basis of W and substitute the resulting linear forms into each
+monomial.  The maps are a map of graded algebras, so they are cached per
+pair of bases: the linear forms are read once, and degree d is grown from
+degree d - 1 by one linear-form multiplication per monomial.  Each degree
+is kept, and returned by :func:`restriction_images`, as the images of the
+ambient monomials, the one format the constraint assembly reads; the
+growth addresses monomials by position only, through two tables of each
+degree's :class:`MonomialBasis` (:attr:`~MonomialBasis.down` and
+:attr:`~MonomialBasis.up`).  That cache also keeps the answer when V is
+not in W, and graph validation reads containment from it for canonical
+pairs too (:func:`contains`), so each pair is decided once.
+``gkmcore.equivariant_dims`` asks for pairs of adapted bases, in which
+most maps send a monomial to one monomial or to 0.
 
 Grading convention: the generators of S(V*) sit in cohomological degree 2,
 so polynomial degree d contributes to cohomological degree 2d.
@@ -36,16 +37,17 @@ from .exactlin import SubspaceQ, coordinates
 #: Entries kept by each of the ``monomial_basis`` and ``_graded`` (one
 #: pair of bases, with its containment answer and every degree built for it
 #: so far) caches, so that long-lived use stays within a bounded memory.
-#: Validation reads the canonical pairs and ``equivariant_dims`` adds the
-#: adapted ones where they differ: one pass of any ``pipebench`` workload
-#: holds at most about 750 pairs (``cli-stream``; ``generic-series`` holds
-#: 384, half of them adapted) and builds about 1,000 maps
-#: (``simplex(5)`` up to degree 16 holds 30 pairs and builds 240), so
-#: neither evicts.  The ``down`` and ``up`` tables of a basis add about
-#: 64 bytes per monomial and 56 + 8 * var_count bytes per monomial one
-#: degree down (plus 28 bytes per position past 256), under half of what
-#: its monomials and ``index`` take: 0.06 MB beside 0.14 MB for the 30
-#: bases of a ``sparse-series`` pass.
+#: Validation, ``equivariant_basis`` and ``class_product`` read the
+#: canonical pairs and ``equivariant_dims`` adds the adapted ones where they
+#: differ; :func:`restriction_images` is the one reader of the maps.  One
+#: pass of any ``pipebench`` workload holds at most about 750 pairs
+#: (``cli-stream``; ``generic-series`` holds 384, half of them adapted) and
+#: builds about 1,000 maps (``simplex(5)`` up to degree 16 holds 30 pairs
+#: and builds 240), so neither evicts.  The ``down`` and ``up`` tables of a
+#: basis add about 64 bytes per monomial and 56 + 8 * var_count bytes per
+#: monomial one degree down (plus 28 bytes per position past 256), under
+#: half of what its monomials and ``index`` take: 0.06 MB beside 0.14 MB
+#: for the 30 bases of a ``sparse-series`` pass.
 CACHE_SIZE = 4096
 
 
@@ -134,24 +136,6 @@ def monomial_basis(var_count: int, degree: int) -> MonomialBasis:
     return basis
 
 
-@dataclass(frozen=True)
-class RestrictionMap:
-    """Matrix of S(ambient*)_d -> S(sub*)_d in the canonical monomial bases.
-
-    Columns are indexed by the ambient monomials, rows by the sub
-    monomials.  The matrix is stored as sparse integer rows over one
-    positive ``scale``: ``rows[i]`` is ``((col, num), ...)``, so row i has
-    the entry ``num / scale`` in each listed column (in increasing order,
-    ``num`` a nonzero int) and zeros elsewhere.
-    """
-
-    ambient: SubspaceQ
-    sub: SubspaceQ
-    degree: int
-    scale: int
-    rows: tuple[tuple[tuple[int, int], ...], ...]
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _graded(ambient, sub):
     """``(den, forms, maps)`` for a pair of bases, None when sub's span is not
@@ -217,24 +201,3 @@ def restriction_images(ambient, sub, degree: int):
         scale, images = maps[d - 1]
         maps.setdefault(d, (scale * den, _times_forms(images, len(ambient), len(sub), d, forms)))
     return maps[degree]
-
-
-def restriction_matrix(ambient: SubspaceQ, sub: SubspaceQ, degree: int) -> RestrictionMap:
-    """Restriction of degree-``degree`` polynomials along sub <= ambient.
-
-    Functorial: for c <= b <= a the matrix along (a, c) equals the product
-    of the matrices along (b, c) and (a, b).  Raises
-    :class:`SubspaceContainmentError` when sub is not contained in ambient.
-    """
-    if degree < 0:
-        raise InputShapeError("negative polynomial degree")
-    if ambient.ambient_dim != sub.ambient_dim:
-        raise InputShapeError(
-            f"ambient dimensions differ: {ambient.ambient_dim} vs {sub.ambient_dim}"
-        )
-    scale, images = restriction_images(ambient.rows, sub.rows, degree)
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(sym_dim(sub.dim, degree))]
-    for col, image in enumerate(images):
-        for mono, num in image:
-            rows[mono].append((col, num))
-    return RestrictionMap(ambient, sub, degree, scale, tuple(map(tuple, rows)))

@@ -7,25 +7,28 @@ The dense kernel path is the exception: the dense integer row reduction
 and the dense constraint assembly that the library's sparse pipeline
 replaced, kept unchanged as the reference the sparse path must match.  It
 shares the block layout, the validation, the class construction and
-the restriction maps with the library; :func:`dense_restriction_matrix`
-checks the last by plain substitution over the rationals.  The subspace
-containment tests are others: the dense ``Fraction`` reduction of each
-basis vector that the library replaced with one rank, and that rank,
-which the library replaced with reading the canonical form, both kept
-unchanged.
+the restriction images (``symalg.restriction_images``) with the library;
+:func:`dense_restriction_matrix` checks the last by plain substitution
+over the rationals.  :func:`naive_rref`, textbook Gauss-Jordan over
+``Fraction``, is the reference for the library's RREF, the rows of
+``canonical_subspace``.  The subspace containment tests are others: the
+dense ``Fraction`` reduction of each basis vector that the library
+replaced with one rank, and that rank, which the library replaced with
+reading the canonical form, both kept unchanged.
 So is the ring product checked edge by edge: both endpoint polynomials
 restricted along every edge and compared, the check that the library
 replaced with the rows of its constraint system, here restricting through
 :func:`dense_restriction_matrix` and :func:`mul_vector`, the dense
 ``Fraction`` matrix-vector product that the library no longer has; so are
 :func:`matmul` and :func:`is_zero`, which only tests use.  And so
-is :func:`dense`, the dense rational matrix of a restriction map, which the
-library no longer builds.
-And so is :func:`expanded_restriction_matrix`, which expands each
+is :func:`dense`, the dense rational matrix of the restriction images,
+which the library no longer builds.
+And so is :func:`expanded_restriction_images`, which expands each
 monomial of a degree on its own, the build that the library replaced with
-growing each degree from the one below; and :func:`grown_restriction_rows`,
-that growth as it was on exponent tuples, before the library grew each
-degree through the index tables of its monomial bases.
+growing each degree from the one below; and
+:func:`grown_restriction_images`, that growth as it was on exponent
+tuples, before the library grew each degree through the index tables of
+its monomial bases.
 """
 
 from fractions import Fraction
@@ -41,7 +44,7 @@ from gkmcalc.gkmcore import (
     _layout,
     _require_valid,
 )
-from gkmcalc.symalg import RestrictionMap, monomial_basis, restriction_matrix, sym_dim
+from gkmcalc.symalg import monomial_basis, restriction_images, sym_dim
 
 
 def compositions(total, parts):
@@ -302,6 +305,31 @@ def dense_rref_rows(rows, ncols):
     return frac_rows, pivots
 
 
+def naive_rref(rows):
+    """RREF rows and pivots by plain Gauss-Jordan over ``Fraction``: no
+    integer scaling, no pivot strategy."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
 def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
     """Rows of the edge-restriction map at one total degree."""
     index = {(b.vertex, b.poly_degree, b.fiber_degree): b for b in blocks}
@@ -323,7 +351,8 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
                 pb = pullback.block(q)
                 if block is None or pb is None:
                     continue
-                rmat = dense(restriction_matrix(graph.vertex(vid).isotropy, e.isotropy, d))
+                rmat = dense(restriction_images(graph.vertex(vid).isotropy.rows, e.isotropy.rows, d),
+                             e_pdim)
                 contributions.append((block, rmat, pb, sign))
             if not contributions:
                 continue
@@ -395,15 +424,17 @@ def _pivot_columns(rows):
     return [next(j for j, x in enumerate(row) if x) for row in rows]
 
 
-def dense(rmap):
-    """The dense rational matrix of a :class:`RestrictionMap`: its integer
-    rows divided by its scale."""
-    ncols = sym_dim(rmap.ambient.dim, rmap.degree)
-    entries = [Fraction(0)] * (len(rmap.rows) * ncols)
-    for i, pairs in enumerate(rmap.rows):
-        for col, num in pairs:
-            entries[i * ncols + col] = Fraction(num, rmap.scale)
-    return MatrixQ(len(rmap.rows), ncols, entries)
+def dense(restriction, nrows):
+    """The dense rational matrix of ``(scale, images)`` as
+    ``symalg.restriction_images`` returns them, with ``nrows`` rows, one per
+    sub monomial: column col is image col divided by the scale."""
+    scale, images = restriction
+    ncols = len(images)
+    entries = [Fraction(0)] * (nrows * ncols)
+    for col, image in enumerate(images):
+        for mono, num in image:
+            entries[mono * ncols + col] = Fraction(num, scale)
+    return MatrixQ(nrows, ncols, entries)
 
 
 def dense_restriction_matrix(ambient, sub, degree):
@@ -461,71 +492,57 @@ def _expand_monomial(alpha, linear_forms, nvars_sub):
     return poly
 
 
-def expanded_restriction_rows(ambient, sub, degree):
-    """``(scale, rows)`` of one degree along a pair of bases, as
-    ``symalg.RestrictionMap`` stores them, each ambient monomial expanded on
-    its own as a product of the linear forms of
-    :func:`~gkmcalc.exactlin.coordinates`; None when sub's span is not in
-    ambient's."""
+def expanded_restriction_images(ambient, sub, degree):
+    """``(scale, images)`` of one degree along a pair of bases, as
+    ``symalg.restriction_images`` returns them but with each image sorted,
+    each ambient monomial expanded on its own as a product of the linear
+    forms of :func:`~gkmcalc.exactlin.coordinates`; None when sub's span is
+    not in ambient's."""
     inc = coordinates(ambient, sub)
     if inc is None:
         return None
     den, linear_forms = inc
-    amb_basis = monomial_basis(len(ambient), degree)
-    sub_basis = monomial_basis(len(sub), degree)
-    rows = [[] for _ in sub_basis.monomials]
-    for col, alpha in enumerate(amb_basis.monomials):
-        for mono, coeff in _expand_monomial(alpha, linear_forms, len(sub)).items():
-            rows[sub_basis.index[mono]].append((col, coeff))
-    return den**degree, tuple(map(tuple, rows))
-
-
-def expanded_restriction_matrix(ambient, sub, degree):
-    """The :class:`RestrictionMap` of one degree along the canonical bases,
-    by :func:`expanded_restriction_rows`; None when sub is not contained in
-    ambient."""
-    out = expanded_restriction_rows(ambient.rows, sub.rows, degree)
-    return None if out is None else RestrictionMap(ambient, sub, degree, *out)
+    index = monomial_basis(len(sub), degree).index
+    return den**degree, tuple(
+        tuple(sorted((index[mono], coeff)
+                     for mono, coeff in _expand_monomial(alpha, linear_forms, len(sub)).items()))
+        for alpha in monomial_basis(len(ambient), degree).monomials
+    )
 
 
 def _times_forms(prev, ambient_dim: int, sub_dim: int, degree: int, forms):
-    """The rows of degree ``degree`` from those of the degree below: the image
-    of an ambient monomial alpha is the image of alpha - e_j times form j, j
-    the first variable of alpha."""
-    images = [[] for _ in range(sym_dim(ambient_dim, degree - 1))]
-    for mono, pairs in zip(monomial_basis(sub_dim, degree - 1).monomials, prev):
-        for col, num in pairs:
-            images[col].append((mono, num))
+    """The images of degree ``degree`` from those of the degree below: the
+    image of an ambient monomial alpha is the image of alpha - e_j times form
+    j, j the first variable of alpha."""
     prev_index = monomial_basis(ambient_dim, degree - 1).index
+    below = monomial_basis(sub_dim, degree - 1).monomials
     sub_index = monomial_basis(sub_dim, degree).index
-    rows: list[list[tuple[int, int]]] = [[] for _ in sub_index]
-    for col, alpha in enumerate(monomial_basis(ambient_dim, degree).monomials):
+    images = []
+    for alpha in monomial_basis(ambient_dim, degree).monomials:
         j = alpha.index(next(filter(None, alpha)))
-        if not forms[j]:
-            continue
         poly: dict[tuple[int, ...], int] = {}
-        for mono, num in images[prev_index[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]]:
+        for pos, num in prev[prev_index[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]]:
+            mono = below[pos]
             for i, c in forms[j]:
                 key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
                 poly[key] = poly.get(key, 0) + num * c
-        for mono, coeff in poly.items():
-            if coeff:
-                rows[sub_index[mono]].append((col, coeff))
-    return tuple(map(tuple, rows))
+        images.append(tuple(sorted((sub_index[mono], coeff)
+                                   for mono, coeff in poly.items() if coeff)))
+    return tuple(images)
 
 
-def grown_restriction_rows(ambient, sub, degree):
-    """``(scale, rows)`` as :func:`expanded_restriction_rows` gives them,
+def grown_restriction_images(ambient, sub, degree):
+    """``(scale, images)`` as :func:`expanded_restriction_images` gives them,
     grown from degree 0 by the tuple-keyed :func:`_times_forms`, with no
     cache of maps; None when sub's span is not in ambient's."""
     inc = coordinates(ambient, sub)
     if inc is None:
         return None
     den, forms = inc
-    scale, rows = 1, (((0, 1),),)
+    scale, images = 1, (((0, 1),),)
     for d in range(1, degree + 1):
-        scale, rows = scale * den, _times_forms(rows, len(ambient), len(sub), d, forms)
-    return scale, rows
+        scale, images = scale * den, _times_forms(images, len(ambient), len(sub), d, forms)
+    return scale, images
 
 
 def matmul(a, b):

@@ -1,8 +1,9 @@
 """Tests for exact rational linear algebra.
 
 The oracle here is a deliberately naive textbook Gauss-Jordan over
-``fractions.Fraction`` (no integer scaling, no pivot strategy); the
-library's fraction-free core must agree with it entry for entry.
+``fractions.Fraction`` (``oracles.naive_rref``: no integer scaling, no
+pivot strategy); the library's fraction-free core must agree with it entry
+for entry.
 """
 
 import random
@@ -17,7 +18,6 @@ from gkmcalc.errors import InputShapeError, SubspaceContainmentError
 from gkmcalc.examples import builtin_hirzebruch
 from gkmcalc.exactlin import (
     MatrixQ,
-    SubspaceQ,
     canonical_subspace,
     coordinates,
     dual_basis,
@@ -28,44 +28,20 @@ from gkmcalc.exactlin import (
     reduce_int_rows,
     rational_from_json,
     rational_to_json,
-    rref,
-    subspace_relations,
 )
-from gkmcalc.symalg import restriction_matrix
+from gkmcalc.symalg import contains, restriction_images
 from gkmcalc.toric import simplex_polytope
 
 from oracles import (
     _scaled_int_rows,
     dense_restriction_matrix,
     mul_vector,
+    naive_rref,
+    rref_rows,
     subspace_relations_by_rank,
     subspace_relations_by_reduction,
 )
 from oracles import reduce_int_rows as dense_reduce_int_rows
-
-
-def naive_rref(rows):
-    """Plain Gauss-Jordan over Fraction: the independent oracle."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
 
 
 def random_matrix(rng, rows, cols, scale=9):
@@ -233,27 +209,29 @@ def oracle_inputs():
 
 
 class TestRref:
+    # the library's RREF is canonical_subspace: its rows over their pivot
+    # entries (rref_rows) and its pivot columns
     def test_scaling_rows(self):
-        r, piv = rref(MatrixQ.from_rows([[2, 0], [0, 3]]))
-        assert r == MatrixQ.identity(2)
-        assert piv == [0, 1]
+        s = canonical_subspace([[2, 0], [0, 3]], 2)
+        assert s.rows == ((1, 0), (0, 1))
+        assert s.pivot_columns() == [0, 1]
 
     def test_dependent_rows(self):
-        r, piv = rref(MatrixQ.from_rows([[1, 1], [2, 2]]))
-        assert r == MatrixQ.from_rows([[1, 1]])
-        assert piv == [0]
+        s = canonical_subspace([[1, 1], [2, 2]], 2)
+        assert s.to_json() == [[1, 1]]
+        assert s.pivot_columns() == [0]
 
     def test_empty_matrix(self):
-        r, piv = rref(MatrixQ(0, 3, []))
-        assert r.rows == 0 and r.cols == 3
-        assert piv == []
+        s = canonical_subspace([], 3)
+        assert s.rows == () and s.ambient_dim == 3
+        assert s.pivot_columns() == []
 
     def test_matches_naive_oracle(self):
-        for family, nc, rows in oracle_inputs():
-            got, gpiv = rref(MatrixQ.from_rows(rows, nc))
+        for family, nc, rows in [*oracle_inputs(), ("empty", 3, [])]:
+            space = canonical_subspace(rows, nc)
             want, wpiv = naive_rref(rows)
-            assert gpiv == wpiv, family
-            assert got.row_lists() == want, family
+            assert space.pivot_columns() == wpiv, family
+            assert rref_rows(space) == want, family
             assert rank_of_rows(rows, nc) == len(wpiv), family
 
     def test_sparse_core_matches_dense_oracle(self):
@@ -268,10 +246,8 @@ class TestRref:
     def test_idempotent(self):
         rng = random.Random(7)
         for _ in range(20):
-            m = MatrixQ.from_rows(random_matrix(rng, 5, 7), 7)
-            r1, p1 = rref(m)
-            r2, p2 = rref(r1)
-            assert r1 == r2 and p1 == p2
+            once = canonical_subspace(random_matrix(rng, 5, 7), 7)
+            assert canonical_subspace(rref_rows(once), 7) == once
 
 
 class TestKernelBasis:
@@ -293,9 +269,8 @@ class TestKernelBasis:
             nr = rng.randint(1, 10)
             nc = rng.randint(1, 10)
             m = MatrixQ.from_rows(random_matrix(rng, nr, nc), nc)
-            _, piv = rref(m)
             ker = kernel_basis(m)
-            assert len(piv) + ker.rows == nc
+            assert rank_of_rows(m.row_lists(), nc) + ker.rows == nc
             for i in range(ker.rows):
                 assert not any(mul_vector(m, ker.row(i)))
 
@@ -303,17 +278,15 @@ class TestKernelBasis:
         # a 40x40 random rational matrix, the largest size exercised
         rng = random.Random(4040)
         m = MatrixQ.from_rows(random_matrix(rng, 40, 40, scale=5), 40)
-        _, piv = rref(m)
         ker = kernel_basis(m)
-        assert len(piv) + ker.rows == 40
+        assert rank_of_rows(m.row_lists(), 40) + ker.rows == 40
 
     def test_kernel_is_rref(self):
         rng = random.Random(3)
         for _ in range(20):
             m = MatrixQ.from_rows(random_matrix(rng, 3, 6), 6)
             ker = kernel_basis(m)
-            rr, _ = rref(ker)
-            assert rr == ker
+            assert rref_rows(canonical_subspace(ker.row_lists(), 6)) == ker.row_lists()
 
 
 @settings(max_examples=200, deadline=None)
@@ -346,8 +319,7 @@ def fraction_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(fraction_matrices())
 def test_rank_nullity_property(m):
-    _, piv = rref(m)
-    assert len(piv) + kernel_basis(m).rows == m.cols
+    assert rank_of_rows(m.row_lists(), m.cols) + kernel_basis(m).rows == m.cols
 
 
 class TestCanonicalSubspace:
@@ -399,26 +371,21 @@ def invertible_matrix(rng, k):
 
 
 class TestSubspaceRelations:
+    # containment as validation decides it, symalg.contains, both ways
     def test_line_in_plane(self):
         a = canonical_subspace([(1, 0)], 2)
         b = canonical_subspace([(1, 0), (0, 1)], 2)
-        rel = subspace_relations(a, b)
-        assert rel.b_contains_a and not rel.a_contains_b and not rel.equal
+        assert contains(b, a) and not contains(a, b)
 
     def test_equal_lines(self):
         a = canonical_subspace([(1, 1)], 2)
         b = canonical_subspace([(2, 2)], 2)
-        assert subspace_relations(a, b).equal
+        assert contains(a, b) and contains(b, a) and a == b
 
     def test_skew_lines(self):
         a = canonical_subspace([(1, 0)], 2)
         b = canonical_subspace([(0, 1)], 2)
-        rel = subspace_relations(a, b)
-        assert not rel.a_contains_b and not rel.b_contains_a
-
-    def test_ambient_mismatch(self):
-        with pytest.raises(InputShapeError):
-            subspace_relations(SubspaceQ.zero(2), SubspaceQ.zero(3))
+        assert not contains(a, b) and not contains(b, a)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -452,11 +419,12 @@ class TestSubspaceRelations:
         a, b = canonical_subspace(vecs, n), canonical_subspace(other, n)
         if rng.random() < 0.5:
             a, b = b, a
-        rel = subspace_relations(a, b)
         want = subspace_relations_by_reduction(a, b)
-        assert (rel.a_contains_b, rel.b_contains_a, rel.dim_a, rel.dim_b) == want
+        assert (contains(a, b), contains(b, a), a.dim, b.dim) == want
         assert subspace_relations_by_rank(a, b) == want
-        assert rel.equal == (a == b)
+        assert (contains(a, b) and contains(b, a)) == (a == b)
+        # a contains b iff b's rows add nothing to a's canonical form
+        assert (canonical_subspace(a.rows + b.rows, n) == a) == want[0]
         for ambient, sub, inside in ((a, b, want[0]), (b, a, want[1])):
             inc = coordinates(ambient.rows, sub.rows)
             assert (inc is not None) == inside
@@ -471,10 +439,10 @@ class TestSubspaceRelations:
                         assert type(num) is int and num
                         col[i] = Fraction(num, den)
                     assert col == [m.entry(i, j) for i in range(sub.dim)]
-                restriction_matrix(ambient, sub, degree)
+                restriction_images(ambient.rows, sub.rows, degree)
             else:
                 with pytest.raises(SubspaceContainmentError):
-                    restriction_matrix(ambient, sub, degree)
+                    restriction_images(ambient.rows, sub.rows, degree)
 
 
 def lead_normalized(row):

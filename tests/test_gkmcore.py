@@ -38,7 +38,7 @@ from gkmcalc.gkmcore import (
     _classes_from_rows,
     _layout,
 )
-from gkmcalc.symalg import _graded, restriction_matrix
+from gkmcalc.symalg import _graded, restriction_images
 
 from oracles import (
     convolve,
@@ -144,8 +144,8 @@ class TestValidation:
                 "containment/codimension violations at [('e', 'a'), ('e', 'b')]"
             )
         with pytest.raises(SubspaceContainmentError):
-            restriction_matrix(g.vertex("b").isotropy, g.edges[0].isotropy, 1)
-        restriction_matrix(g.vertex("a").isotropy, g.edges[0].isotropy, 1)
+            restriction_images(g.vertex("b").isotropy.rows, g.edges[0].isotropy.rows, 1)
+        restriction_images(g.vertex("a").isotropy.rows, g.edges[0].isotropy.rows, 1)
 
     def test_codimension_violation(self):
         # containment holds but codimension is 2, not 1

@@ -1,8 +1,10 @@
 """Cross-module invariants not pinned elsewhere."""
 
+import ast
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,6 @@ from gkmcalc import (
     canonical_subspace,
     equivariant_dims,
     gysin_betti,
-    rref,
 )
 from gkmcalc.examples import (
     builtin_fiber_join,
@@ -22,9 +23,10 @@ from gkmcalc.examples import (
     builtin_simplex,
     builtin_stiefel,
 )
+from gkmcalc.exactlin import vector_to_json
 from gkmcalc.series import DegreeSeries
 
-from oracles import is_zero
+from oracles import is_zero, naive_rref
 
 
 def test_public_api_is_pinned():
@@ -36,18 +38,59 @@ def test_public_api_is_pinned():
         "canonical_subspace", "class_product", "equivariant_basis",
         "equivariant_dims", "free_hilbert", "graph_from_json", "gysin_betti",
         "kernel_basis", "morse_bott_assemble", "polytope_skeleton",
-        "restriction_matrix", "rref", "run_checks", "simplex_polytope",
-        "stanley_reisner_hilbert", "subspace_relations", "sym_dim",
-        "validate_graph",
+        "run_checks", "simplex_polytope", "stanley_reisner_hilbert",
+        "sym_dim", "validate_graph",
     ]
     for name in gkmcalc.__all__:
         assert getattr(gkmcalc, name) is not None
 
 
+def test_no_dead_public_names():
+    # each top-level public function or class of the library is named in
+    # src/ outside its own definition, or in scripts/, or exported; and no
+    # module but __init__ imports a name it never reads.  Uses are name (and,
+    # for definitions, attribute) nodes of the AST, so a mention in a
+    # docstring is none.
+    package = Path(gkmcalc.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    scripts = [ast.parse(path.read_text())
+               for path in sorted((package.parents[1] / "scripts").glob("*.py"))]
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+    outside = set(gkmcalc.__all__).union(*map(names, scripts))
+    statements = [(module, stmt) for module, tree in modules.items() for stmt in tree.body]
+    used = [names(stmt) for _, stmt in statements]
+    dead = [
+        f"{module}.{stmt.name}"
+        for i, (module, stmt) in enumerate(statements)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+        and stmt.name not in outside
+        and not any(stmt.name in refs for j, refs in enumerate(used) if j != i)
+    ]
+    assert dead == []
+    unused = []
+    for module, tree in modules.items():
+        if module == "__init__":
+            continue
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [
+            f"{module}: {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in loaded
+        ]
+    assert unused == []
+
+
 def test_canonical_subspace_idempotent():
-    # against the dense rational path it replaced, the nonzero rows of
-    # rref(MatrixQ.from_rows(v)); spanning sets may be empty and hold
-    # repeated and zero vectors
+    # against plain Gauss-Jordan over Fraction (oracles.naive_rref), rows
+    # and pivots; spanning sets may be empty and hold repeated and zero
+    # vectors
     rng = random.Random(31)
 
     def q():
@@ -61,7 +104,9 @@ def test_canonical_subspace_idempotent():
         if rng.random() < 0.3:
             vecs.insert(rng.randint(0, len(vecs)), [Fraction(0)] * dim)
         once = canonical_subspace(vecs, dim)
-        assert once.to_json() == rref(MatrixQ.from_rows(vecs, dim))[0].to_json()
+        want, pivots = naive_rref(vecs)
+        assert once.to_json() == [vector_to_json(row) for row in want]
+        assert once.pivot_columns() == pivots
         # each stored row is the primitive integer multiple with a positive pivot
         for row in once.rows:
             assert all(type(x) is int for x in row)

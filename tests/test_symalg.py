@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from gkmcalc import symalg
 from gkmcalc.errors import GkmError, SubspaceContainmentError
 from gkmcalc.examples import builtin_simplex, builtin_stiefel
-from gkmcalc.exactlin import MatrixQ, canonical_subspace, coordinates, rref
+from gkmcalc.exactlin import MatrixQ, canonical_subspace, coordinates, rank_of_rows
 from gkmcalc.gkmcore import (
     _adapted_bases,
     class_product,
@@ -27,7 +27,6 @@ from gkmcalc.symalg import (
     _graded,
     monomial_basis,
     restriction_images,
-    restriction_matrix,
     sym_dim,
 )
 from gkmcalc.toric import MomentPolytope, PolytopeFacet, PolytopeVertex, polytope_skeleton
@@ -36,9 +35,8 @@ from oracles import (
     contains,
     dense,
     dense_restriction_matrix,
-    expanded_restriction_matrix,
-    expanded_restriction_rows,
-    grown_restriction_rows,
+    expanded_restriction_images,
+    grown_restriction_images,
     matmul,
 )
 from test_exactlin import (
@@ -48,6 +46,18 @@ from test_exactlin import (
     random_combinations,
     random_matrix,
 )
+
+
+def restricted(ambient, sub, degree):
+    """The dense matrix of the restriction along canonical bases, one row
+    per sub monomial and one column per ambient monomial."""
+    return dense(restriction_images(ambient.rows, sub.rows, degree), sym_dim(sub.dim, degree))
+
+
+def sorted_images(restriction):
+    """``(scale, images)`` with each image sorted, as the oracles give them."""
+    scale, images = restriction
+    return scale, tuple(tuple(sorted(image)) for image in images)
 
 
 class TestSymDim:
@@ -104,39 +114,36 @@ class TestRestrictionMatrix:
     def test_identity_on_equal_spaces(self):
         v = canonical_subspace([(1, 0, 2), (0, 1, 1)], 3)
         for d in range(4):
-            rm = restriction_matrix(v, v, d)
-            assert dense(rm) == MatrixQ.identity(sym_dim(2, d))
+            assert restricted(v, v, d) == MatrixQ.identity(sym_dim(2, d))
 
     def test_diagonal_line_degree_1(self):
         amb = canonical_subspace([(1, 0), (0, 1)], 2)
         sub = canonical_subspace([(1, 1)], 2)
-        rm = restriction_matrix(amb, sub, 1)
-        assert dense(rm) == MatrixQ.from_rows([[1, 1]])
+        assert restricted(amb, sub, 1) == MatrixQ.from_rows([[1, 1]])
 
     def test_diagonal_line_degree_2(self):
         amb = canonical_subspace([(1, 0), (0, 1)], 2)
         sub = canonical_subspace([(1, 1)], 2)
-        rm = restriction_matrix(amb, sub, 2)
-        assert dense(rm) == MatrixQ.from_rows([[1, 1, 1]])
+        assert restricted(amb, sub, 2) == MatrixQ.from_rows([[1, 1, 1]])
 
     def test_zero_subspace_positive_degree(self):
         amb = canonical_subspace([(1, 0), (0, 1)], 2)
         sub = canonical_subspace([], 2)
         for d in (1, 2, 3):
-            rm = restriction_matrix(amb, sub, d)
-            assert dense(rm).rows == 0
-            assert dense(rm).cols == sym_dim(2, d)
+            m = restricted(amb, sub, d)
+            assert m.rows == 0
+            assert m.cols == sym_dim(2, d)
 
     def test_zero_subspace_degree_zero(self):
         amb = canonical_subspace([(1, 0)], 2)
         sub = canonical_subspace([], 2)
-        assert dense(restriction_matrix(amb, sub, 0)) == MatrixQ.identity(1)
+        assert restricted(amb, sub, 0) == MatrixQ.identity(1)
 
     def test_non_containment_rejected(self):
         amb = canonical_subspace([(1, 0)], 2)
         sub = canonical_subspace([(0, 1)], 2)
         with pytest.raises(SubspaceContainmentError):
-            restriction_matrix(amb, sub, 1)
+            restriction_images(amb.rows, sub.rows, 1)
 
     def test_surjectivity_rank(self):
         rng = random.Random(11)
@@ -148,13 +155,12 @@ class TestRestrictionMatrix:
             amb = canonical_subspace(amb_rows, r)
             sub = canonical_subspace(random_combinations(rng, amb_rows, kb), r)
             for d in range(4):
-                rm = restriction_matrix(amb, sub, d)
-                _, piv = rref(dense(rm))
-                assert len(piv) == sym_dim(sub.dim, d)
+                m = restricted(amb, sub, d)
+                assert rank_of_rows(m.row_lists(), m.cols) == sym_dim(sub.dim, d)
 
     def test_matches_rational_substitution(self):
-        # the integer rows over one scale against substitution over Q, and
-        # value for value (scale and rows) against expanding each monomial on
+        # the integer images over one scale against substitution over Q, and
+        # value for value (scale and images) against expanding each monomial on
         # its own; the degrees are visited in a random order, with the caches
         # emptied before the first and before about a third of the others, so
         # degrees are built both from cold and from warm lower degrees; the
@@ -175,18 +181,20 @@ class TestRestrictionMatrix:
             for d in degrees:
                 if d == degrees[0] or rng.random() < 0.3:
                     _graded.cache_clear()
-                rm = restriction_matrix(amb, sub, d)
-                assert rm == expanded_restriction_matrix(amb, sub, d)
-                assert dense(rm) == dense_restriction_matrix(amb, sub, d)
-                assert type(rm.scale) is int and rm.scale > 0
-                for pairs in rm.rows:
-                    cols = [col for col, _ in pairs]
-                    assert cols == sorted(set(cols))
-                    assert all(type(num) is int and num for _, num in pairs)
+                restriction = restriction_images(amb.rows, sub.rows, d)
+                assert sorted_images(restriction) == expanded_restriction_images(
+                    amb.rows, sub.rows, d)
+                assert dense(restriction, sym_dim(sub.dim, d)) == dense_restriction_matrix(
+                    amb, sub, d)
+                scale, images = restriction
+                assert type(scale) is int and scale > 0
+                for image in images:
+                    assert len({mono for mono, _ in image}) == len(image)
+                    assert all(type(num) is int and num for _, num in image)
             if not contains(sub, amb):
                 for d in degrees:
                     with pytest.raises(SubspaceContainmentError):
-                        restriction_matrix(sub, amb, d)
+                        restriction_images(sub.rows, amb.rows, d)
 
     def test_functoriality_chain(self):
         rng = random.Random(5)
@@ -201,9 +209,9 @@ class TestRestrictionMatrix:
             rows_c = random_combinations(rng, rows_b, max(b.dim - 1, 0))
             c = canonical_subspace(rows_c, r)
             for d in range(7):
-                ab = dense(restriction_matrix(a, b, d))
-                bc = dense(restriction_matrix(b, c, d))
-                ac = dense(restriction_matrix(a, c, d))
+                ab = restricted(a, b, d)
+                bc = restricted(b, c, d)
+                ac = restricted(a, c, d)
                 assert matmul(bc, ab) == ac
 
     def test_invariant_under_input_recombination(self):
@@ -214,7 +222,7 @@ class TestRestrictionMatrix:
         sub_rows = [[2, 2, 2]]
         amb = canonical_subspace(amb_rows, 3)
         sub = canonical_subspace(sub_rows, 3)
-        base = dense(restriction_matrix(amb, sub, 3))
+        base = restricted(amb, sub, 3)
         for _ in range(20):
             mix = invertible_matrix(rng, 2)
             mixed_rows = [
@@ -224,15 +232,14 @@ class TestRestrictionMatrix:
             amb2 = canonical_subspace(mixed_rows, 3)
             scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
             sub2 = canonical_subspace([[scale * x for x in sub_rows[0]]], 3)
-            assert dense(restriction_matrix(amb2, sub2, 3)) == base
+            assert restricted(amb2, sub2, 3) == base
 
     def test_deep_degree_from_cold_caches(self):
         # each degree is grown from the one below; a cold call far past the
         # recursion limit still answers, so the build is not recursive
         _graded.cache_clear()
         a = canonical_subspace([(1, 0)], 2)
-        rm = restriction_matrix(a, a, 1500)
-        assert rm.scale == 1 and dense(rm) == MatrixQ.identity(1)
+        assert restriction_images(a.rows, a.rows, 1500) == (1, (((0, 1),),))
 
     def test_containment_read_once_per_pair(self):
         # one graph through every entry point decides each (vertex, edge)
@@ -276,12 +283,13 @@ class TestRestrictionMatrix:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(restriction_matrix, amb, sub, d) for d in degrees]
+                futures = [pool.submit(restriction_images, amb.rows, sub.rows, d)
+                           for d in degrees]
                 maps = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        for d, rm in zip(degrees, maps):
-            assert rm == expanded_restriction_matrix(amb, sub, d)
+        for d, restriction in zip(degrees, maps):
+            assert sorted_images(restriction) == expanded_restriction_images(amb.rows, sub.rows, d)
 
 
 def random_generic_skeleton(rng):
@@ -362,16 +370,6 @@ def basis_pairs(draw):
     return kind, [(mixed_basis(rng, ambient), mixed_basis(rng, sub))]
 
 
-def by_column(rows, ncols):
-    """Rows as :class:`~gkmcalc.symalg.RestrictionMap` stores them, turned
-    into the images of the ambient monomials, each sorted."""
-    images = [[] for _ in range(ncols)]
-    for mono, pairs in enumerate(rows):
-        for col, num in pairs:
-            images[col].append((mono, num))
-    return [tuple(image) for image in images]
-
-
 @settings(max_examples=60, deadline=None)
 @given(basis_pairs(), st.integers(0, 2**32 - 1))
 def test_images_on_bases_match_expansion_and_tuple_growth(case, seed):
@@ -390,17 +388,16 @@ def test_images_on_bases_match_expansion_and_tuple_growth(case, seed):
                 _graded.cache_clear()
                 monomial_basis.cache_clear()
             scale, images = restriction_images(ambient, sub, d)
-            expected = expanded_restriction_rows(ambient, sub, d)
-            assert grown_restriction_rows(ambient, sub, d) == expected
+            expected = expanded_restriction_images(ambient, sub, d)
+            assert grown_restriction_images(ambient, sub, d) == expected
             assert len(images) == sym_dim(len(ambient), d)
-            assert type(scale) is int and scale == expected[0]
-            assert [tuple(sorted(image)) for image in images] == by_column(expected[1], len(images))
+            assert type(scale) is int and sorted_images((scale, images)) == expected
             for image in images:
                 assert len({mono for mono, _ in image}) == len(image)
                 assert all(type(num) is int and num for _, num in image)
             if kind == "adapted":
                 assert all(len(image) <= 1 for image in images)
-        if sub and expanded_restriction_rows(sub, ambient, 0) is None:
+        if sub and expanded_restriction_images(sub, ambient, 0) is None:
             for d in degrees:
                 with pytest.raises(SubspaceContainmentError):
                     restriction_images(sub, ambient, d)
@@ -414,7 +411,7 @@ def test_binomial_growth_of_graded_dimensions():
 
 
 def test_caches_are_bounded():
-    # every degree of a pair is kept by _graded, so restriction_matrix has no
+    # every degree of a pair is kept by _graded, so restriction_images has no
     # cache of its own
     caches = [name for name, value in vars(symalg).items() if hasattr(value, "cache_info")]
     assert caches == ["monomial_basis", "_graded"]
