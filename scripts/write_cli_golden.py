@@ -37,6 +37,8 @@ CASES = {
     "hirzebruch2": (["hirzebruch", "--m", "2"], []),
     "stiefel": (["stiefel"], []),
     "generic_cube4": ("generic_cube4.json", ["--max-degree", "12"]),
+    # a fiber class above the cutoff: the verdicts read inconclusive
+    "fiber_degree4_vertex": ("fiber_degree4_vertex.json", ["--max-degree", "3"]),
 }
 
 COMMANDS = ("cohomology", "basic", "check")

@@ -38,7 +38,7 @@ from .errors import (
     InputShapeError,
 )
 from .exactlin import rational_from_json
-from .gkmcore import GkmGraph, equivariant_dims, graph_from_json, validate_graph
+from .gkmcore import equivariant_dims, graph_from_json, validate_graph
 from .examples import (
     builtin_fiber_join,
     builtin_hirzebruch,
@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _CliParser(prog="gkmcalc", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cutoff_default=None):
+    def add_common(p, run, cutoff_default=None):
+        p.set_defaults(run=run)
         p.add_argument("input", help="input file, or - for stdin")
         p.add_argument(
             "--format", choices=("json", "table"), default="json", dest="fmt"
@@ -87,23 +88,25 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     graph_cutoff = "max(20, 2*(vertices+2))"
-    add_common(sub.add_parser("validate", help="validate a GKM graph"))
+    add_common(sub.add_parser("validate", help="validate a GKM graph"), _cmd_validate)
     add_common(sub.add_parser("cohomology", help="equivariant graded dimensions"),
-               graph_cutoff)
+               _cmd_cohomology, graph_cutoff)
     bs = sub.add_parser("basic", help="basic cohomology series")
-    add_common(bs, graph_cutoff)
+    add_common(bs, _cmd_basic, graph_cutoff)
     bs.add_argument("--strict", action="store_true",
                     help="exit 3 when the series is not yet polynomial at the cutoff")
     add_common(sub.add_parser("morse-bott", help="assemble a Morse-Bott series"),
-               "max(20, index + cutoff) over the components")
-    add_common(sub.add_parser("gysin", help="Betti numbers from Gysin data"))
-    add_common(sub.add_parser("toric-skeleton", help="one-skeleton of a moment polytope"))
+               _cmd_morse_bott, "max(20, index + cutoff) over the components")
+    add_common(sub.add_parser("gysin", help="Betti numbers from Gysin data"), _cmd_gysin)
+    add_common(sub.add_parser("toric-skeleton", help="one-skeleton of a moment polytope"),
+               _cmd_toric_skeleton)
     ck = sub.add_parser("check", help="run the theorem checks")
-    add_common(ck, graph_cutoff)
+    add_common(ck, _cmd_check, graph_cutoff)
     ck.add_argument("--strict", action="store_true",
                     help="exit 3 when any check is inconclusive at the cutoff")
 
     ex = sub.add_parser("example", help="emit a builtin example")
+    ex.set_defaults(run=_cmd_example)
     ex.add_argument(
         "name",
         choices=("simplex", "fiber-join", "hirzebruch", "stiefel", "simplex-polytope"),
@@ -139,10 +142,6 @@ def _read_json(path: str):
         raise InputShapeError(f"malformed JSON in {path!r}: {exc}") from None
     except ValueError as exc:  # an integer past Python's str-to-int digit limit
         raise InputShapeError(f"cannot read {path!r}: {exc}") from None
-
-
-def _load_graph(path: str) -> GkmGraph:
-    return graph_from_json(_read_json(path))
 
 
 def _resolve_cutoff(arg: int | None, default: int) -> int:
@@ -233,13 +232,13 @@ def _warn_inconclusive(what: str):
 
 
 def _cmd_validate(args) -> int:
-    report = validate_graph(_load_graph(args.input))
+    report = validate_graph(graph_from_json(_read_json(args.input)))
     _emit(report.to_json(), args.fmt, _validation_table)
     return EXIT_OK if report.valid else EXIT_INPUT
 
 
 def _cmd_cohomology(args) -> int:
-    graph = _load_graph(args.input)
+    graph = graph_from_json(_read_json(args.input))
     cutoff = _resolve_cutoff(args.max_degree, default_cutoff(len(graph.vertices)))
     dims = equivariant_dims(graph, cutoff)
     _emit(dims.to_json(), args.fmt, _series_table)
@@ -247,10 +246,10 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_basic(args) -> int:
-    graph = _load_graph(args.input)
+    graph = graph_from_json(_read_json(args.input))
     cutoff = _resolve_cutoff(args.max_degree, default_cutoff(len(graph.vertices)))
     dims = equivariant_dims(graph, cutoff)
-    basic, report = basic_from_equivariant(dims, graph.rank, cutoff)
+    report = basic_from_equivariant(dims, graph.rank, top_fiber_degree=graph.top_fiber_degree)
     out = report.to_json()
     out["rank"] = graph.rank
     _emit(out, args.fmt, lambda o: _series_table(o["series"]) + f"\nverdict: {o['verdict']}")
@@ -276,8 +275,7 @@ def _cmd_gysin(args) -> int:
     n = len(data.basic_dims) - 1
     if n < 1:
         raise InputShapeError("need basic dimensions up to degree 2n with n >= 1")
-    betti = gysin_betti(data, n)
-    _emit({"manifold_dim": 2 * n + 1, "betti": list(betti)}, args.fmt, _betti_table)
+    _emit({"manifold_dim": 2 * n + 1, "betti": list(gysin_betti(data))}, args.fmt, _betti_table)
     return EXIT_OK
 
 
@@ -288,7 +286,7 @@ def _cmd_toric_skeleton(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    graph = _load_graph(args.input)
+    graph = graph_from_json(_read_json(args.input))
     cutoff = _resolve_cutoff(args.max_degree, default_cutoff(len(graph.vertices)))
     report = run_checks(graph, cutoff)
     _emit(report.to_json(), args.fmt, _checks_table)
@@ -327,23 +325,11 @@ def _cmd_example(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "cohomology": _cmd_cohomology,
-    "basic": _cmd_basic,
-    "morse-bott": _cmd_morse_bott,
-    "gysin": _cmd_gysin,
-    "toric-skeleton": _cmd_toric_skeleton,
-    "check": _cmd_check,
-    "example": _cmd_example,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (FormalityViolation, GysinInconsistency) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -86,6 +86,7 @@ def vector_from_json(obj) -> tuple[Fraction, ...]:
     return tuple(rational_from_json(x) for x in obj)
 
 
+@dataclass(frozen=True, slots=True)
 class MatrixQ:
     """Immutable rational matrix, row-major.
 
@@ -93,20 +94,17 @@ class MatrixQ:
     Fraction(1, 2)
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple[Fraction, ...]
 
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(_as_rational(x) for x in entries)
-        if rows < 0 or cols < 0 or len(entries) != rows * cols:
+    def __post_init__(self):
+        entries = tuple(_as_rational(x) for x in self.entries)
+        if self.rows < 0 or self.cols < 0 or len(entries) != self.rows * self.cols:
             raise InputShapeError(
-                f"matrix shape {rows}x{cols} does not match {len(entries)} entries"
+                f"matrix shape {self.rows}x{self.cols} does not match {len(entries)} entries"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixQ is immutable")
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "MatrixQ":
@@ -136,18 +134,6 @@ class MatrixQ:
 
     def row_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixQ):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return f"MatrixQ({self.rows}x{self.cols}, {self.row_lists()!r})"

@@ -244,6 +244,11 @@ class GkmGraph:
             e.edge_fiber.is_point for e in self.edges
         )
 
+    @property
+    def top_fiber_degree(self) -> int:
+        """Highest degree of a vertex fiber class: 0 when every fiber is a point."""
+        return max((q for v in self.vertices for q in v.fiber.degrees()), default=0)
+
     def to_json(self):
         out = {"rank": self.rank}
         if self.manifold_dim is not None:
@@ -369,16 +374,6 @@ CHECK_SELF_LOOP = "SELF_LOOP"
 CHECK_EDGE_COUNT = "EDGE_COUNT"
 CHECK_FIBER_MAPS = "FIBER_MAPS"
 
-FAIL_REASONS = {
-    CHECK_CONNECTED: "DISCONNECTED",
-    CHECK_CONTAINMENT: "CONTAINMENT",
-    CHECK_ISOTROPY_DIMENSIONS: "ISOTROPY_DIMENSIONS",
-    CHECK_GKM_CONDITION: "GKM_CONDITION",
-    CHECK_SELF_LOOP: "SELF_LOOP",
-    CHECK_EDGE_COUNT: "EDGE_COUNT",
-    CHECK_FIBER_MAPS: "FIBER_MAPS",
-}
-
 
 @dataclass(frozen=True)
 class ValidationCheck:
@@ -389,7 +384,10 @@ class ValidationCheck:
 
     @property
     def reason(self) -> str | None:
-        return None if self.passed else FAIL_REASONS[self.name]
+        """The check's name, except that a failed CONNECTED reads DISCONNECTED."""
+        if self.passed:
+            return None
+        return "DISCONNECTED" if self.name == CHECK_CONNECTED else self.name
 
     def to_json(self):
         out = {

@@ -160,12 +160,18 @@ class BasicReport:
 
     series: DegreeSeries
     verdict: str
-    total: int
-    top_degree: int | None
 
     @property
     def is_polynomial(self) -> bool:
         return self.verdict == VERDICT_POLYNOMIAL
+
+    @property
+    def total(self) -> int:
+        return self.series.total()
+
+    @property
+    def top_degree(self) -> int | None:
+        return self.series.top_degree()
 
     def to_json(self):
         return {
@@ -177,29 +183,27 @@ class BasicReport:
 
 
 def basic_from_equivariant(
-    eq_dims: DegreeSeries, rank: int, cutoff: int
-) -> tuple[DegreeSeries, BasicReport]:
+    eq_dims: DegreeSeries, rank: int, *, top_fiber_degree: int = 0
+) -> BasicReport:
     """Divide the equivariant series by the free part of rank-1 variables.
 
     Equivariant formality of the transverse action makes the equivariant
     series the product of 1/(1-t^2)^(rank-1) with the basic series, so the
-    basic series is recovered by multiplying with (1-t^2)^(rank-1).  A
-    negative coefficient in the product means the input was not of that
-    form (wrong rank, or not a Cohen-Macaulay action) and raises
-    :class:`FormalityViolation`.
+    basic series is recovered by multiplying with (1-t^2)^(rank-1), up to
+    the cutoff of ``eq_dims``.  A negative coefficient in the product means
+    the input was not of that form (wrong rank, or not a Cohen-Macaulay
+    action) and raises :class:`FormalityViolation`.
 
     The verdict is "polynomial up to cutoff" when the top two coefficients
-    vanish, else "inconclusive at cutoff": a genuine basic series of a
-    compact quotient is a polynomial, so trailing zeros are expected once
-    the cutoff is high enough.
+    vanish and the cutoff is at least ``top_fiber_degree + 2`` (the top
+    degree of a vertex fiber class, 0 for point fibers), else "inconclusive
+    at cutoff": a genuine basic series of a compact quotient is a
+    polynomial, but its trailing zeros mark the end only once no fiber
+    class can lie above the cutoff.
     """
     if rank < 1:
         raise InputShapeError("rank must be at least 1")
-    if cutoff > eq_dims.cutoff:
-        raise InputShapeError(
-            f"requested cutoff {cutoff} exceeds the input cutoff {eq_dims.cutoff}"
-        )
-    series = eq_dims.truncate(cutoff)
+    series = eq_dims
     for _ in range(rank - 1):
         series = series.mul_polynomial([1, 0, -1])
     negative = [d for d, c in enumerate(series.coeffs) if c < 0]
@@ -208,12 +212,10 @@ def basic_from_equivariant(
             f"negative coefficient at degree {negative[0]}: input series is not "
             f"a free module over {rank - 1} degree-2 generators"
         )
-    if cutoff >= 2 and series.coeffs[cutoff] == 0 and series.coeffs[cutoff - 1] == 0:
-        verdict = VERDICT_POLYNOMIAL
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-    report = BasicReport(series, verdict, series.total(), series.top_degree())
-    return series, report
+    cutoff = series.cutoff
+    if cutoff >= top_fiber_degree + 2 and series[cutoff] == 0 and series[cutoff - 1] == 0:
+        return BasicReport(series, VERDICT_POLYNOMIAL)
+    return BasicReport(series, VERDICT_INCONCLUSIVE)
 
 
 @dataclass(frozen=True)
@@ -317,7 +319,7 @@ class GysinData:
         return cls(tuple(dims), tuple(mats))
 
 
-def gysin_betti(data: GysinData, n: int) -> tuple[int, ...]:
+def gysin_betti(data: GysinData) -> tuple[int, ...]:
     """Ordinary Betti numbers b_0..b_(2n+1) from split Gysin sequences.
 
     With odd basic cohomology vanishing, the Gysin sequence of the orbit
@@ -326,16 +328,13 @@ def gysin_betti(data: GysinData, n: int) -> tuple[int, ...]:
         0 -> H^(2k+1)(M) -> H^(2k) -> H^(2k+2) -> H^(2k+2)(M) -> 0
 
     (basic groups in the middle, delta = Euler-class multiplication), so
-    b_(2k+1) = dim ker(delta_k) and b_(2k+2) = dim coker(delta_k).
+    b_(2k+1) = dim ker(delta_k) and b_(2k+2) = dim coker(delta_k).  The
+    basic dimensions run over degrees 0..2n, which fixes n.
     """
-    if len(data.basic_dims) != n + 1:
-        raise InputShapeError(
-            f"expected {n + 1} basic dimensions for a ({2 * n + 1})-manifold, "
-            f"got {len(data.basic_dims)}"
-        )
+    n = len(data.basic_dims) - 1
     if any(d < 0 for d in data.basic_dims):
         raise InputShapeError("negative basic dimension")
-    if data.basic_dims[0] != 1:
+    if not data.basic_dims or data.basic_dims[0] != 1:
         raise InputShapeError("basic degree-0 dimension must be 1 (connected manifold)")
     if len(data.euler_mult) not in (n, n + 1):
         raise InputShapeError(
@@ -480,8 +479,8 @@ def run_checks(graph, cutoff: int) -> CheckReport:
     if graph.manifold_dim is not None and graph.manifold_dim % 2 != 1:
         raise InputShapeError("manifold_dim must be odd (2n+1)")
     eq = gkmcore.equivariant_dims(graph, cutoff)
-    basic, report = basic_from_equivariant(eq, graph.rank, cutoff)
-    polynomial = report.is_polynomial
+    report = basic_from_equivariant(eq, graph.rank, top_fiber_degree=graph.top_fiber_degree)
+    basic, polynomial = report.series, report.is_polynomial
     checks = []
 
     even_fibers = all(

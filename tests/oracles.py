@@ -32,7 +32,7 @@ its monomial bases.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, lcm
 
 from gkmcalc.errors import InputShapeError, UnsupportedRingStructureError
@@ -47,13 +47,13 @@ from gkmcalc.gkmcore import (
 from gkmcalc.symalg import monomial_basis, restriction_images, sym_dim
 
 
-def compositions(total, parts):
+def _compositions(total, parts):
     """All exponent tuples of the given length summing to total."""
     if parts == 0:
         return [()] if total == 0 else []
     out = []
     for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
+        for tail in _compositions(total - head, parts - 1):
             out.append((head,) + tail)
     return out
 
@@ -78,7 +78,7 @@ def face_ring_dims_by_enumeration(faces, n_vars, max_degree):
     dims = []
     for d in range(max_degree + 1):
         count = 0
-        for expo in compositions(d, n_vars):
+        for expo in _compositions(d, n_vars):
             support = frozenset(i for i, e in enumerate(expo) if e)
             if support in family:
                 count += 1
@@ -132,13 +132,6 @@ def hirzebruch_equivariant_oracle(max_degree):
     return dims
 
 
-def truncated_power_betti(n):
-    """Betti numbers of a (2n+1)-sphere-like tower: identity Euler maps."""
-    betti = [0] * (2 * n + 2)
-    betti[0] = betti[2 * n + 1] = 1
-    return tuple(betti)
-
-
 def gysin_rank_nullity_oracle(basic_dims, ranks):
     """Betti numbers from ranks of the Euler multiplications, by pure
     rank-nullity counting in the split short exact sequences."""
@@ -154,24 +147,12 @@ def gysin_rank_nullity_oracle(basic_dims, ranks):
     return tuple(betti)
 
 
-def all_exponent_supports(n_vars, degree):
-    """(exponent tuple, support) pairs: handy for custom face families."""
-    return [
-        (expo, frozenset(i for i, e in enumerate(expo) if e))
-        for expo in compositions(degree, n_vars)
-    ]
-
-
 def square_faces():
     """Face family of a 4-cycle (boundary of a square)."""
     empty = [frozenset()]
     verts = [frozenset({i}) for i in range(4)]
     edges = [frozenset(p) for p in [(0, 1), (1, 2), (2, 3), (3, 0)]]
     return empty + verts + edges
-
-
-def product_bases(*ranges):
-    return list(product(*ranges))
 
 
 # --- the dense kernel path ----------------------------------------------------
@@ -296,7 +277,7 @@ def _scaled_int_rows(rows) -> list[list[int]]:
     return out
 
 
-def dense_rref_rows(rows, ncols):
+def _dense_rref_rows(rows, ncols):
     """Rational RREF rows and pivots of dense rational rows."""
     int_rows, pivots = reduce_int_rows(_scaled_int_rows(rows), ncols)
     frac_rows = []
@@ -395,7 +376,7 @@ def dense_equivariant_basis(graph, degree):
     if total == 0:
         return []
     rows = _constraint_rows(graph, degree, blocks, total)
-    red, pivots = dense_rref_rows(rows, total)
+    red, pivots = _dense_rref_rows(rows, total)
     pivot_set = set(pivots)
     spanning = []
     for fc in range(total):
@@ -406,7 +387,7 @@ def dense_equivariant_basis(graph, degree):
         for i, pc in enumerate(pivots):
             v[pc] = -red[i][fc]
         spanning.append(v)
-    kernel, _ = dense_rref_rows(spanning, total)
+    kernel, _ = _dense_rref_rows(spanning, total)
     return _classes_from_rows(kernel, blocks, degree)
 
 
@@ -606,7 +587,7 @@ def edgewise_class_product(graph, a, b):
     return EquivariantClass(degree, tuple(comps))
 
 
-def contains_vector(space, vec) -> bool:
+def _contains_vector(space, vec) -> bool:
     """Whether ``vec`` lies in ``space``: reduce it by the RREF basis rows
     in ``Fraction`` arithmetic and test the remainder for zero."""
     v = [_as_rational(x) for x in vec]
@@ -624,7 +605,7 @@ def contains_vector(space, vec) -> bool:
 def contains(space, other) -> bool:
     if space.ambient_dim != other.ambient_dim:
         raise InputShapeError("ambient dimensions differ")
-    return all(contains_vector(space, row) for row in rref_rows(other))
+    return all(_contains_vector(space, row) for row in rref_rows(other))
 
 
 def subspace_relations_by_reduction(a, b):

@@ -28,6 +28,8 @@ def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+DATA = Path(__file__).parent / "data"
+
 #: Python's int/str conversion digit limit, 0 where there is none
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 #: an integer of half the limit's digits: its square is past the limit
@@ -289,6 +291,68 @@ class TestExitCodes:
         assert code == 0
         assert "warning" in err
 
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "--max-degree", "3"], 0),
+        (["check", "--max-degree", "3", "--strict"], 3),
+        (["basic", "--max-degree", "3"], 0),
+        (["basic", "--max-degree", "3", "--strict"], 3),
+        (["check", "--max-degree", "6", "--strict"], 0),
+        (["basic", "--max-degree", "6", "--strict"], 0),
+    ])
+    def test_fiber_class_above_the_cutoff(self, capsys, argv, code):
+        # one vertex whose fiber class sits in degree 4: below a cutoff of
+        # 4 + 2 the zero series is inconclusive, never a failed check
+        out_code, out, err = run_cli(capsys, *argv, str(DATA / "fiber_degree4_vertex.json"))
+        assert out_code == code
+        obj = json.loads(out)
+        verdict = obj["basic_verdict" if argv[0] == "check" else "verdict"]
+        low = argv[2] == "3"
+        assert verdict == ("inconclusive at cutoff" if low else "polynomial up to cutoff")
+        if argv[0] == "check":
+            status = {c["name"]: c["status"] for c in obj["checks"]}
+            assert status["orbit_space_dimension"] == ("inconclusive" if low else "pass")
+        what = "theorem checks" if argv[0] == "check" else "basic series"
+        warned = low and "--strict" not in argv
+        assert err == (f"warning: {what} inconclusive at this cutoff; increase --max-degree "
+                       "or pass --strict to fail\n" if warned else "")
+
+    @pytest.mark.parametrize("env, flags, message", [
+        ("abc", [], "error: GKM_MAX_DEGREE must be an integer, got 'abc'"),
+        (None, ["--max-degree", "-1"], "error: max degree must be nonnegative"),
+    ])
+    def test_bad_cutoff(self, capsys, monkeypatch, simplex2_json, env, flags, message):
+        if env is None:
+            monkeypatch.delenv("GKM_MAX_DEGREE", raising=False)
+        else:
+            monkeypatch.setenv("GKM_MAX_DEGREE", env)
+        code, out, err = run_cli(
+            capsys, "cohomology", "-", *flags, stdin=simplex2_json, monkeypatch=monkeypatch
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [message]
+
+    def test_validate_names_the_failed_checks(self, capsys, monkeypatch):
+        # a failed check's reason is its name, except CONNECTED's: DISCONNECTED
+        bad = json.dumps({
+            "rank": 2,
+            "vertices": [{"id": "a", "isotropy": [[1, 0]]}, {"id": "b", "isotropy": [[0, 1]]},
+                         {"id": "c", "isotropy": [[1, 1]]}],
+            "edges": [{"id": "e", "source": "a", "target": "b", "isotropy": []},
+                      {"id": "l", "source": "c", "target": "c", "isotropy": []}],
+        })
+        code, out, err = run_cli(capsys, "validate", "-", stdin=bad, monkeypatch=monkeypatch)
+        assert (code, err) == (1, "")
+        failed = {c["name"]: c["reason"] for c in json.loads(out)["checks"] if not c["passed"]}
+        assert failed == {"CONNECTED": "DISCONNECTED", "SELF_LOOP": "SELF_LOOP"}
+        code, out, _ = run_cli(
+            capsys, "validate", "-", "--format", "table", stdin=bad, monkeypatch=monkeypatch
+        )
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "valid: no"
+        assert lines[1] == "CONNECTED            FAIL (DISCONNECTED)  underlying graph is not connected"
+        assert lines[5] == "SELF_LOOP            FAIL (SELF_LOOP)  self-loops: ['l']"
+
     def test_formality_violation_is_check_failure(self, capsys, monkeypatch):
         # a single free vertex over a rank-2 torus is not equivariantly formal
         # at rank 3: the division produces a negative coefficient
@@ -368,6 +432,40 @@ class TestDeterminism:
         )
         assert code == 0
         assert out.startswith("valid: yes")
+
+    def test_check_table(self, capsys, monkeypatch, simplex2_json):
+        code, out, err = run_cli(
+            capsys, "check", "-", "--max-degree", "8", "--format", "table",
+            stdin=simplex2_json, monkeypatch=monkeypatch,
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "cutoff 8  basic total 3  minimal yes\n"
+            "odd_basic_vanishing       pass          all odd basic coefficients vanish\n"
+            "orbit_space_dimension     pass          total basic dimension 3 matches the "
+            "critical set\n"
+            "closed_orbit_lower_bound  pass          total 3 >= n+1 = 3\n"
+            "minimal_orbit_count       pass          minimal count: basic series is "
+            "1 + t^2 + ... + t^(2n)\n"
+        )
+
+    def test_gysin_table(self, capsys, monkeypatch):
+        data = json.dumps({"basic_dims": [1, 2, 1], "euler_mult": [[[1], [0]], [[1, 0]]]})
+        code, out, err = run_cli(
+            capsys, "gysin", "-", "--format", "table", stdin=data, monkeypatch=monkeypatch
+        )
+        assert (code, err) == (0, "")
+        assert out == "degree  betti\n" + "".join(
+            f"{d:6d}  {b:5d}\n" for d, b in enumerate([1, 0, 1, 1, 0, 1]))
+
+    def test_graph_table(self, capsys):
+        code, out, err = run_cli(capsys, "example", "stiefel", "--format", "table")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "rank 3, 4 vertices, 6 edges"
+        assert lines[1] == "vertex P12+: isotropy rows [[1, 0, 1], [0, 1, 0]]"
+        assert lines[5] == "edge P12+|P12-: P12+ -> P12-, isotropy rows [[0, 1, 0]]"
+        assert len(lines) == 11
 
     def test_basic_strict_inconclusive(self, capsys, monkeypatch, simplex2_json):
         code, _, _ = run_cli(

@@ -401,6 +401,16 @@ class TestEquivariantBasis:
     def test_odd_degree_empty(self):
         assert equivariant_basis(builtin_simplex(2), 3) == []
 
+    def test_class_json(self):
+        [unit] = equivariant_basis(builtin_simplex(1), 0)
+        assert unit.to_json() == {
+            "degree": 0,
+            "components": [
+                {"vertex": v, "poly_degree": 0, "fiber_degree": 0, "coefficients": [[1]]}
+                for v in ("v0", "v1")
+            ],
+        }
+
     def test_basis_matches_dims(self):
         for g in (builtin_simplex(2), builtin_hirzebruch(1), builtin_fiber_join(1, 1)):
             dims = equivariant_dims(g, 6)
@@ -508,6 +518,16 @@ class TestGraphJson:
             builtin_stiefel(),
         ):
             assert graph_from_json(json.loads(json.dumps(g.to_json()))) == g
+
+    def test_round_trip_scaled_pullback(self):
+        # a degree-2 pullback of 1/2 is not the identity, so the edge writes
+        # its fiber and both pullbacks
+        g = builtin_hirzebruch(2, "1/2")
+        [edge] = g.to_json()["edges"]
+        assert edge["edge_fiber"] == {"dims": [[0, 1], [2, 1]]}
+        assert edge["pullback_source"] == {"0": [[1]], "2": [[1]]}
+        assert edge["pullback_target"] == {"0": [[1]], "2": [["1/2"]]}
+        assert graph_from_json(json.loads(json.dumps(g.to_json()))) == g
 
     def test_point_fiber_defaults(self):
         obj = {

@@ -45,6 +45,12 @@ def test_public_api_is_pinned():
         assert getattr(gkmcalc, name) is not None
 
 
+def names(node):
+    """The identifiers an AST reads: name and attribute nodes."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
 def test_no_dead_public_names():
     # each top-level public function or class of the library is named in
     # src/ outside its own definition, or in scripts/, or exported; and no
@@ -55,10 +61,6 @@ def test_no_dead_public_names():
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     scripts = [ast.parse(path.read_text())
                for path in sorted((package.parents[1] / "scripts").glob("*.py"))]
-
-    def names(node):
-        return {n.id if isinstance(n, ast.Name) else n.attr
-                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
     outside = set(gkmcalc.__all__).union(*map(names, scripts))
     statements = [(module, stmt) for module, tree in modules.items() for stmt in tree.body]
@@ -85,6 +87,23 @@ def test_no_dead_public_names():
             if (alias.asname or alias.name.split(".")[0]) not in loaded
         ]
     assert unused == []
+
+
+def test_no_dead_test_oracles():
+    # each public function of tests/oracles.py is named in some
+    # tests/test_*.py, and each private one elsewhere in oracles.py
+    tests = Path(__file__).parent
+    oracles = ast.parse((tests / "oracles.py").read_text()).body
+    in_tests = set().union(*(names(ast.parse(path.read_text()))
+                             for path in sorted(tests.glob("test_*.py"))))
+    dead = [
+        stmt.name
+        for stmt in oracles
+        if isinstance(stmt, ast.FunctionDef)
+        and not (any(stmt.name in names(other) for other in oracles if other is not stmt)
+                 if stmt.name.startswith("_") else stmt.name in in_tests)
+    ]
+    assert dead == []
 
 
 def test_canonical_subspace_idempotent():
@@ -160,7 +179,7 @@ def test_gysin_endpoints_for_point_like_top():
             mats.append(m)
         if not ok:
             continue
-        betti = gysin_betti(GysinData(tuple(dims), tuple(mats)), n)
+        betti = gysin_betti(GysinData(tuple(dims), tuple(mats)))
         assert betti[0] == 1
         assert betti[1] == 0
         assert betti[2 * n + 1] == 1
@@ -171,7 +190,7 @@ def test_gysin_accepts_explicit_zero_top_map():
         (1, 1),
         (MatrixQ.identity(1), MatrixQ(0, 1, [])),
     )
-    assert gysin_betti(data, 1) == (1, 0, 0, 1)
+    assert gysin_betti(data) == (1, 0, 0, 1)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,7 +1,9 @@
 """Tests for degree series arithmetic and the series-level theorems."""
 
 import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,7 @@ from gkmcalc.examples import (
     builtin_simplex,
 )
 from gkmcalc.exactlin import MatrixQ
-from gkmcalc.gkmcore import equivariant_dims
+from gkmcalc.gkmcore import equivariant_dims, graph_from_json
 from gkmcalc.series import (
     DegreeSeries,
     GysinData,
@@ -37,6 +39,12 @@ from oracles import (
     is_zero,
     square_faces,
 )
+
+DATA = Path(__file__).parent / "data"
+
+
+def fiber_degree4_vertex():
+    return graph_from_json(json.loads((DATA / "fiber_degree4_vertex.json").read_text()))
 
 
 class TestDegreeSeries:
@@ -99,7 +107,8 @@ class TestFreeHilbert:
 class TestBasicFromEquivariant:
     def test_sphere_rank_2(self):
         eq = DegreeSeries.from_coeffs([1, 0] + [2, 0] * 6, cutoff=12)
-        basic, report = basic_from_equivariant(eq, 2, 12)
+        report = basic_from_equivariant(eq, 2)
+        basic = report.series
         assert basic.coeffs[:4] == (1, 0, 1, 0)
         assert basic.total() == 2
         assert report.is_polynomial
@@ -109,34 +118,50 @@ class TestBasicFromEquivariant:
         for d in range(7):
             coeffs[2 * d] = 3 * d if d else 1
         eq = DegreeSeries(tuple(coeffs))
-        basic, report = basic_from_equivariant(eq, 3, 12)
+        report = basic_from_equivariant(eq, 3)
+        basic = report.series
         assert basic.coeffs == (1, 0, 1, 0, 1) + (0,) * 8
         assert report.total == 3
 
     def test_hirzebruch(self):
         eq = equivariant_dims(builtin_hirzebruch(1), 12)
-        basic, report = basic_from_equivariant(eq, 2, 12)
+        report = basic_from_equivariant(eq, 2)
+        basic = report.series
         assert basic.coeffs == (1, 0, 2, 0, 1) + (0,) * 8
         assert report.total == 4
 
     def test_formality_violation(self):
         eq = DegreeSeries((1, 0, 0, 0, 0))
         with pytest.raises(FormalityViolation):
-            basic_from_equivariant(eq, 2, 4)
+            basic_from_equivariant(eq, 2)
 
     def test_rank_one_is_identity(self):
         eq = DegreeSeries((1, 0, 2, 0))
-        basic, _ = basic_from_equivariant(eq, 1, 3)
+        basic = basic_from_equivariant(eq, 1).series
         assert basic == eq
 
     def test_inconclusive_at_small_cutoff(self):
         eq = equivariant_dims(builtin_simplex(2), 4)
-        _, report = basic_from_equivariant(eq, 3, 4)
+        report = basic_from_equivariant(eq, 3)
         assert not report.is_polynomial
 
-    def test_cutoff_beyond_input_rejected(self):
-        with pytest.raises(InputShapeError):
-            basic_from_equivariant(DegreeSeries((1, 0)), 2, 5)
+    def test_cutoff_is_not_an_argument(self):
+        # the cutoff is the series' own; an old positional one is refused
+        with pytest.raises(TypeError):
+            basic_from_equivariant(DegreeSeries((1, 0, 1, 0, 0)), 2, 4)
+
+    @pytest.mark.parametrize("cutoff, polynomial", [(3, False), (4, False), (5, False),
+                                                     (6, True), (8, True)])
+    def test_trailing_zeros_below_the_top_fiber_degree(self, cutoff, polynomial):
+        # one vertex over a rank-1 torus, its one class in degree 4: the
+        # zeros of degrees 0..3 are no end of the series, and the verdict
+        # waits for a cutoff of top fiber degree + 2
+        graph = fiber_degree4_vertex()
+        assert graph.top_fiber_degree == 4
+        report = basic_from_equivariant(equivariant_dims(graph, cutoff), 1,
+                                        top_fiber_degree=graph.top_fiber_degree)
+        assert report.is_polynomial == polynomial
+        assert report.total == (cutoff >= 4)
 
     def test_division_inverts_multiplication(self):
         rng = random.Random(8)
@@ -146,7 +171,7 @@ class TestBasicFromEquivariant:
             poly[0] = max(poly[0], 1)
             cutoff = 16
             eq = free_hilbert(k, cutoff).mul_polynomial(poly)
-            back, _ = basic_from_equivariant(eq, k + 1, cutoff)
+            back = basic_from_equivariant(eq, k + 1).series
             expected = DegreeSeries.from_coeffs(poly, cutoff=cutoff)
             assert back == expected
 
@@ -197,10 +222,10 @@ class TestMorseBott:
 class TestGysin:
     def test_three_sphere(self):
         data = GysinData((1, 1), (MatrixQ.identity(1),))
-        assert gysin_betti(data, 1) == (1, 0, 0, 1)
+        assert gysin_betti(data) == (1, 0, 0, 1)
 
     def test_seven_sphere(self):
-        assert gysin_betti(GysinData.minimal(3), 3) == (1, 0, 0, 0, 0, 0, 0, 1)
+        assert gysin_betti(GysinData.minimal(3)) == (1, 0, 0, 0, 0, 0, 0, 1)
 
     def test_five_manifold_mixed(self):
         cases = [
@@ -220,22 +245,19 @@ class TestGysin:
             ),
         ]
         for data, ranks, expected in cases:
-            assert gysin_betti(data, 2) == expected
-            assert gysin_betti(data, 2) == gysin_rank_nullity_oracle(data.basic_dims, ranks)
+            assert gysin_betti(data) == expected
+            assert gysin_betti(data) == gysin_rank_nullity_oracle(data.basic_dims, ranks)
 
     def test_shape_mismatch(self):
-        data = GysinData((1, 2), (MatrixQ.identity(1),))
-        with pytest.raises(InputShapeError):
-            gysin_betti(data, 1)
+        # a 1x1 map into a 2-dimensional degree, and no degree 0 at all
+        for data in (GysinData((1, 2), (MatrixQ.identity(1),)), GysinData((), ())):
+            with pytest.raises(InputShapeError):
+                gysin_betti(data)
 
     def test_top_degree_must_die(self):
         data = GysinData((1, 1), (MatrixQ.identity(1), MatrixQ.identity(1)))
         with pytest.raises(GysinInconsistency):
-            gysin_betti(data, 1)
-
-    def test_wrong_length(self):
-        with pytest.raises(InputShapeError):
-            gysin_betti(GysinData((1, 1), (MatrixQ.identity(1),)), 2)
+            gysin_betti(data)
 
     def test_b1_zero_when_euler_nonzero(self):
         rng = random.Random(2)
@@ -247,7 +269,7 @@ class TestGysin:
             if is_zero(m):
                 continue
             data = GysinData((1, d1), (m,))
-            betti = gysin_betti(data, 1)
+            betti = gysin_betti(data)
             assert betti[0] == 1 and betti[1] == 0
 
     def test_json_round_trip(self):
@@ -345,6 +367,17 @@ class TestRunChecks:
         assert status["minimal_orbit_count"] == minimal
         assert report.failed == ("fail" in (lower, minimal))
         assert not report.minimal
+
+    @pytest.mark.parametrize("cutoff, orbit_space", [(3, "inconclusive"), (6, "pass")])
+    def test_fiber_above_the_cutoff_is_inconclusive(self, cutoff, orbit_space):
+        # at cutoff 3 the basic series is 0 + 0t + 0t^2 + 0t^3 with the
+        # fiber class still above it: no false orbit_space_dimension fail
+        report = run_checks(fiber_degree4_vertex(), cutoff)
+        status = {c.name: c.status for c in report.checks}
+        assert status["orbit_space_dimension"] == orbit_space
+        assert report.basic_verdict == ("polynomial up to cutoff" if cutoff == 6
+                                        else "inconclusive at cutoff")
+        assert not report.failed
 
     def test_even_manifold_dim_rejected_before_the_kernel(self, monkeypatch):
         import gkmcalc.gkmcore

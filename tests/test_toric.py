@@ -101,7 +101,8 @@ class TestPolytopeSkeleton:
     def test_square_vertex_count_equals_basic_total(self):
         skel = polytope_skeleton(square_polytope())
         dims = equivariant_dims(skel, 14)
-        basic, report = basic_from_equivariant(dims, skel.rank, 14)
+        report = basic_from_equivariant(dims, skel.rank)
+        basic = report.series
         assert report.is_polynomial
         assert basic.total() == len(skel.vertices)
 
