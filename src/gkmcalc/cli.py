@@ -107,10 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("example", help="emit a builtin example")
     ex.set_defaults(run=_cmd_example)
-    ex.add_argument(
-        "name",
-        choices=("simplex", "fiber-join", "hirzebruch", "stiefel", "simplex-polytope"),
-    )
+    ex.add_argument("name", choices=tuple(_EXAMPLES))
     ex.add_argument("--n", type=int, default=None, help="simplex/fiber-join size")
     ex.add_argument("--genus", type=int, default=None, help="fiber-join surface genus")
     ex.add_argument("--m", type=int, default=None, help="hirzebruch Euler parameter")
@@ -164,12 +161,9 @@ def _resolve_cutoff(arg: int | None, default: int) -> int:
     return cutoff
 
 
-def _emit(obj, fmt: str, table_renderer=None):
+def _emit(obj, fmt: str, table_renderer):
     try:
-        if fmt == "table" and table_renderer is not None:
-            text = table_renderer(obj)
-        else:
-            text = json.dumps(obj, indent=2, sort_keys=True)
+        text = table_renderer(obj) if fmt == "table" else json.dumps(obj, indent=2, sort_keys=True)
     except ValueError as exc:  # an integer past Python's int-to-str digit limit
         raise InputShapeError(f"cannot write the result: {exc}") from None
     print(text)
@@ -219,6 +213,22 @@ def _graph_table(obj) -> str:
     for e in obj["edges"]:
         lines.append(
             f"edge {e['id']}: {e['source']} -> {e['target']}, isotropy rows {e['isotropy']}"
+        )
+    return "\n".join(lines)
+
+
+def _polytope_table(obj) -> str:
+    def vector(entries):
+        return "(" + ", ".join(str(x) for x in entries) + ")"
+
+    lines = [
+        f"rank {obj['rank']}, {len(obj['vertices'])} vertices, {len(obj['facets'])} facets"
+    ]
+    for v in obj["vertices"]:
+        lines.append(f"vertex {v['id']}: coords {vector(v['coords'])}")
+    for i, f in enumerate(obj["facets"]):
+        lines.append(
+            f"facet {i}: normal {vector(f['normal'])}, vertices {', '.join(f['vertices'])}"
         )
     return "\n".join(lines)
 
@@ -299,29 +309,32 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _require(value, flag: str, name: str):
-    if value is None:
-        raise InputShapeError(f"example {name!r} requires {flag}")
-    return value
+def _simplex_polytope(args):
+    weights = args.weights if args.weights is not None else ["1"] * (args.n + 1)
+    return simplex_polytope(args.n, [rational_from_json(w) for w in weights])
+
+
+# each example's required flags, its optional flags and its builder
+_EXAMPLES = {
+    "simplex": (("n",), (), lambda args: builtin_simplex(args.n)),
+    "fiber-join": (("n", "genus"), (), lambda args: builtin_fiber_join(args.n, args.genus)),
+    "hirzebruch": (("m",), (), lambda args: builtin_hirzebruch(args.m)),
+    "stiefel": ((), (), lambda args: builtin_stiefel()),
+    "simplex-polytope": (("n",), ("weights",), _simplex_polytope),
+}
 
 
 def _cmd_example(args) -> int:
     name = args.name
-    if name == "simplex":
-        obj = builtin_simplex(_require(args.n, "--n", name)).to_json()
-    elif name == "fiber-join":
-        obj = builtin_fiber_join(
-            _require(args.n, "--n", name), _require(args.genus, "--genus", name)
-        ).to_json()
-    elif name == "hirzebruch":
-        obj = builtin_hirzebruch(_require(args.m, "--m", name)).to_json()
-    elif name == "stiefel":
-        obj = builtin_stiefel().to_json()
-    else:  # simplex-polytope
-        n = _require(args.n, "--n", name)
-        weights = args.weights if args.weights is not None else ["1"] * (n + 1)
-        obj = simplex_polytope(n, [rational_from_json(w) for w in weights]).to_json()
-    _emit(obj, args.fmt, _graph_table if name != "simplex-polytope" else None)
+    required, optional, build = _EXAMPLES[name]
+    for flag in required:
+        if getattr(args, flag) is None:
+            raise InputShapeError(f"example {name!r} requires --{flag}")
+    for flag in ("n", "genus", "m", "weights"):
+        if getattr(args, flag) is not None and flag not in required + optional:
+            raise InputShapeError(f"example {name!r} does not take --{flag}")
+    table = _polytope_table if name == "simplex-polytope" else _graph_table
+    _emit(build(args).to_json(), args.fmt, table)
     return EXIT_OK
 
 

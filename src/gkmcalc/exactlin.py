@@ -402,8 +402,8 @@ class SubspaceQ:
     integer multiple with a positive pivot, as dense int tuples ordered by
     pivot column (the form :func:`reduce_int_rows` returns), so two
     subspaces are equal as sets of vectors iff they are equal as values.
-    Construct through :func:`canonical_subspace` (or :meth:`zero`); the raw
-    constructor trusts its input.
+    Construct through :func:`canonical_subspace`; the raw constructor
+    trusts its input.
     """
 
     ambient_dim: int
@@ -412,10 +412,6 @@ class SubspaceQ:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "SubspaceQ":
-        return cls(ambient_dim, ())
 
     def pivot_columns(self) -> list[int]:
         return [next(j for j, x in enumerate(row) if x) for row in self.rows]

@@ -2,9 +2,9 @@
 
 Four families, ready for the pipeline:
 
-* ``builtin_simplex(n)``: the one-skeleton of an n-simplex with coordinate
-  isotropies, the graph of an ellipsoid/odd sphere of dimension 2n+1 under
-  its full torus;
+* ``builtin_simplex(n)``: the one-skeleton of the moment n-simplex, with
+  coordinate isotropies, the graph of an ellipsoid/odd sphere of dimension
+  2n+1 under its full torus;
 * ``builtin_fiber_join(n, g)``: the simplex skeleton with every fiber the
   cohomology of a closed genus-g surface, the graph of a fiberwise
   ellipsoid bundle over the surface;
@@ -24,56 +24,24 @@ the resulting basic series).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import InputShapeError
 from .exactlin import MatrixQ, _as_rational, canonical_subspace
 from .gkmcore import GkmEdge, GkmGraph, GkmVertex, GradedMap, GradedVS
-
-
-def _unit(i: int, n: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(n))
+from .toric import polytope_skeleton, simplex_polytope
 
 
 def builtin_simplex(n: int) -> GkmGraph:
-    """Complete graph on n+1 vertices with coordinate isotropies.
+    """One-skeleton of the moment simplex of the round ellipsoid S^(2n+1).
 
     Vertex j carries the hyperplane {x_j = 0} of Q^(n+1), the edge {j, j'}
     the coordinate subspace {x_j = x_j' = 0}; all fibers are points.
     """
     if n < 1:
         raise InputShapeError("simplex requires n >= 1")
-    rank = n + 1
-    vertices = tuple(
-        GkmVertex(
-            id=f"v{j}",
-            isotropy=canonical_subspace(
-                [_unit(k, rank) for k in range(rank) if k != j], rank
-            ),
-        )
-        for j in range(rank)
-    )
-    edges = []
-    for j in range(rank):
-        for jp in range(j + 1, rank):
-            edges.append(
-                GkmEdge(
-                    id=f"v{j}|v{jp}",
-                    source=f"v{j}",
-                    target=f"v{jp}",
-                    isotropy=canonical_subspace(
-                        [_unit(k, rank) for k in range(rank) if k not in (j, jp)],
-                        rank,
-                    ),
-                )
-            )
-    return GkmGraph(
-        rank=rank,
-        vertices=vertices,
-        edges=tuple(edges),
-        manifold_dim=2 * n + 1,
-        bottom_orbit_dim=1,
-    )
+    return polytope_skeleton(simplex_polytope(n, [1] * (n + 1)))
 
 
 def surface_cohomology(genus: int) -> GradedVS:
@@ -98,26 +66,15 @@ def builtin_fiber_join(n: int, genus: int) -> GkmGraph:
     skeleton = builtin_simplex(n)
     fiber = surface_cohomology(genus)
     ident = GradedMap.identity(fiber)
-    vertices = tuple(
-        GkmVertex(id=v.id, isotropy=v.isotropy, fiber=fiber) for v in skeleton.vertices
-    )
-    edges = tuple(
-        GkmEdge(
-            id=e.id,
-            source=e.source,
-            target=e.target,
-            isotropy=e.isotropy,
-            edge_fiber=fiber,
-            pullback_source=ident,
-            pullback_target=ident,
-        )
-        for e in skeleton.edges
-    )
-    return GkmGraph(
-        rank=skeleton.rank,
-        vertices=vertices,
-        edges=edges,
+    return replace(
+        skeleton,
+        vertices=tuple(replace(v, fiber=fiber) for v in skeleton.vertices),
+        edges=tuple(
+            replace(e, edge_fiber=fiber, pullback_source=ident, pullback_target=ident)
+            for e in skeleton.edges
+        ),
         manifold_dim=2 * n + 3,
+        bottom_orbit_dim=None,
     )
 
 

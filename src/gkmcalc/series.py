@@ -56,17 +56,12 @@ class DegreeSeries:
         return self.coeffs[degree]
 
     @classmethod
-    def from_coeffs(cls, coeffs, cutoff: int | None = None) -> "DegreeSeries":
-        coeffs = list(coeffs)
-        if cutoff is not None:
-            if cutoff < 0:
-                raise InputShapeError("negative cutoff")
-            coeffs = coeffs[: cutoff + 1] + [0] * (cutoff + 1 - len(coeffs))
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def zero(cls, cutoff: int) -> "DegreeSeries":
-        return cls.from_coeffs([], cutoff)
+    def from_coeffs(cls, coeffs, cutoff: int) -> "DegreeSeries":
+        """The coefficients cut, or padded with zeros, to degrees 0..cutoff."""
+        if cutoff < 0:
+            raise InputShapeError("negative cutoff")
+        coeffs = list(coeffs)[: cutoff + 1]
+        return cls(tuple(coeffs + [0] * (cutoff + 1 - len(coeffs))))
 
     def total(self) -> int:
         """Sum of all coefficients up to the cutoff."""
@@ -86,12 +81,6 @@ class DegreeSeries:
             )
         return DegreeSeries(self.coeffs[: cutoff + 1])
 
-    def pad(self, cutoff: int) -> "DegreeSeries":
-        """Extend with zeros: treats the known coefficients as complete."""
-        if cutoff < self.cutoff:
-            return self.truncate(cutoff)
-        return DegreeSeries(self.coeffs + (0,) * (cutoff - self.cutoff))
-
     def shift(self, k: int) -> "DegreeSeries":
         """Multiply by t^k, keeping the cutoff."""
         if k < 0:
@@ -102,15 +91,6 @@ class DegreeSeries:
     def add(self, other: "DegreeSeries") -> "DegreeSeries":
         d = min(self.cutoff, other.cutoff)
         return DegreeSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(d + 1)))
-
-    def mul(self, other: "DegreeSeries") -> "DegreeSeries":
-        d = min(self.cutoff, other.cutoff)
-        return DegreeSeries(
-            tuple(
-                sum(self.coeffs[i] * other.coeffs[m - i] for i in range(m + 1))
-                for m in range(d + 1)
-            )
-        )
 
     def mul_polynomial(self, poly) -> "DegreeSeries":
         """Multiply by a (complete) integer polynomial, keeping the cutoff."""
@@ -261,13 +241,11 @@ def morse_bott_assemble(data: MorseBottData, cutoff: int) -> DegreeSeries:
     and nonnegative because isotropy-invariant unstable bundles have even
     rank.
     """
-    if cutoff < 0:
-        raise InputShapeError("negative cutoff")
-    out = DegreeSeries.zero(cutoff)
+    out = DegreeSeries.from_coeffs([], cutoff)
     for index, series in data.components:
         if index < 0 or index % 2 != 0:
             raise InputShapeError(f"Morse-Bott index must be even and >= 0, got {index}")
-        out = out.add(series.pad(cutoff).shift(index))
+        out = out.add(DegreeSeries.from_coeffs(series.coeffs, cutoff).shift(index))
     return out
 
 
@@ -434,12 +412,14 @@ class CheckResult:
 class CheckReport:
     """Outcome of the theorem checks for one graph at one cutoff."""
 
-    cutoff: int
     equivariant: DegreeSeries
-    basic: DegreeSeries
-    basic_verdict: str
+    basic: BasicReport
     checks: tuple[CheckResult, ...]
     minimal: bool
+
+    @property
+    def cutoff(self) -> int:
+        return self.equivariant.cutoff
 
     @property
     def failed(self) -> bool:
@@ -453,8 +433,8 @@ class CheckReport:
         return {
             "cutoff": self.cutoff,
             "equivariant": self.equivariant.to_json(),
-            "basic": self.basic.to_json(),
-            "basic_verdict": self.basic_verdict,
+            "basic": self.basic.series.to_json(),
+            "basic_verdict": self.basic.verdict,
             "checks": [c.to_json() for c in self.checks],
             "minimal": self.minimal,
         }
@@ -599,14 +579,7 @@ def run_checks(graph, cutoff: int) -> CheckReport:
             )
         )
 
-    return CheckReport(
-        cutoff=cutoff,
-        equivariant=eq,
-        basic=basic,
-        basic_verdict=report.verdict,
-        checks=tuple(checks),
-        minimal=minimal,
-    )
+    return CheckReport(equivariant=eq, basic=report, checks=tuple(checks), minimal=minimal)
 
 
 def default_cutoff(vertex_count: int) -> int:

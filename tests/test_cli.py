@@ -85,6 +85,33 @@ class TestExample:
         code, _, err = run_cli(capsys, "example", "torus")
         assert code == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, extra", [
+        (["simplex", "--n", "2"], ["--weights", "1", "2", "3"]),
+        (["fiber-join", "--n", "1", "--genus", "1"], ["--m", "2"]),
+        (["hirzebruch", "--m", "2"], ["--genus", "1"]),
+        (["stiefel"], ["--n", "3"]),
+        (["simplex-polytope", "--n", "1", "--weights", "1", "2"], ["--genus", "0"]),
+    ])
+    def test_a_flag_the_example_does_not_take(self, capsys, argv, extra):
+        # each example runs with the flags it takes and refuses one more
+        assert run_cli(capsys, "example", *argv)[0] == 0
+        code, out, err = run_cli(capsys, "example", *argv, *extra)
+        assert (code, out) == (1, "")
+        assert err == f"error: example {argv[0]!r} does not take {extra[0]}\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["simplex"], "--n"),
+        (["fiber-join", "--genus", "1"], "--n"),
+        # a missing flag is named before a flag the example does not take
+        (["fiber-join", "--n", "1", "--m", "2"], "--genus"),
+        (["hirzebruch"], "--m"),
+        (["simplex-polytope", "--weights", "1", "2"], "--n"),
+    ])
+    def test_a_flag_the_example_requires(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "example", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: example {argv[0]!r} requires {flag}\n"
+
 
 class TestPipelines:
     def test_cohomology_pipe(self, capsys, monkeypatch, simplex2_json):
@@ -466,6 +493,20 @@ class TestDeterminism:
         assert lines[1] == "vertex P12+: isotropy rows [[1, 0, 1], [0, 1, 0]]"
         assert lines[5] == "edge P12+|P12-: P12+ -> P12-, isotropy rows [[0, 1, 0]]"
         assert len(lines) == 11
+
+    def test_polytope_table(self, capsys):
+        code, out, err = run_cli(capsys, "example", "simplex-polytope", "--n", "2",
+                                 "--weights", "1", "1/2", "3", "--format", "table")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "rank 3, 3 vertices, 3 facets",
+            "vertex v0: coords (1, 0, 0)",
+            "vertex v1: coords (0, 2, 0)",
+            "vertex v2: coords (0, 0, 1/3)",
+            "facet 0: normal (1, 0, 0), vertices v1, v2",
+            "facet 1: normal (0, 1, 0), vertices v0, v2",
+            "facet 2: normal (0, 0, 1), vertices v0, v1",
+        ]
 
     def test_basic_strict_inconclusive(self, capsys, monkeypatch, simplex2_json):
         code, _, _ = run_cli(

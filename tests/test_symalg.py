@@ -253,8 +253,8 @@ class TestRestrictionMatrix:
             if event == "call" and frame.f_code is coordinates.__code__:
                 calls.append((frame.f_locals["basis"], frame.f_locals["vectors"]))
 
+        g = builtin_simplex(4)  # validates, which fills _graded
         _graded.cache_clear()
-        g = builtin_simplex(4)
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
