@@ -122,10 +122,6 @@ class MatrixQ:
     def identity(cls, n: int) -> "MatrixQ":
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "MatrixQ":
-        return cls(rows, cols, [0] * (rows * cols))
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 

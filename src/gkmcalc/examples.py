@@ -94,7 +94,7 @@ def builtin_hirzebruch(m: int, pullback_scale: Fraction | int | str = 1) -> GkmG
     if scale == 0:
         raise InputShapeError("degree-2 pullback scalar must be nonzero")
     sphere = GradedVS.of({0: 1, 2: 1})
-    scaled = GradedMap(
+    scaled = GradedMap.from_matrices(
         sphere,
         sphere,
         ((0, MatrixQ.identity(1)), (2, MatrixQ.from_rows([[scale]]))),

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     InputShapeError,
@@ -41,6 +40,7 @@ from .exactlin import (
     kernel_rows,
     reduce_int_rows,
     subspace_from_json,
+    vector_to_json,
 )
 from .series import DegreeSeries
 from .symalg import contains, monomial_basis, restriction_images, sym_dim
@@ -105,61 +105,80 @@ class GradedVS:
         return cls(tuple((q, d) for q, d in pairs))
 
 
+def _is_int_row(row, width: int) -> bool:
+    """Whether ``row`` is ``(den, ((col, num), ...))`` as
+    :func:`~gkmcalc.exactlin.int_row` writes it, with every col below ``width``."""
+    den, pairs = row
+    last, g = -1, den
+    for c, n in pairs:
+        if not (n and last < c < width):
+            return False
+        last, g = c, gcd(g, n)
+    return den > 0 and g == 1
+
+
 @dataclass(frozen=True)
 class GradedMap:
     """Degree-preserving linear map between graded vector spaces.
 
     Blocks exist exactly for the degrees where both source and target are
-    nonzero; block q has shape target.dim(q) x source.dim(q).
+    nonzero.  Block q is a tuple of target.dim(q) rows, each
+    ``(den, ((col, num), ...))`` as :func:`~gkmcalc.exactlin.int_row` writes
+    it: the entry in column col is num / den, with nonzero nums at increasing
+    columns below source.dim(q) and den the least common denominator, so
+    equal maps are equal values.
     """
 
     source: GradedVS
     target: GradedVS
-    blocks: tuple[tuple[int, MatrixQ], ...]
+    blocks: tuple[tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]], ...]
 
     def __post_init__(self):
         degrees = [q for q, _ in self.blocks]
         if len(set(degrees)) != len(degrees):
             raise InputShapeError(f"graded map lists a degree twice: {sorted(degrees)}")
         object.__setattr__(self, "blocks", tuple(sorted(self.blocks)))
-        wanted = {
-            q for q in set(self.source.degrees()) & set(self.target.degrees())
-        }
+        wanted = set(self.source.degrees()) & set(self.target.degrees())
         got = {q for q, _ in self.blocks}
         if wanted != got:
             raise InputShapeError(
                 f"graded map must have blocks exactly in degrees {sorted(wanted)}, got {sorted(got)}"
             )
-        for q, m in self.blocks:
-            if m.rows != self.target.dim(q) or m.cols != self.source.dim(q):
+        for q, rows in self.blocks:
+            width = self.source.dim(q)
+            if len(rows) != self.target.dim(q) or not all(_is_int_row(r, width) for r in rows):
                 raise InputShapeError(
-                    f"block in degree {q} has shape {m.rows}x{m.cols}, expected "
-                    f"{self.target.dim(q)}x{self.source.dim(q)}"
+                    f"block in degree {q} is not {self.target.dim(q)} int rows over {width} columns"
                 )
 
     @classmethod
     def identity(cls, vs: GradedVS) -> "GradedMap":
-        return cls(vs, vs, tuple((q, MatrixQ.identity(d)) for q, d in vs.dims))
+        return cls(vs, vs, tuple((q, tuple((1, ((i, 1),)) for i in range(d))) for q, d in vs.dims))
 
-    def block(self, degree: int) -> MatrixQ | None:
-        for q, m in self.blocks:
-            if q == degree:
-                return m
-        return None
-
-    @cached_property
-    def int_rows(self) -> dict[int, tuple[tuple[int, dict[int, int]], ...]]:
-        """Each block's rows as :func:`~gkmcalc.exactlin.int_row` pairs, by degree."""
-        return {q: tuple(map(int_row, m.row_lists())) for q, m in self.blocks}
+    @classmethod
+    def from_matrices(cls, source: GradedVS, target: GradedVS, blocks) -> "GradedMap":
+        """The map with these ``(degree, MatrixQ)`` blocks, read by their nonzero entries."""
+        return cls(source, target, tuple(
+            (q, tuple((den, tuple(pairs.items())) for den, pairs in map(int_row, m.row_lists())))
+            for q, m in blocks
+        ))
 
     @property
     def is_identity(self) -> bool:
         return self.source == self.target and all(
-            m == MatrixQ.identity(m.rows) for _, m in self.blocks
+            row == (1, ((i, 1),)) for _, rows in self.blocks for i, row in enumerate(rows)
         )
 
     def to_json(self):
-        return {str(q): m.to_json() for q, m in self.blocks}
+        out = {}
+        for q, rows in self.blocks:
+            out[str(q)] = dense = []
+            for den, pairs in rows:
+                values = [0] * self.source.dim(q)
+                for c, n in pairs:
+                    values[c] = Fraction(n, den)
+                dense.append(vector_to_json(values))
+        return out
 
     @classmethod
     def from_json(cls, obj, source: GradedVS, target: GradedVS) -> "GradedMap":
@@ -174,7 +193,7 @@ class GradedMap:
             if q is None or key != str(q):
                 raise InputShapeError(f"bad pullback degree key {key!r}")
             blocks.append((q, MatrixQ.from_json(rows, cols=source.dim(q))))
-        return cls(source, target, tuple(blocks))
+        return cls.from_matrices(source, target, blocks)
 
 
 @dataclass(frozen=True)
@@ -221,16 +240,10 @@ class GkmGraph:
             for ref in (e.source, e.target):
                 if ref not in by_id:
                     raise InputShapeError(f"edge {e.id!r} references unknown vertex {ref!r}")
-        for v in self.vertices:
-            if v.isotropy.ambient_dim != self.rank:
+        for kind, x in [("vertex", v) for v in self.vertices] + [("edge", e) for e in self.edges]:
+            if x.isotropy.ambient_dim != self.rank:
                 raise InputShapeError(
-                    f"vertex {v.id!r} isotropy lives in Q^{v.isotropy.ambient_dim}, "
-                    f"graph rank is {self.rank}"
-                )
-        for e in self.edges:
-            if e.isotropy.ambient_dim != self.rank:
-                raise InputShapeError(
-                    f"edge {e.id!r} isotropy lives in Q^{e.isotropy.ambient_dim}, "
+                    f"{kind} {x.id!r} isotropy lives in Q^{x.isotropy.ambient_dim}, "
                     f"graph rank is {self.rank}"
                 )
         object.__setattr__(self, "_by_id", by_id)
@@ -332,18 +345,11 @@ def graph_from_json(obj) -> GkmGraph:
                 f"edge {ej['id']!r} references unknown vertex {src if src not in fibers else tgt!r}"
             )
         src_fiber, tgt_fiber = fibers[src], fibers[tgt]
-        if "edge_fiber" in ej:
-            edge_fiber = GradedVS.from_json(ej["edge_fiber"])
-        else:
-            edge_fiber = src_fiber
-        if "pullback_source" in ej:
-            p_src = GradedMap.from_json(ej["pullback_source"], src_fiber, edge_fiber)
-        else:
-            p_src = GradedMap.identity(src_fiber)
-        if "pullback_target" in ej:
-            p_tgt = GradedMap.from_json(ej["pullback_target"], tgt_fiber, edge_fiber)
-        else:
-            p_tgt = GradedMap.identity(tgt_fiber)
+        edge_fiber = GradedVS.from_json(ej["edge_fiber"]) if "edge_fiber" in ej else src_fiber
+        p_src, p_tgt = (
+            GradedMap.from_json(ej[key], fiber, edge_fiber) if key in ej else GradedMap.identity(fiber)
+            for key, fiber in (("pullback_source", src_fiber), ("pullback_target", tgt_fiber))
+        )
         edges.append(
             GkmEdge(
                 id=str(ej["id"]),
@@ -412,12 +418,6 @@ class ValidationReport:
     @property
     def failures(self) -> tuple[str, ...]:
         return tuple(c.reason for c in self.checks if not c.passed)
-
-    def check(self, name: str) -> ValidationCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
     def to_json(self):
         return {"valid": self.valid, "checks": [c.to_json() for c in self.checks]}
@@ -681,7 +681,7 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, bas
                 (e.target, e.pullback_target, -1),
             ):
                 block = index.get((vid, d, q))
-                prows = pullback.int_rows.get(q)
+                prows = dict(pullback.blocks).get(q)
                 if block is None or prows is None:
                     continue
                 scale, images = restriction_images(vertex_bases[vid], edge_bases[e.id], d)
@@ -702,7 +702,7 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, bas
                     for image in images:
                         for ir, r in image:
                             row = grid[ir * e_fdim + ip]
-                            for jp, p in ppairs.items():
+                            for jp, p in ppairs:
                                 row[base + jp] = f * r * p
                         base += width
             rows += filter(None, grid)

@@ -74,13 +74,6 @@ class DegreeSeries:
                 return d
         return None
 
-    def truncate(self, cutoff: int) -> "DegreeSeries":
-        if cutoff > self.cutoff:
-            raise InputShapeError(
-                f"cannot extend a series with cutoff {self.cutoff} to {cutoff}"
-            )
-        return DegreeSeries(self.coeffs[: cutoff + 1])
-
     def shift(self, k: int) -> "DegreeSeries":
         """Multiply by t^k, keeping the cutoff."""
         if k < 0:

@@ -311,6 +311,19 @@ def naive_rref(rows):
     return rows[:r], pivots
 
 
+def _dense_block(pullback, q):
+    """The block of a pullback in degree q as dense Fraction rows, or None."""
+    rows = dict(pullback.blocks).get(q)
+    if rows is None:
+        return None
+    out = []
+    for den, pairs in rows:
+        out.append([Fraction(0)] * pullback.source.dim(q))
+        for c, n in pairs:
+            out[-1][c] = Fraction(n, den)
+    return out
+
+
 def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
     """Rows of the edge-restriction map at one total degree."""
     index = {(b.vertex, b.poly_degree, b.fiber_degree): b for b in blocks}
@@ -329,7 +342,7 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
                 (e.target, e.pullback_target, -1),
             ):
                 block = index.get((vid, d, q))
-                pb = pullback.block(q)
+                pb = _dense_block(pullback, q)
                 if block is None or pb is None:
                     continue
                 rmat = dense(restriction_images(graph.vertex(vid).isotropy.rows, e.isotropy.rows, d),
@@ -347,7 +360,7 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
                                 continue
                             base = block.offset + jr * block.fiber_dim
                             for jp in range(block.fiber_dim):
-                                p = pb.entry(ip, jp)
+                                p = pb[ip][jp]
                                 if p:
                                     row[base + jp] = sign * r * p
                     rows.append(row)

@@ -597,6 +597,15 @@ class TestHostileInputs:
         ("example", ["simplex-polytope", "--n", "1", "--weights", "1e1", " 0.5"]),
     ]
 
+    def test_morse_bott_series_without_coeffs(self, capsys, monkeypatch):
+        payload = {"components": [{"index": 0, "series": {"cutoff": 2}}]}
+        code, out, err = run_cli(
+            capsys, "morse-bott", "-", stdin=json.dumps(payload), monkeypatch=monkeypatch
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("cmd,payload", PAYLOADS)
     def test_clean_rejection(self, capsys, monkeypatch, cmd, payload):
         if cmd == "example":

@@ -1,7 +1,9 @@
 """Cross-module invariants not pinned elsewhere."""
 
 import ast
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -53,10 +55,12 @@ def names(node):
 
 def test_no_dead_public_names():
     # each top-level public function or class of the library is named in
-    # src/ outside its own definition, or in scripts/, or exported; and no
-    # module but __init__ imports a name it never reads.  Uses are name (and,
-    # for definitions, attribute) nodes of the AST, so a mention in a
-    # docstring is none.
+    # src/ outside its own definition, or in scripts/, or exported; each
+    # public method of a library class is read as an attribute in src/
+    # outside its own definition or in scripts/ (overrides of a base class
+    # from outside gkmcalc aside); and no module but __init__ imports a name
+    # it never reads.  Uses are name (and, for definitions, attribute) nodes
+    # of the AST, so a mention in a docstring is none.
     package = Path(gkmcalc.__file__).parent
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     scripts = [ast.parse(path.read_text())
@@ -72,6 +76,20 @@ def test_no_dead_public_names():
         and stmt.name not in outside
         and not any(stmt.name in refs for j, refs in enumerate(used) if j != i)
     ]
+    attributes = Counter(n.attr for tree in [*modules.values(), *scripts]
+                         for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    for module, tree in modules.items():
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            bases = getattr(importlib.import_module(f"gkmcalc.{module}"), cls.name).__mro__[1:]
+            dead += [
+                f"{module}.{cls.name}.{fn.name}"
+                for fn in cls.body
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                and not any(fn.name in vars(base) for base in bases
+                            if not base.__module__.startswith("gkmcalc"))
+                and attributes[fn.name] == sum(isinstance(n, ast.Attribute) and n.attr == fn.name
+                                               for n in ast.walk(fn))
+            ]
     assert dead == []
     unused = []
     for module, tree in modules.items():

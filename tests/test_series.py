@@ -67,9 +67,9 @@ class TestDegreeSeries:
     def test_shift(self):
         assert DegreeSeries((1, 2, 3)).shift(2).coeffs == (0, 0, 1)
 
-    def test_truncate_cannot_extend(self):
+    def test_json_without_coeffs(self):
         with pytest.raises(InputShapeError):
-            DegreeSeries((1,)).truncate(3)
+            DegreeSeries.from_json({"cutoff": 2})
 
     def test_json_round_trip(self):
         s = DegreeSeries((1, 0, 3, 0))
@@ -329,6 +329,28 @@ class TestRunChecks:
         assert report.basic.total == 8
         odd = report.to_json()["checks"][0]
         assert odd["name"] == "odd_basic_vanishing" and odd["status"] == "skipped"
+
+    @pytest.mark.parametrize("vertex_fiber, edge_fiber", [
+        ([[0, 1], [1, 2], [2, 1]], [[0, 1]]),
+        ([[0, 1]], [[0, 1], [1, 2], [2, 1]]),
+    ])
+    def test_odd_fibers_on_one_side_skip_odd_vanishing(self, vertex_fiber, edge_fiber):
+        # surface fibers at the vertices over point edge fibers, and the
+        # reverse: an odd fiber class on either side leaves odd basic
+        # coefficients free
+        pullback = {"0": [[1]]}
+        graph = graph_from_json({
+            "rank": 2,
+            "manifold_dim": 5,
+            "vertices": [{"id": vid, "isotropy": [normal], "fiber": {"dims": vertex_fiber}}
+                         for vid, normal in (("a", [1, 0]), ("b", [0, 1]))],
+            "edges": [{"id": "e", "source": "a", "target": "b", "isotropy": [],
+                       "edge_fiber": {"dims": edge_fiber},
+                       "pullback_source": pullback, "pullback_target": pullback}],
+        })
+        report = run_checks(graph, 12)
+        odd = next(c for c in report.checks if c.name == "odd_basic_vanishing")
+        assert odd.status == "skipped"
 
     def test_hirzebruch_checks(self):
         report = run_checks(builtin_hirzebruch(2), 12)

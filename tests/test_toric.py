@@ -96,7 +96,7 @@ class TestPolytopeSkeleton:
         assert set(degree.values()) == {2}
         report = validate_graph(skel)
         assert report.valid
-        assert report.check("EDGE_COUNT").passed
+        assert next(c for c in report.checks if c.name == "EDGE_COUNT").passed
 
     def test_square_vertex_count_equals_basic_total(self):
         skel = polytope_skeleton(square_polytope())
