@@ -1,24 +1,31 @@
 #!/usr/bin/env python3
 """Write the CLI golden corpus that ``tests/test_cli_golden.py`` replays.
 
-For every case below this runs ``cohomology``, ``basic`` and ``check``
-in-process through ``gkmcalc.cli.main`` and writes, into the output
-directory (default ``tests/data/cli_golden``):
+Every run goes in-process through ``gkmcalc.cli.main``.  Into the output
+directory (default ``tests/data/cli_golden``) this writes:
 
 * ``<case>.graph.json``: the stdout of ``example`` for builtin cases, which
   is their input graph (fixture cases read their file under ``tests/data``);
 * ``<case>.<command>.out`` / ``.err`` / ``.exit``: stdout, stderr and the
-  exit code of each command on that graph;
+  exit code of ``cohomology``, ``basic`` and ``check`` on each case;
+* ``<input>``: the documents of ``INPUTS`` that the further runs read;
+* ``<run>.out`` / ``.err`` / ``.exit``: the same for each run of ``RUNS``,
+  which covers every other subcommand, ``--format table`` on each one,
+  ``--strict`` and rejected flags;
+* ``parser.json``: for the root parser and each subparser, every action's
+  option strings, destination, default, choices, nargs, help and
+  requiredness (``parser_description``);
 * ``cases.json``: the manifest the test replays.
 
 Run it against the checkout whose behaviour is to be pinned, with the
 ``GKM_MAX_DEGREE`` environment variable unset::
 
-    PYTHONPATH=path/to/checkout/src python3 scripts/write_cli_golden.py
+    PYTHONPATH=path/to/checkout/src python3 scripts/write_cli_golden.py [OUTDIR]
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -26,7 +33,7 @@ import os
 import sys
 from pathlib import Path
 
-from gkmcalc.cli import main
+from gkmcalc.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -43,6 +50,60 @@ CASES = {
 
 COMMANDS = ("cohomology", "basic", "check")
 
+#: input file -> its JSON document, or the ``example`` arguments that print it
+INPUTS = {
+    "simplex_polytope.json": ["simplex-polytope", "--n", "2", "--weights", "1", "1/2", "3"],
+    # a disconnected graph with a self-loop: two mandatory checks fail
+    "invalid.graph.json": {
+        "rank": 2,
+        "vertices": [{"id": "a", "isotropy": [[1, 0]]}, {"id": "b", "isotropy": [[0, 1]]},
+                     {"id": "c", "isotropy": [[1, 1]]}],
+        "edges": [{"id": "e", "source": "a", "target": "b", "isotropy": []},
+                  {"id": "l", "source": "c", "target": "c", "isotropy": []}],
+    },
+    "components.json": {"components": [
+        {"index": 0, "series": {"cutoff": 2, "coeffs": [1, 0, 1]}},
+        {"index": 2, "series": {"cutoff": 4, "coeffs": [1, 0, 2, 0, 1]}},
+    ]},
+    "gysin.json": {"basic_dims": [1, 2, 1], "euler_mult": [[[1], [0]], [[1, 0]]]},
+    # the Euler map out of the top degree must land in zero
+    "gysin_top.json": {"basic_dims": [1, 1], "euler_mult": [[[1]], [[1]]]},
+}
+
+#: run -> (subcommand, input file or None, further arguments); a file named
+#: ``<case>.graph.json`` or ``../<fixture>`` is one of the cases' inputs
+RUNS = {
+    "validate": ("validate", "hirzebruch2.graph.json", []),
+    "validate_invalid": ("validate", "invalid.graph.json", []),
+    "morse_bott": ("morse-bott", "components.json", []),
+    "morse_bott_cutoff": ("morse-bott", "components.json", ["--max-degree", "5"]),
+    "gysin": ("gysin", "gysin.json", []),
+    "gysin_top": ("gysin", "gysin_top.json", []),
+    "toric_skeleton": ("toric-skeleton", "simplex_polytope.json", []),
+    "example_simplex": ("example", None, ["simplex", "--n", "2"]),
+    "example_fiber_join": ("example", None, ["fiber-join", "--n", "1", "--genus", "2"]),
+    "example_hirzebruch": ("example", None, ["hirzebruch", "--m", "1"]),
+    "example_stiefel": ("example", None, ["stiefel"]),
+    "example_simplex_polytope": ("example", None, ["simplex-polytope", "--n", "3"]),
+    "example_missing_flag": ("example", None, ["fiber-join", "--n", "2"]),
+    "example_rejected_flag": ("example", None, ["stiefel", "--m", "2"]),
+    "table_validate": ("validate", "invalid.graph.json", ["--format", "table"]),
+    "table_cohomology": ("cohomology", "hirzebruch2.graph.json",
+                         ["--max-degree", "6", "--format", "table"]),
+    "table_basic": ("basic", "../fiber_degree4_vertex.json", ["--max-degree", "3",
+                                                                "--format", "table"]),
+    "table_morse_bott": ("morse-bott", "components.json", ["--format", "table"]),
+    "table_gysin": ("gysin", "gysin.json", ["--format", "table"]),
+    "table_toric_skeleton": ("toric-skeleton", "simplex_polytope.json", ["--format", "table"]),
+    "table_check": ("check", "hirzebruch2.graph.json", ["--format", "table"]),
+    "table_example_graph": ("example", None, ["hirzebruch", "--m", "2", "--format", "table"]),
+    "table_example_polytope": ("example", None, ["simplex-polytope", "--n", "2", "--weights",
+                                                 "1", "1/2", "3", "--format", "table"]),
+    "strict_basic": ("basic", "../fiber_degree4_vertex.json", ["--max-degree", "3", "--strict"]),
+    "strict_check": ("check", "../fiber_degree4_vertex.json", ["--max-degree", "3", "--strict"]),
+    "unknown_flag": ("cohomology", "simplex3.graph.json", ["--frobnicate"]),
+}
+
 
 def run(argv):
     """``(exit code, stdout, stderr)`` of one in-process CLI call."""
@@ -50,6 +111,48 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def parser_description():
+    """Each parser's actions, the root first and then the subcommands in order."""
+    root = build_parser()
+    parsers = {"": root}
+    for action in root._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers.update(action.choices)
+    description = {}
+    for name, parser in parsers.items():
+        actions = []
+        for action in parser._actions:
+            entry = {
+                "option_strings": action.option_strings,
+                "dest": action.dest,
+                "default": action.default,
+                "choices": None if action.choices is None else list(action.choices),
+                "nargs": action.nargs,
+                "help": action.help,
+                "required": action.required,
+            }
+            if isinstance(action, argparse._SubParsersAction):
+                entry["subcommand_help"] = [a.help for a in action._choices_actions]
+            actions.append(entry)
+        description[name] = {"prog": parser.prog, "description": parser.description,
+                             "actions": actions}
+    return description
+
+
+def input_path(outdir: Path, source: str) -> Path:
+    """A fixture ``../<name>`` lies under tests/data, any other input in ``outdir``."""
+    if source.startswith("../"):
+        return REPO / "tests" / "data" / source[3:]
+    return outdir / source
+
+
+def write_run(stem: Path, argv):
+    code, out, err = run(argv)
+    Path(f"{stem}.out").write_text(out)
+    Path(f"{stem}.err").write_text(err)
+    Path(f"{stem}.exit").write_text(f"{code}\n")
 
 
 def write(outdir: Path):
@@ -68,14 +171,22 @@ def write(outdir: Path):
             graph = REPO / "tests" / "data" / source
             manifest[case] = {"example": None, "input": f"../{source}", "flags": flags}
         for command in COMMANDS:
-            code, out, err = run([command, str(graph), *flags])
-            stem = outdir / f"{case}.{command}"
-            Path(f"{stem}.out").write_text(out)
-            Path(f"{stem}.err").write_text(err)
-            Path(f"{stem}.exit").write_text(f"{code}\n")
-    (outdir / "cases.json").write_text(
-        json.dumps({"commands": list(COMMANDS), "cases": manifest}, indent=2) + "\n"
-    )
+            write_run(outdir / f"{case}.{command}", [command, str(graph), *flags])
+    for name, doc in INPUTS.items():
+        if isinstance(doc, list):
+            code, text, _ = run(["example", *doc])
+            assert code == 0, (name, code)
+        else:
+            text = json.dumps(doc, indent=2) + "\n"
+        (outdir / name).write_text(text)
+    runs = {}
+    for name, (command, source, flags) in RUNS.items():
+        path = [] if source is None else [str(input_path(outdir, source))]
+        write_run(outdir / name, [command, *path, *flags])
+        runs[name] = {"command": command, "input": source, "flags": flags}
+    (outdir / "parser.json").write_text(json.dumps(parser_description(), indent=2) + "\n")
+    (outdir / "cases.json").write_text(json.dumps(
+        {"commands": list(COMMANDS), "cases": manifest, "runs": runs}, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -5,16 +5,24 @@ stdout, except the closed-stdout test, which needs a real pipe;
 determinism is asserted on raw output bytes.
 """
 
+import contextlib
+import copy
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gkmcalc
+from gkmcalc import simplex_polytope
 from gkmcalc.cli import main
+from gkmcalc.examples import builtin_hirzebruch, builtin_simplex
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -419,6 +427,19 @@ class TestDeterminism:
             "betti": [1, 0, 0, 0, 0, 0, 0, 1],
         }
 
+    def test_gysin_prints_what_the_library_computes_at_n_zero(self, capsys, monkeypatch):
+        # one basic degree: n = 0, the circle, as gysin_betti computes it
+        code, out, err = run_cli(capsys, "gysin", "-", stdin=json.dumps({"basic_dims": [1]}),
+                                 monkeypatch=monkeypatch)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"manifold_dim": 1, "betti": [1, 1]}
+
+    def test_gysin_without_degree_zero(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, "gysin", "-", stdin=json.dumps({"basic_dims": []}),
+                                 monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == "error: basic degree-0 dimension must be 1 (connected manifold)\n"
+
     def test_morse_bott_from_file(self, capsys, tmp_path):
         data = {
             "components": [
@@ -624,3 +645,120 @@ class TestHostileInputs:
         )
         assert code == 1
         assert "euler_mult" in err
+
+
+def test_docs_list_the_subcommands():
+    # the module docstring and the README list the subcommands of the
+    # pinned parser, in its order
+    parsers = json.loads((DATA / "cli_golden" / "parser.json").read_text())
+    choices = [name for name in parsers if name]
+    docstring = gkmcalc.cli.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
+    assert [line.split()[0] for line in docstring.splitlines()] == choices
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = readme.split("\nSubcommands: ", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`([a-z-]+)`", re.sub(r"\([^)]*\)", "", listed)) == choices
+
+
+def _graph_with_edge_fiber():
+    """``hirzebruch --m 1`` with its edge fiber and pullbacks written out."""
+    doc = builtin_hirzebruch(1).to_json()
+    doc["edges"][0].update(edge_fiber={"dims": [[0, 1], [2, 1]]},
+                           pullback_source={"0": [[1]], "2": [[1]]},
+                           pullback_target={"0": [[1]], "2": [[1]]})
+    return doc
+
+
+#: valid documents of each kind the subcommands read; every declared size,
+#: index and degree in them is small
+SEEDS = {
+    "graph": [builtin_simplex(1).to_json(), builtin_simplex(2).to_json(),
+              _graph_with_edge_fiber(),
+              json.loads((DATA / "fiber_degree4_vertex.json").read_text())],
+    "polytope": [simplex_polytope(2, [1, 2, 3]).to_json()],
+    "gysin": [{"basic_dims": [1, 2, 1], "euler_mult": [[[1], [0]], [[1, 0]]]},
+              {"basic_dims": [1, 1, 1, 1], "euler_mult": [[[1]], [[1]], [[1]], []]}],
+    "morse-bott": [{"components": [{"index": 0, "series": {"cutoff": 2, "coeffs": [1, 0, 1]}},
+                                   {"index": 2, "series": {"cutoff": 0, "coeffs": [1]}}]}],
+}
+READS = {"validate": "graph", "cohomology": "graph", "basic": "graph", "check": "graph",
+         "toric-skeleton": "polytope", "gysin": "gysin", "morse-bott": "morse-bott"}
+ATOMS = st.one_of(st.none(), st.booleans(), st.integers(-2, 4),
+                  st.sampled_from(["", "v0", "1/2", "-1", "0/0", "2/4", 0.5]))
+VALUES = st.one_of(ATOMS, st.lists(ATOMS, max_size=3),
+                   st.dictionaries(st.sampled_from(["id", "dims", "coeffs", "cutoff"]), ATOMS,
+                                   max_size=2))
+
+
+def _containers(node, path=()):
+    """The path of every list and dict in a JSON document."""
+    if isinstance(node, (list, dict)):
+        yield path
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _containers(value, path + (key,))
+
+
+def _mutate(data, doc):
+    """``doc`` with a few keys or elements deleted, replaced or duplicated."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 4))):
+        node = doc
+        for key in data.draw(st.sampled_from(list(_containers(doc)))):
+            node = node[key]
+        if not node:
+            continue
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        op = data.draw(st.sampled_from(("delete", "replace", "duplicate")))
+        if op == "delete":
+            del node[key]
+        elif op == "replace":
+            node[key] = data.draw(VALUES)
+        elif isinstance(node, list):
+            node.insert(key, copy.deepcopy(node[key]))
+        else:
+            node[key] = copy.deepcopy(node[data.draw(st.sampled_from(sorted(node)))])
+    return doc
+
+
+def _run_on_stdin(argv, text):
+    # run_cli without its function-scoped fixtures, which hypothesis does not
+    # reset between examples
+    saved = sys.stdin
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_documents(data):
+    # mutated documents, mostly of the kind the subcommand reads: no
+    # exception escapes, the exit code is in the contract, stderr is empty,
+    # the warning or one error line, and a second run prints the same bytes
+    command = data.draw(st.sampled_from(sorted(READS)))
+    # one draw in four takes a document of any kind
+    kind = READS[command]
+    if data.draw(st.integers(0, 3)) == 0:
+        kind = data.draw(st.sampled_from(sorted(SEEDS)))
+    doc = _mutate(data, data.draw(st.sampled_from(SEEDS[kind])))
+    argv = [command, "-"]
+    if command in ("cohomology", "basic", "check", "morse-bott"):
+        cutoff = data.draw(st.sampled_from((None, 0, 3, 6)))
+        argv += [] if cutoff is None else ["--max-degree", str(cutoff)]
+    strict = command in ("basic", "check") and data.draw(st.booleans())
+    argv += ["--strict"] if strict else []
+    text = json.dumps(doc)
+    code, out, err = _run_on_stdin(argv, text)
+    assert _run_on_stdin(argv, text) == (code, out, err)
+    assert code in (0, 1, 2, 3) and (code != 3 or strict)
+    if err:
+        assert err.endswith("\n") and err.count("\n") == 1
+        if err.startswith("error: "):
+            assert code in (1, 2) and out == ""
+        else:
+            assert err.startswith("warning: ") and code == 0

@@ -53,14 +53,29 @@ def names(node):
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def defined(stmt):
+    """The names a top-level statement binds: a definition's or assignment's."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def test_no_dead_public_names():
     # each top-level public function or class of the library is named in
     # src/ outside its own definition, or in scripts/, or exported; each
     # public method of a library class is read as an attribute in src/
     # outside its own definition or in scripts/ (overrides of a base class
-    # from outside gkmcalc aside); and no module but __init__ imports a name
-    # it never reads.  Uses are name (and, for definitions, attribute) nodes
-    # of the AST, so a mention in a docstring is none.
+    # from outside gkmcalc aside); each top-level private function, class or
+    # assignment (dunders aside) is named in src/ outside its own statement;
+    # and no module but __init__ imports a name it never reads.  Uses are
+    # name (and, for definitions, attribute) nodes of the AST, so a mention
+    # in a docstring is none.
     package = Path(gkmcalc.__file__).parent
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     scripts = [ast.parse(path.read_text())
@@ -75,6 +90,13 @@ def test_no_dead_public_names():
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
         and stmt.name not in outside
         and not any(stmt.name in refs for j, refs in enumerate(used) if j != i)
+    ]
+    dead += [
+        f"{module}.{name}"
+        for i, (module, stmt) in enumerate(statements)
+        for name in defined(stmt)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in refs for j, refs in enumerate(used) if j != i)
     ]
     attributes = Counter(n.attr for tree in [*modules.values(), *scripts]
                          for n in ast.walk(tree) if isinstance(n, ast.Attribute))
