@@ -68,6 +68,16 @@ INPUTS = {
     "gysin.json": {"basic_dims": [1, 2, 1], "euler_mult": [[[1], [0]], [[1, 0]]]},
     # the Euler map out of the top degree must land in zero
     "gysin_top.json": {"basic_dims": [1, 1], "euler_mult": [[[1]], [[1]]]},
+    # a zero top map with a row: still not a map into zero
+    "gysin_top_zero_row.json": {"basic_dims": [1, 1], "euler_mult": [[[1]], [[0]]]},
+    # an Euler row longer than its source degree
+    "gysin_ragged.json": {"basic_dims": [1, 1], "euler_mult": [[[1, 2]]]},
+    # a 0x1 map where a 1x1 one is due
+    "gysin_short.json": {"basic_dims": [1, 1], "euler_mult": [[]]},
+    # maps into and out of a zero degree: 0x1, then 1x0
+    "gysin_empty_degree.json": {"basic_dims": [1, 0, 1], "euler_mult": [[], [[]]]},
+    # one map where two are due
+    "gysin_undercount.json": {"basic_dims": [1, 2, 1], "euler_mult": [[[1], [0]]]},
 }
 
 #: run -> (subcommand, input file or None, further arguments); a file named
@@ -79,6 +89,11 @@ RUNS = {
     "morse_bott_cutoff": ("morse-bott", "components.json", ["--max-degree", "5"]),
     "gysin": ("gysin", "gysin.json", []),
     "gysin_top": ("gysin", "gysin_top.json", []),
+    "gysin_top_zero_row": ("gysin", "gysin_top_zero_row.json", []),
+    "gysin_ragged": ("gysin", "gysin_ragged.json", []),
+    "gysin_short": ("gysin", "gysin_short.json", []),
+    "gysin_empty_degree": ("gysin", "gysin_empty_degree.json", []),
+    "gysin_undercount": ("gysin", "gysin_undercount.json", []),
     "toric_skeleton": ("toric-skeleton", "simplex_polytope.json", []),
     "example_simplex": ("example", None, ["simplex", "--n", "2"]),
     "example_fiber_join": ("example", None, ["fiber-join", "--n", "1", "--genus", "2"]),

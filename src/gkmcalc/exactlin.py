@@ -118,10 +118,6 @@ class MatrixQ:
                 raise InputShapeError("ragged rows in matrix input")
         return cls(len(rows), cols, [x for r in rows for x in r])
 
-    @classmethod
-    def identity(cls, n: int) -> "MatrixQ":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
@@ -136,15 +132,6 @@ class MatrixQ:
 
     def to_json(self):
         return [vector_to_json(self.row(i)) for i in range(self.rows)]
-
-    @classmethod
-    def from_json(cls, obj, cols: int | None = None) -> "MatrixQ":
-        if not isinstance(obj, list):
-            raise InputShapeError(f"matrix must be an array of arrays, got {obj!r}")
-        rows = [vector_from_json(r) for r in obj]
-        if not rows and cols is None:
-            cols = 0
-        return cls.from_rows(rows, cols)
 
 
 # --- integer row reduction ---------------------------------------------------
@@ -168,6 +155,44 @@ def int_row(values) -> tuple[int, dict[int, int]]:
         if x.denominator != 1:
             den = lcm(den, x.denominator)
     return den, {c: x.numerator * (den // x.denominator) for c, x in enumerate(values) if x}
+
+
+# A matrix the library holds, a pullback block or an Euler map, is a tuple of
+# int rows ``(den, ((col, num), ...))``: the entry in column col is num / den,
+# with nonzero nums at increasing columns and den the least common
+# denominator, so equal matrices are equal values.  JSON writes them dense.
+
+
+def is_int_row(row, cols: int) -> bool:
+    """Whether ``row`` is an int row with every column below ``cols``."""
+    den, pairs = row
+    last, g = -1, den
+    for c, n in pairs:
+        if not (n and last < c < cols):
+            return False
+        last, g = c, gcd(g, n)
+    return den > 0 and g == 1
+
+
+def int_rows_from_json(obj, cols: int):
+    """The int rows of a JSON matrix whose rows have ``cols`` entries each."""
+    if not isinstance(obj, list):
+        raise InputShapeError(f"matrix must be an array of arrays, got {obj!r}")
+    vectors = [vector_from_json(r) for r in obj]
+    if any(len(v) != cols for v in vectors):
+        raise InputShapeError("ragged rows in matrix input")
+    return tuple((den, tuple(pairs.items())) for den, pairs in map(int_row, vectors))
+
+
+def int_rows_to_json(rows, cols: int):
+    """The JSON matrix of int rows over ``cols`` columns, zeros written out."""
+    out = []
+    for den, pairs in rows:
+        values = [0] * cols
+        for c, n in pairs:
+            values[c] = Fraction(n, den)
+        out.append(vector_to_json(values))
+    return out
 
 
 def _primitive(row):
@@ -372,12 +397,6 @@ def kernel_rows(rows, ncols: int) -> list[list[Fraction]]:
             dense[k] = Fraction(v, piv)
         out.append(dense)
     return out
-
-
-def rank_of_rows(rows, ncols: int) -> int:
-    """Rank of a matrix given as rational rows, without normalizing output."""
-    _, pivots = reduce_int_rows([int_row(r)[1] for r in rows], ncols, rank_only=True)
-    return len(pivots)
 
 
 def kernel_basis(m: MatrixQ) -> MatrixQ:

@@ -28,7 +28,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .errors import InputShapeError
-from .exactlin import MatrixQ, _as_rational, canonical_subspace
+from .exactlin import _as_rational, canonical_subspace
 from .gkmcore import GkmEdge, GkmGraph, GkmVertex, GradedMap, GradedVS
 from .toric import polytope_skeleton, simplex_polytope
 
@@ -94,11 +94,11 @@ def builtin_hirzebruch(m: int, pullback_scale: Fraction | int | str = 1) -> GkmG
     if scale == 0:
         raise InputShapeError("degree-2 pullback scalar must be nonzero")
     sphere = GradedVS.of({0: 1, 2: 1})
-    scaled = GradedMap.from_matrices(
-        sphere,
-        sphere,
-        ((0, MatrixQ.identity(1)), (2, MatrixQ.from_rows([[scale]]))),
-    )
+    # the identity in degree 0 and the int row of the scalar in degree 2
+    scaled = GradedMap(sphere, sphere, (
+        (0, ((1, ((0, 1),)),)),
+        (2, ((scale.denominator, ((0, scale.numerator),)),)),
+    ))
     vertices = (
         GkmVertex(
             id=f"L({m},1)",

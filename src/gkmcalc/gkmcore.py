@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import (
     InputShapeError,
@@ -35,12 +35,13 @@ from .exactlin import (
     SubspaceQ,
     dual_basis,
     hyperplane_normal,
-    int_row,
+    int_rows_from_json,
+    int_rows_to_json,
     is_int,
+    is_int_row,
     kernel_rows,
     reduce_int_rows,
     subspace_from_json,
-    vector_to_json,
 )
 from .series import DegreeSeries
 from .symalg import contains, monomial_basis, restriction_images, sym_dim
@@ -105,28 +106,14 @@ class GradedVS:
         return cls(tuple((q, d) for q, d in pairs))
 
 
-def _is_int_row(row, width: int) -> bool:
-    """Whether ``row`` is ``(den, ((col, num), ...))`` as
-    :func:`~gkmcalc.exactlin.int_row` writes it, with every col below ``width``."""
-    den, pairs = row
-    last, g = -1, den
-    for c, n in pairs:
-        if not (n and last < c < width):
-            return False
-        last, g = c, gcd(g, n)
-    return den > 0 and g == 1
-
-
 @dataclass(frozen=True)
 class GradedMap:
     """Degree-preserving linear map between graded vector spaces.
 
     Blocks exist exactly for the degrees where both source and target are
-    nonzero.  Block q is a tuple of target.dim(q) rows, each
-    ``(den, ((col, num), ...))`` as :func:`~gkmcalc.exactlin.int_row` writes
-    it: the entry in column col is num / den, with nonzero nums at increasing
-    columns below source.dim(q) and den the least common denominator, so
-    equal maps are equal values.
+    nonzero.  Block q is a tuple of target.dim(q) int rows over source.dim(q)
+    columns, in the form of :func:`~gkmcalc.exactlin.is_int_row`, so equal
+    maps are equal values.
     """
 
     source: GradedVS
@@ -146,7 +133,7 @@ class GradedMap:
             )
         for q, rows in self.blocks:
             width = self.source.dim(q)
-            if len(rows) != self.target.dim(q) or not all(_is_int_row(r, width) for r in rows):
+            if len(rows) != self.target.dim(q) or not all(is_int_row(r, width) for r in rows):
                 raise InputShapeError(
                     f"block in degree {q} is not {self.target.dim(q)} int rows over {width} columns"
                 )
@@ -155,14 +142,6 @@ class GradedMap:
     def identity(cls, vs: GradedVS) -> "GradedMap":
         return cls(vs, vs, tuple((q, tuple((1, ((i, 1),)) for i in range(d))) for q, d in vs.dims))
 
-    @classmethod
-    def from_matrices(cls, source: GradedVS, target: GradedVS, blocks) -> "GradedMap":
-        """The map with these ``(degree, MatrixQ)`` blocks, read by their nonzero entries."""
-        return cls(source, target, tuple(
-            (q, tuple((den, tuple(pairs.items())) for den, pairs in map(int_row, m.row_lists())))
-            for q, m in blocks
-        ))
-
     @property
     def is_identity(self) -> bool:
         return self.source == self.target and all(
@@ -170,15 +149,7 @@ class GradedMap:
         )
 
     def to_json(self):
-        out = {}
-        for q, rows in self.blocks:
-            out[str(q)] = dense = []
-            for den, pairs in rows:
-                values = [0] * self.source.dim(q)
-                for c, n in pairs:
-                    values[c] = Fraction(n, den)
-                dense.append(vector_to_json(values))
-        return out
+        return {str(q): int_rows_to_json(rows, self.source.dim(q)) for q, rows in self.blocks}
 
     @classmethod
     def from_json(cls, obj, source: GradedVS, target: GradedVS) -> "GradedMap":
@@ -192,8 +163,8 @@ class GradedMap:
                 q = None
             if q is None or key != str(q):
                 raise InputShapeError(f"bad pullback degree key {key!r}")
-            blocks.append((q, MatrixQ.from_json(rows, cols=source.dim(q))))
-        return cls.from_matrices(source, target, blocks)
+            blocks.append((q, int_rows_from_json(rows, source.dim(q))))
+        return cls(source, target, tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -227,6 +198,8 @@ class GkmGraph:
     def __post_init__(self):
         if self.rank < 1:
             raise InputShapeError("graph rank must be at least 1")
+        if self.manifold_dim is not None and not (self.manifold_dim > 0 and self.manifold_dim % 2):
+            raise InputShapeError("manifold_dim must be odd (2n+1) and positive")
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(self.edges))
         ids = [v.id for v in self.vertices]
@@ -522,7 +495,6 @@ def validate_graph(graph: GkmGraph) -> ValidationReport:
     if (
         graph.manifold_dim is not None
         and graph.bottom_orbit_dim == 1
-        and graph.manifold_dim % 2 == 1
         and graph.is_point_fibered
     ):
         n = (graph.manifold_dim - 1) // 2

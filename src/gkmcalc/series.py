@@ -28,7 +28,7 @@ from .errors import (
     GysinInconsistency,
     InputShapeError,
 )
-from .exactlin import MatrixQ, is_int, rank_of_rows
+from .exactlin import int_rows_from_json, int_rows_to_json, is_int, is_int_row, reduce_int_rows
 from .symalg import sym_dim
 
 VERDICT_POLYNOMIAL = "polynomial up to cutoff"
@@ -197,10 +197,6 @@ class MorseBottData:
 
     components: tuple[tuple[int, DegreeSeries], ...]
 
-    @classmethod
-    def of(cls, components) -> "MorseBottData":
-        return cls(tuple((i, s) for i, s in components))
-
     def to_json(self):
         return {
             "components": [
@@ -246,29 +242,53 @@ def morse_bott_assemble(data: MorseBottData, cutoff: int) -> DegreeSeries:
 class GysinData:
     """Even basic Betti numbers plus the Euler-class multiplications.
 
-    ``basic_dims[k]`` is dim H^(2k) of the foliation for k = 0..n;
-    ``euler_mult[k]`` is the matrix of multiplication by the basic Euler
-    class H^(2k) -> H^(2k+2).  The top map (k = n) has zero target and may
-    be omitted.
+    ``basic_dims[k]`` is dim H^(2k) of the foliation for k = 0..n, with
+    ``basic_dims[0] == 1`` (a connected manifold); ``euler_mult[k]`` is the
+    matrix of multiplication by the basic Euler class H^(2k) -> H^(2k+2),
+    as int rows over ``basic_dims[k]`` columns in the form of
+    :func:`~gkmcalc.exactlin.is_int_row`, ``basic_dims[k + 1]`` of them.
+    The top map (k = n) has zero target and may be omitted; whether it has
+    rows is a verdict of :func:`gysin_betti`, not a shape rule.
     """
 
     basic_dims: tuple[int, ...]
-    euler_mult: tuple[MatrixQ, ...]
+    euler_mult: tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]
+
+    def __post_init__(self):
+        dims, mult = self.basic_dims, self.euler_mult
+        n = len(dims) - 1
+        if any(d < 0 for d in dims):
+            raise InputShapeError("negative basic dimension")
+        if not dims or dims[0] != 1:
+            raise InputShapeError("basic degree-0 dimension must be 1 (connected manifold)")
+        if len(mult) > n + 1:
+            raise InputShapeError(
+                f"euler_mult has {len(mult)} matrices but basic_dims only {n + 1} degrees"
+            )
+        if len(mult) < n:
+            raise InputShapeError(
+                f"expected {n} (or {n + 1}) Euler multiplication matrices, got {len(mult)}"
+            )
+        for k, rows in enumerate(mult):
+            if not all(is_int_row(r, dims[k]) for r in rows):
+                raise InputShapeError(f"Euler multiplication {k} is not int rows over "
+                                      f"{dims[k]} columns")
+            if k < n and len(rows) != dims[k + 1]:
+                raise InputShapeError(
+                    f"Euler multiplication {k} has shape {len(rows)}x{dims[k]}, "
+                    f"expected {dims[k + 1]}x{dims[k]}"
+                )
 
     @classmethod
     def minimal(cls, n: int) -> "GysinData":
         """The truncated polynomial ring on the Euler class: identity maps."""
-        if n < 1:
-            raise InputShapeError("n must be at least 1")
-        return cls(
-            basic_dims=(1,) * (n + 1),
-            euler_mult=tuple(MatrixQ.identity(1) for _ in range(n)),
-        )
+        return cls((1,) * (n + 1), (((1, ((0, 1),)),),) * n)
 
     def to_json(self):
         return {
             "basic_dims": list(self.basic_dims),
-            "euler_mult": [m.to_json() for m in self.euler_mult],
+            "euler_mult": [int_rows_to_json(rows, d)
+                           for rows, d in zip(self.euler_mult, self.basic_dims)],
         }
 
     @classmethod
@@ -281,13 +301,10 @@ class GysinData:
         mult = obj.get("euler_mult", [])
         if not isinstance(mult, list):
             raise InputShapeError("euler_mult must be an array of matrices")
-        if len(mult) > len(dims):
-            raise InputShapeError(
-                f"euler_mult has {len(mult)} matrices but basic_dims only "
-                f"{len(dims)} degrees"
-            )
-        mats = [MatrixQ.from_json(m, cols=d) for m, d in zip(mult, dims)]
-        return cls(tuple(dims), tuple(mats))
+        maps = tuple(int_rows_from_json(m, d) for m, d in zip(mult, dims))
+        # a map past the top degree has no source degree to be read in; its
+        # count alone is refused at construction
+        return cls(tuple(dims), maps + ((),) * (len(mult) - len(dims)))
 
 
 def gysin_betti(data: GysinData) -> tuple[int, ...]:
@@ -300,45 +317,23 @@ def gysin_betti(data: GysinData) -> tuple[int, ...]:
 
     (basic groups in the middle, delta = Euler-class multiplication), so
     b_(2k+1) = dim ker(delta_k) and b_(2k+2) = dim coker(delta_k).  The
-    basic dimensions run over degrees 0..2n, which fixes n.
+    basic dimensions run over degrees 0..2n, which fixes n; the k = n
+    sequence ends in degree 2n+2, where basic cohomology vanishes, so a top
+    map with a row raises :class:`GysinInconsistency`.
     """
-    n = len(data.basic_dims) - 1
-    if any(d < 0 for d in data.basic_dims):
-        raise InputShapeError("negative basic dimension")
-    if not data.basic_dims or data.basic_dims[0] != 1:
-        raise InputShapeError("basic degree-0 dimension must be 1 (connected manifold)")
-    if len(data.euler_mult) not in (n, n + 1):
-        raise InputShapeError(
-            f"expected {n} (or {n + 1}) Euler multiplication matrices, got {len(data.euler_mult)}"
-        )
-    if len(data.euler_mult) == n + 1 and data.euler_mult[n].rows != 0:
+    dims, mult = data.basic_dims, data.euler_mult
+    n = len(dims) - 1
+    if len(mult) == n + 1 and mult[n]:
         raise GysinInconsistency(
             "the Euler multiplication out of top degree must land in zero: "
             "basic cohomology would extend beyond degree 2n"
         )
+    betti = [1]
     for k in range(n):
-        m = data.euler_mult[k]
-        if m.rows != data.basic_dims[k + 1] or m.cols != data.basic_dims[k]:
-            raise InputShapeError(
-                f"Euler multiplication {k} has shape {m.rows}x{m.cols}, "
-                f"expected {data.basic_dims[k + 1]}x{data.basic_dims[k]}"
-            )
-    betti = [0] * (2 * n + 2)
-    betti[0] = 1
-    for k in range(n + 1):
-        if k < n:
-            m = data.euler_mult[k]
-            rank = rank_of_rows(m.row_lists(), m.cols)
-            target = data.basic_dims[k + 1]
-        else:
-            rank = 0
-            target = 0
-        betti[2 * k + 1] = data.basic_dims[k] - rank
-        if 2 * k + 2 <= 2 * n + 1:
-            betti[2 * k + 2] = target - rank
-    # the k = n sequence ends in the (discarded) top even degree, which is
-    # forced to vanish by the zero target above
-    return tuple(betti[: 2 * n + 2])
+        _, pivots = reduce_int_rows([dict(pairs) for _, pairs in mult[k]], dims[k],
+                                    rank_only=True)
+        betti += [dims[k] - len(pivots), dims[k + 1] - len(pivots)]
+    return (*betti, dims[n])
 
 
 def _normalize_faces(faces):
@@ -449,8 +444,6 @@ def run_checks(graph, cutoff: int) -> CheckReport:
     """
     from . import gkmcore  # local import: gkmcore depends on this module
 
-    if graph.manifold_dim is not None and graph.manifold_dim % 2 != 1:
-        raise InputShapeError("manifold_dim must be odd (2n+1)")
     eq = gkmcore.equivariant_dims(graph, cutoff)
     report = basic_from_equivariant(eq, graph.rank, top_fiber_degree=graph.top_fiber_degree)
     basic, polynomial = report.series, report.is_polynomial

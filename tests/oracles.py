@@ -14,13 +14,14 @@ over the rationals.  :func:`naive_rref`, textbook Gauss-Jordan over
 ``canonical_subspace``.  The subspace containment tests are others: the
 dense ``Fraction`` reduction of each basis vector that the library
 replaced with one rank, and that rank, which the library replaced with
-reading the canonical form, both kept unchanged.
+reading the canonical form, both kept unchanged; :func:`rank_of_rows`
+takes it by the dense reduction.
 So is the ring product checked edge by edge: both endpoint polynomials
 restricted along every edge and compared, the check that the library
 replaced with the rows of its constraint system, here restricting through
 :func:`dense_restriction_matrix` and :func:`mul_vector`, the dense
 ``Fraction`` matrix-vector product that the library no longer has; so are
-:func:`matmul` and :func:`is_zero`, which only tests use.  And so
+:func:`matmul` and :func:`identity_matrix`, which only tests use.  And so
 is :func:`dense`, the dense rational matrix of the restriction images,
 which the library no longer builds.
 And so is :func:`expanded_restriction_images`, which expands each
@@ -36,7 +37,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from gkmcalc.errors import InputShapeError, UnsupportedRingStructureError
-from gkmcalc.exactlin import MatrixQ, _as_rational, coordinates, rank_of_rows
+from gkmcalc.exactlin import MatrixQ, _as_rational, coordinates
 from gkmcalc.gkmcore import (
     EquivariantClass,
     GkmGraph,
@@ -275,6 +276,16 @@ def _scaled_int_rows(rows) -> list[list[int]]:
         else:
             out.append([int(x * den) for x in row])
     return out
+
+
+def rank_of_rows(rows, ncols):
+    """Rank of dense rational rows by the dense integer reduction."""
+    return len(reduce_int_rows(_scaled_int_rows(rows), ncols, rank_only=True)[1])
+
+
+def identity_matrix(n):
+    """The n x n identity :class:`MatrixQ`."""
+    return MatrixQ(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
 
 def _dense_rref_rows(rows, ncols):
@@ -547,10 +558,6 @@ def matmul(a, b):
         sum(a.entry(i, k) * b.entry(k, j) for k in range(a.cols))
         for i in range(a.rows) for j in range(b.cols)
     ])
-
-
-def is_zero(matrix) -> bool:
-    return not any(matrix.entries)
 
 
 def mul_vector(matrix, vec):

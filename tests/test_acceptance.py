@@ -16,7 +16,7 @@ from gkmcalc.examples import (
     builtin_simplex,
     builtin_stiefel,
 )
-from gkmcalc.exactlin import MatrixQ, rank_of_rows
+from gkmcalc.exactlin import MatrixQ
 from gkmcalc.gkmcore import (
     GkmEdge,
     GkmGraph,
@@ -47,6 +47,7 @@ from oracles import (
     face_ring_dims_by_enumeration,
     hirzebruch_equivariant_oracle,
     matmul,
+    rank_of_rows,
     simplex_equivariant_oracle,
 )
 from test_exactlin import random_matrix
@@ -138,13 +139,13 @@ def test_criterion_6_stiefel_gate():
 def test_criterion_7_morse_bott_consistency():
     unit = DegreeSeries((1,))
     for n in range(1, 5):
-        data = MorseBottData.of([(2 * i, unit) for i in range(n + 1)])
+        data = MorseBottData(tuple((2 * i, unit) for i in range(n + 1)))
         assembled = morse_bott_assemble(data, CUTOFF)
         dims = equivariant_dims(builtin_simplex(n), CUTOFF)
         basic = basic_from_equivariant(dims, n + 1).series
         assert assembled == basic, f"n={n}"
     sphere = DegreeSeries((1, 0, 1))
-    data = MorseBottData.of([(0, sphere), (2, sphere)])
+    data = MorseBottData(((0, sphere), (2, sphere)))
     assembled = morse_bott_assemble(data, CUTOFF)
     dims = equivariant_dims(builtin_hirzebruch(1), CUTOFF)
     basic = basic_from_equivariant(dims, 2).series

@@ -166,6 +166,19 @@ class TestPipelines:
         assert checks["minimal_orbit_count"]["status"] == "fail"
         assert checks["minimal_orbit_count"]["detail"] == "total 2 is below the minimum 4"
 
+    @pytest.mark.parametrize("command", ["validate", "cohomology", "basic", "check"])
+    @pytest.mark.parametrize("manifold_dim", [-3, -1, 0, 6])
+    def test_manifold_dim_must_be_odd_and_positive(self, capsys, monkeypatch, command,
+                                                   manifold_dim):
+        # refused when the graph is built, so every graph subcommand exits 1;
+        # -3 once passed check with "total 2 >= n+1 = -1", and 6 validate
+        graph = builtin_simplex(1).to_json()
+        graph["manifold_dim"] = manifold_dim
+        code, out, err = run_cli(capsys, command, "-", stdin=json.dumps(graph),
+                                 monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == "error: manifold_dim must be odd (2n+1) and positive\n"
+
     def test_round_trip_graph(self, capsys, monkeypatch, simplex2_json):
         code, out, _ = run_cli(
             capsys, "validate", "-", stdin=simplex2_json, monkeypatch=monkeypatch

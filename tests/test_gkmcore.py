@@ -23,7 +23,7 @@ from gkmcalc.examples import (
     builtin_simplex,
     builtin_stiefel,
 )
-from gkmcalc.exactlin import MatrixQ, canonical_subspace, rank_of_rows
+from gkmcalc.exactlin import MatrixQ, canonical_subspace, vector_to_json
 from gkmcalc.gkmcore import (
     EquivariantClass,
     GkmEdge,
@@ -47,6 +47,7 @@ from oracles import (
     dense_equivariant_dims,
     edgewise_class_product,
     hirzebruch_equivariant_oracle,
+    rank_of_rows,
     simplex_equivariant_oracle,
 )
 from test_exactlin import invertible_matrix
@@ -313,9 +314,7 @@ class TestEquivariantDims:
                     "b",
                     canonical_subspace([], 2),
                     edge_fiber=sphere,
-                    pullback_source=GradedMap.from_matrices(
-                        pt, sphere, ((0, MatrixQ.from_rows([[1]])),)
-                    ),
+                    pullback_source=GradedMap.from_json({"0": [[1]]}, pt, sphere),
                     pullback_target=GradedMap.identity(sphere),
                 ),
             ),
@@ -475,9 +474,7 @@ class TestClassProduct:
         # classes leaves the degree-4 kernel), so every product is refused
         # up front, naming the edge, while dims and bases stay available
         g = builtin_simplex(2)
-        minus = GradedMap.from_matrices(
-            GradedVS.point(), GradedVS.point(), ((0, MatrixQ.from_rows([[-1]])),)
-        )
+        minus = GradedMap.from_json({"0": [[-1]]}, GradedVS.point(), GradedVS.point())
         e = g.edges[1]
         flipped = GkmEdge(e.id, e.source, e.target, e.isotropy, e.edge_fiber, minus,
                           e.pullback_target)
@@ -617,31 +614,34 @@ class TestGradedTypes:
         assert vs.degrees() == (0, 2)
         assert vs.total() == 4
 
+    # the int row of the 1x1 identity
+    ONE = (1, ((0, 1),))
+
     def test_graded_map_block_shape_enforced(self):
         sphere = GradedVS.of({0: 1, 2: 1})
         with pytest.raises(InputShapeError):
-            GradedMap.from_matrices(
-                sphere, sphere, ((0, MatrixQ.identity(2)), (2, MatrixQ.identity(1)))
-            )
+            GradedMap(sphere, sphere, ((0, (self.ONE, self.ONE)), (2, (self.ONE,))))
+        with pytest.raises(InputShapeError, match="ragged"):
+            GradedMap.from_json({"0": [[1, 0], [0, 1]], "2": [[1]]}, sphere, sphere)
 
     def test_graded_map_block_support_enforced(self):
         sphere = GradedVS.of({0: 1, 2: 1})
         with pytest.raises(InputShapeError):
-            GradedMap.from_matrices(sphere, sphere, ((0, MatrixQ.identity(1)),))
+            GradedMap(sphere, sphere, ((0, (self.ONE,)),))
 
     def test_graded_map_degree_listed_once(self):
         point = GradedVS.point()
-        twice = ((0, MatrixQ.identity(1)), (0, MatrixQ.from_rows([[2]])))
+        twice = ((0, (self.ONE,)), (0, ((1, ((0, 2),)),)))
         with pytest.raises(InputShapeError):
-            GradedMap.from_matrices(point, point, twice)
+            GradedMap(point, point, twice)
 
     def test_graded_map_rows_are_int_rows(self):
-        # blocks are rows in the form of exactlin.int_row, so equal maps are
-        # equal values; any other row is refused
+        # blocks are int rows in the form of exactlin.is_int_row, so equal
+        # maps are equal values; any other row is refused
         vs = GradedVS.of({0: 2})
-        from_matrix = GradedMap.from_matrices(vs, vs, ((0, MatrixQ.identity(2)),))
-        assert from_matrix == GradedMap.identity(vs) and from_matrix.is_identity
-        assert hash(from_matrix) == hash(GradedMap.identity(vs))
+        from_json = GradedMap.from_json({"0": [[1, 0], [0, 1]]}, vs, vs)
+        assert from_json == GradedMap.identity(vs) and from_json.is_identity
+        assert hash(from_json) == hash(GradedMap.identity(vs))
         for row in [
             (1, ((0, 0),)),  # a zero entry
             (1, ((2, 1),)), (1, ((-1, 1),)),  # columns out of range
@@ -725,12 +725,13 @@ def kernel_graphs(draw, random_pullbacks=True, point_fibered=False):
     def pullback(source, edge_fiber, given_map):
         if not random_pullbacks or not draw(st.booleans()):
             return given_map
-        blocks = []
+        blocks = {}
         for q in sorted(set(source.degrees()) & set(edge_fiber.degrees())):
             rows, cols = edge_fiber.dim(q), source.dim(q)
             entries = draw(st.lists(small_fractions, min_size=rows * cols, max_size=rows * cols))
-            blocks.append((q, MatrixQ(rows, cols, entries)))
-        return GradedMap.from_matrices(source, edge_fiber, tuple(blocks))
+            blocks[str(q)] = [vector_to_json(entries[i * cols:(i + 1) * cols])
+                              for i in range(rows)]
+        return GradedMap.from_json(blocks, source, edge_fiber)
 
     edges = []
     for e in graph.edges:

@@ -17,7 +17,6 @@ from gkmcalc.examples import (
     builtin_hirzebruch,
     builtin_simplex,
 )
-from gkmcalc.exactlin import MatrixQ
 from gkmcalc.gkmcore import equivariant_dims, graph_from_json
 from gkmcalc.series import (
     DegreeSeries,
@@ -36,7 +35,6 @@ from oracles import (
     boundary_simplex_faces,
     face_ring_dims_by_enumeration,
     gysin_rank_nullity_oracle,
-    is_zero,
     square_faces,
 )
 
@@ -170,28 +168,28 @@ class TestBasicFromEquivariant:
 
 class TestMorseBott:
     def test_unit_components(self):
-        data = MorseBottData.of([(0, DegreeSeries((1,))), (2, DegreeSeries((1,))),
-                                 (4, DegreeSeries((1,)))])
+        data = MorseBottData(((0, DegreeSeries((1,))), (2, DegreeSeries((1,))),
+                              (4, DegreeSeries((1,)))))
         assert morse_bott_assemble(data, 8).coeffs == (1, 0, 1, 0, 1, 0, 0, 0, 0)
 
     def test_two_sphere_components(self):
         sphere = DegreeSeries((1, 0, 1))
-        data = MorseBottData.of([(0, sphere), (2, sphere)])
+        data = MorseBottData(((0, sphere), (2, sphere)))
         assert morse_bott_assemble(data, 6).coeffs == (1, 0, 2, 0, 1, 0, 0)
 
     def test_single_component(self):
-        data = MorseBottData.of([(0, DegreeSeries((1,)))])
+        data = MorseBottData(((0, DegreeSeries((1,))),))
         assert morse_bott_assemble(data, 3).coeffs == (1, 0, 0, 0)
 
     def test_index_beyond_cutoff(self):
         # the shift of each component stays within the cutoff, however
         # large its index
-        data = MorseBottData.of([(10**12, DegreeSeries((1,))), (0, DegreeSeries((1, 0, 1))),
-                                 (4, DegreeSeries((1, 0, 1)))])
+        data = MorseBottData(((10**12, DegreeSeries((1,))), (0, DegreeSeries((1, 0, 1))),
+                              (4, DegreeSeries((1, 0, 1)))))
         assert morse_bott_assemble(data, 10).coeffs == (1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0)
 
     def test_odd_index_rejected(self):
-        data = MorseBottData.of([(1, DegreeSeries((1,)))])
+        data = MorseBottData(((1, DegreeSeries((1,))),))
         with pytest.raises(InputShapeError):
             morse_bott_assemble(data, 4)
 
@@ -201,37 +199,47 @@ class TestMorseBott:
             (2 * rng.randint(0, 3), DegreeSeries(tuple(rng.randint(0, 3) for _ in range(4))))
             for _ in range(6)
         ]
-        whole = morse_bott_assemble(MorseBottData.of(comps), 10)
-        left = morse_bott_assemble(MorseBottData.of(comps[:3]), 10)
-        right = morse_bott_assemble(MorseBottData.of(comps[3:]), 10)
+        whole = morse_bott_assemble(MorseBottData(tuple(comps)), 10)
+        left = morse_bott_assemble(MorseBottData(tuple(comps[:3])), 10)
+        right = morse_bott_assemble(MorseBottData(tuple(comps[3:])), 10)
         assert whole == left.add(right)
 
     def test_json_round_trip(self):
-        data = MorseBottData.of([(0, DegreeSeries((1, 0, 1))), (2, DegreeSeries((1,)))])
+        data = MorseBottData(((0, DegreeSeries((1, 0, 1))), (2, DegreeSeries((1,)))))
         assert MorseBottData.from_json(data.to_json()) == data
+
+
+#: the 1x1 identity as a tuple of int rows
+IDENTITY_1 = ((1, ((0, 1),)),)
 
 
 class TestGysin:
     def test_three_sphere(self):
-        data = GysinData((1, 1), (MatrixQ.identity(1),))
+        data = GysinData((1, 1), (IDENTITY_1,))
         assert gysin_betti(data) == (1, 0, 0, 1)
 
     def test_seven_sphere(self):
         assert gysin_betti(GysinData.minimal(3)) == (1, 0, 0, 0, 0, 0, 0, 1)
 
+    def test_minimal_zero_is_the_circle(self):
+        # n = 0: one basic degree and no Euler map, as `gkmcalc gysin` reads
+        # {"basic_dims": [1]}
+        assert GysinData.minimal(0) == GysinData.from_json({"basic_dims": [1]})
+        assert gysin_betti(GysinData.minimal(0)) == (1, 1)
+        with pytest.raises(InputShapeError, match="degree-0 dimension must be 1"):
+            GysinData.minimal(-1)
+
     def test_five_manifold_mixed(self):
         cases = [
             (
-                GysinData(
-                    (1, 2, 1),
-                    (MatrixQ.from_rows([[1], [0]]), MatrixQ.from_rows([[1, 0]])),
-                ),
+                GysinData.from_json({"basic_dims": [1, 2, 1],
+                                     "euler_mult": [[[1], [0]], [[1, 0]]]}),
                 (1, 1),
                 (1, 0, 1, 1, 0, 1),
             ),
             # a zero basic dimension makes both Euler maps empty (0x1, 1x0)
             (
-                GysinData((1, 0, 1), (MatrixQ(0, 1, []), MatrixQ(1, 0, []))),
+                GysinData((1, 0, 1), ((), ((1, ()),))),
                 (0, 0),
                 (1, 1, 0, 0, 1, 1),
             ),
@@ -241,34 +249,52 @@ class TestGysin:
             assert gysin_betti(data) == gysin_rank_nullity_oracle(data.basic_dims, ranks)
 
     def test_shape_mismatch(self):
-        # a 1x1 map into a 2-dimensional degree, and no degree 0 at all
-        for data in (GysinData((1, 2), (MatrixQ.identity(1),)), GysinData((), ())):
-            with pytest.raises(InputShapeError):
-                gysin_betti(data)
+        # a 1x1 map into a 2-dimensional degree, and no degree 0 at all:
+        # refused when the data is built
+        with pytest.raises(InputShapeError, match="has shape 1x1, expected 2x1"):
+            GysinData((1, 2), (IDENTITY_1,))
+        with pytest.raises(InputShapeError, match="degree-0 dimension must be 1"):
+            GysinData((), ())
+
+    @pytest.mark.parametrize("dims, mult, message", [
+        ((1, -1), ((),), "negative basic dimension"),
+        ((2, 1), (((1, ((0, 1),)),),), "degree-0 dimension must be 1"),
+        ((1, 1), (IDENTITY_1, (), ()), "euler_mult has 3 matrices but basic_dims only 2"),
+        ((1, 2, 1), (((1, ((0, 1),)), (1, ())),), r"expected 2 \(or 3\) Euler"),
+        # a 0x1 map where a 1x1 one is due
+        ((1, 1), ((),), "has shape 0x1, expected 1x1"),
+        # rows that are not int rows over the source degree, the top map's too
+        ((1, 1), (((1, ((1, 1),)),),), "not int rows over 1 columns"),
+        ((1, 1), (((2, ((0, 2),)),),), "not int rows over 1 columns"),
+        ((1, 1), (IDENTITY_1, ((1, ((1, 1),)),)), "Euler multiplication 1 is not int rows"),
+    ])
+    def test_shape_rules_hold_at_construction(self, dims, mult, message):
+        with pytest.raises(InputShapeError, match=message):
+            GysinData(dims, mult)
 
     def test_top_degree_must_die(self):
-        data = GysinData((1, 1), (MatrixQ.identity(1), MatrixQ.identity(1)))
-        with pytest.raises(GysinInconsistency):
-            gysin_betti(data)
+        # a top map with a row is well formed, and a verdict of gysin_betti
+        for top in (IDENTITY_1, ((1, ()),)):
+            data = GysinData((1, 1), (IDENTITY_1, top))
+            with pytest.raises(GysinInconsistency):
+                gysin_betti(data)
 
     def test_b1_zero_when_euler_nonzero(self):
         rng = random.Random(2)
         for _ in range(10):
             d1 = rng.randint(1, 3)
-            m = MatrixQ.from_rows(
-                [[rng.randint(0, 2) for _ in range(1)] for _ in range(d1)], 1
-            )
-            if is_zero(m):
+            column = [[rng.randint(0, 2) for _ in range(1)] for _ in range(d1)]
+            if not any(any(row) for row in column):
                 continue
-            data = GysinData((1, d1), (m,))
+            data = GysinData.from_json({"basic_dims": [1, d1], "euler_mult": [column]})
             betti = gysin_betti(data)
             assert betti[0] == 1 and betti[1] == 0
 
     def test_json_round_trip(self):
-        data = GysinData(
-            (1, 2, 1),
-            (MatrixQ.from_rows([[1], [0]]), MatrixQ.from_rows([[1, 0]])),
-        )
+        doc = {"basic_dims": [1, 2, 1], "euler_mult": [[["1/2"], [0]], [[1, -3]], []]}
+        data = GysinData.from_json(doc)
+        assert data.euler_mult == (((2, ((0, 1),)), (1, ())), ((1, ((0, 1), (1, -3))),), ())
+        assert data.to_json() == doc
         assert GysinData.from_json(data.to_json()) == data
 
 
@@ -400,8 +426,8 @@ class TestRunChecks:
             raise AssertionError("equivariant_dims ran before the input check")
 
         monkeypatch.setattr(gkmcalc.gkmcore, "equivariant_dims", kernel_must_not_run)
-        graph = dataclasses.replace(builtin_simplex(2), manifold_dim=6)
         with pytest.raises(InputShapeError, match="manifold_dim must be odd"):
+            graph = dataclasses.replace(builtin_simplex(2), manifold_dim=6)
             run_checks(graph, 12)
 
 

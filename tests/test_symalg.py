@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from gkmcalc import symalg
 from gkmcalc.errors import GkmError, SubspaceContainmentError
 from gkmcalc.examples import builtin_simplex, builtin_stiefel
-from gkmcalc.exactlin import MatrixQ, canonical_subspace, coordinates, rank_of_rows
+from gkmcalc.exactlin import MatrixQ, canonical_subspace, coordinates
 from gkmcalc.gkmcore import (
     _adapted_bases,
     class_product,
@@ -37,7 +37,9 @@ from oracles import (
     dense_restriction_matrix,
     expanded_restriction_images,
     grown_restriction_images,
+    identity_matrix,
     matmul,
+    rank_of_rows,
 )
 from test_exactlin import (
     as_int_row,
@@ -114,7 +116,7 @@ class TestRestrictionMatrix:
     def test_identity_on_equal_spaces(self):
         v = canonical_subspace([(1, 0, 2), (0, 1, 1)], 3)
         for d in range(4):
-            assert restricted(v, v, d) == MatrixQ.identity(sym_dim(2, d))
+            assert restricted(v, v, d) == identity_matrix(sym_dim(2, d))
 
     def test_diagonal_line_degree_1(self):
         amb = canonical_subspace([(1, 0), (0, 1)], 2)
@@ -137,7 +139,7 @@ class TestRestrictionMatrix:
     def test_zero_subspace_degree_zero(self):
         amb = canonical_subspace([(1, 0)], 2)
         sub = canonical_subspace([], 2)
-        assert restricted(amb, sub, 0) == MatrixQ.identity(1)
+        assert restricted(amb, sub, 0) == identity_matrix(1)
 
     def test_non_containment_rejected(self):
         amb = canonical_subspace([(1, 0)], 2)
