@@ -11,7 +11,8 @@ directory (default ``tests/data/cli_golden``) this writes:
 * ``<input>``: the documents of ``INPUTS`` that the further runs read;
 * ``<run>.out`` / ``.err`` / ``.exit``: the same for each run of ``RUNS``,
   which covers every other subcommand, ``--format table`` on each one,
-  ``--strict`` and rejected flags;
+  ``--strict``, rejected flags, and each status and detail a graph can
+  reach in ``validate`` and ``check``;
 * ``parser.json``: for the root parser and each subparser, every action's
   option strings, destination, default, choices, nargs, help and
   requiredness (``parser_description``);
@@ -50,9 +51,59 @@ CASES = {
 
 COMMANDS = ("cohomology", "basic", "check")
 
-#: input file -> its JSON document, or the ``example`` arguments that print it
+#: input file -> its JSON document, the ``example`` arguments that print it,
+#: or those arguments and the top-level keys to set on what they print (a
+#: ``None`` value deletes the key)
 INPUTS = {
     "simplex_polytope.json": ["simplex-polytope", "--n", "2", "--weights", "1", "1/2", "3"],
+    # two orbits of a 7-manifold, which has at least four
+    "simplex1_dim7.graph.json": (["simplex", "--n", "1"], {"manifold_dim": 7}),
+    # total four = n+1 for n = 3, but the basic series is 1 + 2t^2 + t^4
+    "fiber_join1_0_dim7.graph.json": (["fiber-join", "--n", "1", "--genus", "0"],
+                                      {"manifold_dim": 7}),
+    "simplex2_no_dim.graph.json": (["simplex", "--n", "2"], {"manifold_dim": None}),
+    # two edges per vertex where a 7-manifold wants three: the advisory fails
+    "simplex2_dim7.graph.json": (["simplex", "--n", "2"], {"manifold_dim": 7}),
+    # an orbit of dimension 5 under a rank-2 torus
+    "simplex1_bottom5.graph.json": (["simplex", "--n", "1"], {"bottom_orbit_dim": 5}),
+    # two edges between two vertices: the basic series 1 + t^4 reads 1 + 0t^2
+    # at cutoff 2, which looks polynomial and undercounts the orbits
+    "double_edge.graph.json": {
+        "rank": 3,
+        "vertices": [{"id": "a", "isotropy": [[0, 1, 0], [0, 0, 1]]},
+                     {"id": "b", "isotropy": [[0, 1, 0], [0, 0, 1]]}],
+        "edges": [{"id": "e", "source": "a", "target": "b", "isotropy": [[0, 1, 0]]},
+                  {"id": "f", "source": "a", "target": "b", "isotropy": [[0, 0, 1]]}],
+    },
+    # an edge isotropy outside the isotropy of its source
+    "containment.graph.json": {
+        "rank": 3,
+        "vertices": [{"id": "a", "isotropy": [[0, 1, 0], [0, 0, 1]]},
+                     {"id": "b", "isotropy": [[1, 0, 0], [0, 0, 1]]}],
+        "edges": [{"id": "e", "source": "a", "target": "b", "isotropy": [[1, 1, 0]]}],
+    },
+    # vertex isotropies of dimensions 1 and 0: a connected graph whose
+    # dimensions differ also breaks containment
+    "isotropy_dimensions.graph.json": {
+        "rank": 2,
+        "vertices": [{"id": "a", "isotropy": [[1, 0]]}, {"id": "b", "isotropy": []}],
+        "edges": [{"id": "e", "source": "a", "target": "b", "isotropy": []}],
+    },
+    # two edges of one isotropy at each vertex
+    "gkm_condition.graph.json": {
+        "rank": 2,
+        "vertices": [{"id": "a", "isotropy": [[1, 0]]}, {"id": "b", "isotropy": [[0, 1]]}],
+        "edges": [{"id": "e", "source": "a", "target": "b", "isotropy": []},
+                  {"id": "f", "source": "a", "target": "b", "isotropy": []}],
+    },
+    # an edge fiber with no pullbacks: the default identities of the point
+    # fibers do not land in it
+    "fiber_maps.graph.json": {
+        "rank": 2,
+        "vertices": [{"id": "a", "isotropy": [[1, 0]]}, {"id": "b", "isotropy": [[0, 1]]}],
+        "edges": [{"id": "e", "source": "a", "target": "b", "isotropy": [],
+                   "edge_fiber": {"dims": [[0, 1], [2, 1]]}}],
+    },
     # a disconnected graph with a self-loop: two mandatory checks fail
     "invalid.graph.json": {
         "rank": 2,
@@ -85,6 +136,20 @@ INPUTS = {
 RUNS = {
     "validate": ("validate", "hirzebruch2.graph.json", []),
     "validate_invalid": ("validate", "invalid.graph.json", []),
+    "validate_edge_count": ("validate", "simplex3.graph.json", []),
+    "validate_edge_count_advisory": ("validate", "simplex2_dim7.graph.json", []),
+    "validate_containment": ("validate", "containment.graph.json", []),
+    "validate_isotropy_dimensions": ("validate", "isotropy_dimensions.graph.json", []),
+    "validate_gkm_condition": ("validate", "gkm_condition.graph.json", []),
+    "validate_fiber_maps": ("validate", "fiber_maps.graph.json", []),
+    "validate_bottom_orbit_dim": ("validate", "simplex1_bottom5.graph.json", []),
+    "check_invalid": ("check", "invalid.graph.json", []),
+    "check_below_bound": ("check", "simplex1_dim7.graph.json", ["--max-degree", "10"]),
+    "check_below_bound_cutoff": ("check", "simplex1_dim7.graph.json", ["--max-degree", "2"]),
+    "check_partial_bound": ("check", "simplex3.graph.json", ["--max-degree", "6"]),
+    "check_not_minimal": ("check", "fiber_join1_0_dim7.graph.json", ["--max-degree", "12"]),
+    "check_no_manifold_dim": ("check", "simplex2_no_dim.graph.json", []),
+    "check_orbit_undercount": ("check", "double_edge.graph.json", ["--max-degree", "2"]),
     "morse_bott": ("morse-bott", "components.json", []),
     "morse_bott_cutoff": ("morse-bott", "components.json", ["--max-degree", "5"]),
     "gysin": ("gysin", "gysin.json", []),
@@ -188,11 +253,15 @@ def write(outdir: Path):
         for command in COMMANDS:
             write_run(outdir / f"{case}.{command}", [command, str(graph), *flags])
     for name, doc in INPUTS.items():
-        if isinstance(doc, list):
-            code, text, _ = run(["example", *doc])
-            assert code == 0, (name, code)
-        else:
+        if isinstance(doc, dict):
             text = json.dumps(doc, indent=2) + "\n"
+        else:
+            argv, changes = (doc, {}) if isinstance(doc, list) else doc
+            code, text, _ = run(["example", *argv])
+            assert code == 0, (name, code)
+            if changes:
+                doc = {k: v for k, v in {**json.loads(text), **changes}.items() if v is not None}
+                text = json.dumps(doc, indent=2) + "\n"
         (outdir / name).write_text(text)
     runs = {}
     for name, (command, source, flags) in RUNS.items():

@@ -176,6 +176,14 @@ class GkmVertex:
 
 @dataclass(frozen=True)
 class GkmEdge:
+    """An edge with its isotropy, edge fiber and the two fiber pullbacks.
+
+    The defaults are a point edge fiber with identity pullbacks of the
+    point, which fit an edge between point-fibered vertices.  The JSON
+    reader defaults differently: to the source vertex fiber, with identity
+    pullbacks of it (see :func:`graph_from_json`).
+    """
+
     id: str
     source: str
     target: str
@@ -200,6 +208,9 @@ class GkmGraph:
             raise InputShapeError("graph rank must be at least 1")
         if self.manifold_dim is not None and not (self.manifold_dim > 0 and self.manifold_dim % 2):
             raise InputShapeError("manifold_dim must be odd (2n+1) and positive")
+        # a T^rank orbit has dimension at most rank
+        if self.bottom_orbit_dim is not None and not 1 <= self.bottom_orbit_dim <= self.rank:
+            raise InputShapeError("bottom_orbit_dim must be at least 1 and at most the rank")
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(self.edges))
         ids = [v.id for v in self.vertices]
@@ -406,6 +417,11 @@ def validate_graph(graph: GkmGraph) -> ValidationReport:
     """
     checks = []
 
+    def check(name, violations, passed, failed, mandatory=True):
+        # a condition holds when it has no violations: an empty list, or False
+        checks.append(ValidationCheck(name, not violations, mandatory,
+                                      failed if violations else passed))
+
     incident: dict[str, list[GkmEdge]] = {v.id: [] for v in graph.vertices}
     for e in graph.edges:
         incident[e.source].append(e)
@@ -423,16 +439,8 @@ def validate_graph(graph: GkmGraph) -> ValidationReport:
         connected = len(seen) == len(graph.vertices)
     else:
         connected = False
-    checks.append(
-        ValidationCheck(
-            CHECK_CONNECTED,
-            connected,
-            True,
-            "underlying graph is connected"
-            if connected
-            else "underlying graph is not connected",
-        )
-    )
+    check(CHECK_CONNECTED, not connected,
+          "underlying graph is connected", "underlying graph is not connected")
 
     bad_containment = []
     for e in graph.edges:
@@ -440,30 +448,17 @@ def validate_graph(graph: GkmGraph) -> ValidationReport:
             v = graph.vertex(vid)
             if not contains(v.isotropy, e.isotropy) or v.isotropy.dim != e.isotropy.dim + 1:
                 bad_containment.append((e.id, vid))
-    checks.append(
-        ValidationCheck(
-            CHECK_CONTAINMENT,
-            not bad_containment,
-            True,
-            "every edge isotropy sits in both endpoint isotropies with codimension 1"
-            if not bad_containment
-            else f"containment/codimension violations at {bad_containment}",
-        )
-    )
+    check(CHECK_CONTAINMENT, bad_containment,
+          "every edge isotropy sits in both endpoint isotropies with codimension 1",
+          f"containment/codimension violations at {bad_containment}")
 
     vdims = {v.isotropy.dim for v in graph.vertices}
     edims = {e.isotropy.dim for e in graph.edges}
     dims_ok = len(vdims) <= 1 and (
         not edims or (len(edims) == 1 and vdims and next(iter(edims)) == next(iter(vdims)) - 1)
     )
-    checks.append(
-        ValidationCheck(
-            CHECK_ISOTROPY_DIMENSIONS,
-            dims_ok,
-            True,
-            f"vertex isotropies of dimension {sorted(vdims)}, edges {sorted(edims)}",
-        )
-    )
+    dims = f"vertex isotropies of dimension {sorted(vdims)}, edges {sorted(edims)}"
+    check(CHECK_ISOTROPY_DIMENSIONS, not dims_ok, dims, dims)
 
     gkm_bad = []
     for vid, edge_list in incident.items():
@@ -471,26 +466,11 @@ def validate_graph(graph: GkmGraph) -> ValidationReport:
             for j in range(i + 1, len(edge_list)):
                 if edge_list[i].isotropy == edge_list[j].isotropy:
                     gkm_bad.append((vid, edge_list[i].id, edge_list[j].id))
-    checks.append(
-        ValidationCheck(
-            CHECK_GKM_CONDITION,
-            not gkm_bad,
-            True,
-            "edge isotropies at each vertex are pairwise distinct"
-            if not gkm_bad
-            else f"coinciding edge isotropies: {gkm_bad}",
-        )
-    )
+    check(CHECK_GKM_CONDITION, gkm_bad, "edge isotropies at each vertex are pairwise distinct",
+          f"coinciding edge isotropies: {gkm_bad}")
 
     loops = [e.id for e in graph.edges if e.source == e.target]
-    checks.append(
-        ValidationCheck(
-            CHECK_SELF_LOOP,
-            not loops,
-            True,
-            "no self-loops" if not loops else f"self-loops: {loops}",
-        )
-    )
+    check(CHECK_SELF_LOOP, loops, "no self-loops", f"self-loops: {loops}")
 
     if (
         graph.manifold_dim is not None
@@ -503,16 +483,9 @@ def validate_graph(graph: GkmGraph) -> ValidationReport:
             for vid, edge_list in incident.items()
             if len(edge_list) != n
         }
-        checks.append(
-            ValidationCheck(
-                CHECK_EDGE_COUNT,
-                not bad_counts,
-                False,
-                f"every vertex has exactly {n} incident edges (one per weight)"
-                if not bad_counts
-                else f"vertices with edge count != {n}: {bad_counts}",
-            )
-        )
+        check(CHECK_EDGE_COUNT, bad_counts,
+              f"every vertex has exactly {n} incident edges (one per weight)",
+              f"vertices with edge count != {n}: {bad_counts}", mandatory=False)
 
     fiber_bad = []
     for e in graph.edges:
@@ -524,14 +497,7 @@ def validate_graph(graph: GkmGraph) -> ValidationReport:
             fiber_bad.append((e.id, "source pullback does not land in the edge fiber"))
         if e.pullback_target.target != e.edge_fiber:
             fiber_bad.append((e.id, "target pullback does not land in the edge fiber"))
-    checks.append(
-        ValidationCheck(
-            CHECK_FIBER_MAPS,
-            not fiber_bad,
-            True,
-            "fiber maps are well-formed" if not fiber_bad else f"{fiber_bad}",
-        )
-    )
+    check(CHECK_FIBER_MAPS, fiber_bad, "fiber maps are well-formed", f"{fiber_bad}")
 
     return ValidationReport(tuple(checks))
 

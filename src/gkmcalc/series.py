@@ -431,9 +431,9 @@ class CheckReport:
 def run_checks(graph, cutoff: int) -> CheckReport:
     """Evaluate the theorem checks for a valid GKM graph.
 
-    * ``odd_basic_vanishing``: all odd basic coefficients are zero
-      (checked when every fiber is supported in even degrees; skipped
-      otherwise, since odd fiber classes feed odd basic classes);
+    * ``odd_basic_vanishing``: all odd basic coefficients are zero (its
+      input is missing when a fiber carries an odd-degree class, which
+      feeds odd basic classes);
     * ``orbit_space_dimension``: the total basic dimension equals the sum
       of all vertex fiber dimensions (for point fibers: the number of
       vertices, i.e. of closed Reeb orbits);
@@ -441,6 +441,13 @@ def run_checks(graph, cutoff: int) -> CheckReport:
       least n+1;
     * ``minimal_orbit_count``: when the total is exactly n+1 the basic
       series must be 1 + t^2 + ... + t^(2n) and the minimal flag is set.
+
+    One rule gives every status: ``skipped`` when the check's input is
+    missing (odd fiber classes, or no ``manifold_dim`` for the last two);
+    otherwise ``inconclusive`` while the basic series is not polynomial up
+    to the cutoff, except that a partial total of n+1 or more already
+    decides the lower bound, since a truncated total only undercounts;
+    otherwise ``pass`` or ``fail``.
     """
     from . import gkmcore  # local import: gkmcore depends on this module
 
@@ -449,121 +456,54 @@ def run_checks(graph, cutoff: int) -> CheckReport:
     basic, polynomial = report.series, report.is_polynomial
     checks = []
 
+    def check(name, ok, passed, failed, missing=None, decided=True, undecided=None):
+        if missing:
+            status, detail = STATUS_SKIPPED, missing
+        elif not decided:
+            status, detail = STATUS_INCONCLUSIVE, undecided
+        else:
+            status, detail = (STATUS_PASS, passed) if ok else (STATUS_FAIL, failed)
+        checks.append(CheckResult(name, status, detail))
+
     even_fibers = all(
         all(q % 2 == 0 for q in v.fiber.degrees()) for v in graph.vertices
     ) and all(all(q % 2 == 0 for q in e.edge_fiber.degrees()) for e in graph.edges)
-    if even_fibers:
-        odd = [d for d in range(1, cutoff + 1, 2) if basic[d] != 0]
-        checks.append(
-            CheckResult(
-                "odd_basic_vanishing",
-                STATUS_PASS if not odd else STATUS_FAIL,
-                "all odd basic coefficients vanish"
-                if not odd
-                else f"nonzero odd basic coefficients at degrees {odd}",
-            )
-        )
-    else:
-        checks.append(
-            CheckResult(
-                "odd_basic_vanishing",
-                STATUS_SKIPPED,
-                "fibers carry odd-degree classes; odd vanishing not expected",
-            )
-        )
+    odd = [d for d in range(1, cutoff + 1, 2) if basic[d] != 0]
+    check("odd_basic_vanishing", not odd, "all odd basic coefficients vanish",
+          f"nonzero odd basic coefficients at degrees {odd}",
+          missing=None if even_fibers
+          else "fibers carry odd-degree classes; odd vanishing not expected")
 
     expected_total = sum(v.fiber.total() for v in graph.vertices)
     total = basic.total()
-    if not polynomial:
-        status, detail = STATUS_INCONCLUSIVE, (
-            f"basic series not yet polynomial at cutoff {cutoff}; "
-            f"partial total {total}, expected {expected_total}"
-        )
-    elif total == expected_total:
-        status, detail = STATUS_PASS, f"total basic dimension {total} matches the critical set"
-    else:
-        status, detail = STATUS_FAIL, (
-            f"total basic dimension {total} != sum of fiber dimensions {expected_total}"
-        )
-    checks.append(CheckResult("orbit_space_dimension", status, detail))
+    check("orbit_space_dimension", total == expected_total,
+          f"total basic dimension {total} matches the critical set",
+          f"total basic dimension {total} != sum of fiber dimensions {expected_total}",
+          decided=polynomial,
+          undecided=f"basic series not yet polynomial at cutoff {cutoff}; "
+          f"partial total {total}, expected {expected_total}")
 
-    n = None if graph.manifold_dim is None else (graph.manifold_dim - 1) // 2
-    if n is None:
-        checks.append(
-            CheckResult(
-                "closed_orbit_lower_bound", STATUS_SKIPPED, "manifold_dim not provided"
-            )
-        )
-    elif total >= n + 1:
-        # a truncated total only undercounts, so >= is conclusive either way
-        checks.append(
-            CheckResult(
-                "closed_orbit_lower_bound",
-                STATUS_PASS,
-                f"total {total} >= n+1 = {n + 1}",
-            )
-        )
-    elif not polynomial:
-        checks.append(
-            CheckResult(
-                "closed_orbit_lower_bound",
-                STATUS_INCONCLUSIVE,
-                f"partial total {total} < {n + 1} at cutoff {cutoff}",
-            )
-        )
-    else:
-        checks.append(
-            CheckResult(
-                "closed_orbit_lower_bound",
-                STATUS_FAIL,
-                f"total {total} < n+1 = {n + 1}",
-            )
-        )
+    # least = n+1 for a (2n+1)-manifold; the details below format a missing
+    # one as None, and a skipped check never shows them
+    least = None if graph.manifold_dim is None else (graph.manifold_dim + 1) // 2
+    missing = "manifold_dim not provided" if least is None else None
+    reached = least is not None and total >= least
+    check("closed_orbit_lower_bound", reached, f"total {total} >= n+1 = {least}",
+          f"total {total} < n+1 = {least}", missing=missing, decided=polynomial or reached,
+          undecided=f"partial total {total} < {least} at cutoff {cutoff}")
 
-    minimal = False
-    if n is None:
-        checks.append(
-            CheckResult("minimal_orbit_count", STATUS_SKIPPED, "manifold_dim not provided")
-        )
-    elif not polynomial:
-        checks.append(
-            CheckResult(
-                "minimal_orbit_count",
-                STATUS_INCONCLUSIVE,
-                f"basic series not yet polynomial at cutoff {cutoff}",
-            )
-        )
-    elif total == n + 1:
-        want = [1 if d % 2 == 0 and d <= 2 * n else 0 for d in range(cutoff + 1)]
-        if list(basic.coeffs) == want:
-            minimal = True
-            checks.append(
-                CheckResult(
-                    "minimal_orbit_count",
-                    STATUS_PASS,
-                    "minimal count: basic series is 1 + t^2 + ... + t^(2n)",
-                )
-            )
-        else:
-            checks.append(
-                CheckResult(
-                    "minimal_orbit_count",
-                    STATUS_FAIL,
-                    "total is n+1 but the basic series is not the truncated "
-                    "polynomial ring on one degree-2 class",
-                )
-            )
+    minimal = polynomial and total == least and basic.coeffs == tuple(
+        int(d % 2 == 0 and d < 2 * least) for d in range(cutoff + 1))
+    if total == least:
+        passed = "minimal count: basic series is 1 + t^2 + ... + t^(2n)"
+        failed = ("total is n+1 but the basic series is not the truncated "
+                  "polynomial ring on one degree-2 class")
     else:
-        above = total > n + 1
-        checks.append(
-            CheckResult(
-                "minimal_orbit_count",
-                STATUS_PASS if above else STATUS_FAIL,
-                f"total {total} exceeds the minimum {n + 1}; minimal flag unset"
-                if above
-                else f"total {total} is below the minimum {n + 1}",
-            )
-        )
+        passed = f"total {total} exceeds the minimum {least}; minimal flag unset"
+        failed = f"total {total} is below the minimum {least}"
+    check("minimal_orbit_count", minimal or (reached and total > least), passed, failed,
+          missing=missing, decided=polynomial,
+          undecided=f"basic series not yet polynomial at cutoff {cutoff}")
 
     return CheckReport(equivariant=eq, basic=report, checks=tuple(checks), minimal=minimal)
 

@@ -179,6 +179,31 @@ class TestPipelines:
         assert (code, out) == (1, "")
         assert err == "error: manifold_dim must be odd (2n+1) and positive\n"
 
+    @pytest.mark.parametrize("command", ["validate", "cohomology", "basic", "check"])
+    @pytest.mark.parametrize("bottom_orbit_dim", [-4, 0, 3, 5])
+    def test_bottom_orbit_dim_must_lie_in_one_to_rank(self, capsys, monkeypatch, command,
+                                                      bottom_orbit_dim):
+        # refused when the graph is built; -4 and 5 on this rank-2 graph once
+        # passed validate with exit 0 and without the EDGE_COUNT advisory
+        graph = builtin_simplex(1).to_json()
+        graph["bottom_orbit_dim"] = bottom_orbit_dim
+        code, out, err = run_cli(capsys, command, "-", stdin=json.dumps(graph),
+                                 monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == "error: bottom_orbit_dim must be at least 1 and at most the rank\n"
+
+    @pytest.mark.parametrize("bottom_orbit_dim", [1, 2])
+    def test_bottom_orbit_dim_up_to_rank_is_accepted(self, capsys, monkeypatch,
+                                                     bottom_orbit_dim):
+        # the EDGE_COUNT advisory runs for isolated bottom orbits only
+        graph = builtin_simplex(1).to_json()
+        graph["bottom_orbit_dim"] = bottom_orbit_dim
+        code, out, err = run_cli(capsys, "validate", "-", stdin=json.dumps(graph),
+                                 monkeypatch=monkeypatch)
+        assert (code, err) == (0, "")
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert ("EDGE_COUNT" in names) == (bottom_orbit_dim == 1)
+
     def test_round_trip_graph(self, capsys, monkeypatch, simplex2_json):
         code, out, _ = run_cli(
             capsys, "validate", "-", stdin=simplex2_json, monkeypatch=monkeypatch
@@ -670,6 +695,21 @@ def test_docs_list_the_subcommands():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     listed = readme.split("\nSubcommands: ", 1)[1].split("\n\n", 1)[0]
     assert re.findall(r"`([a-z-]+)`", re.sub(r"\([^)]*\)", "", listed)) == choices
+
+
+def test_docs_list_the_checks():
+    # the README's validation and theorem-check bullets name every check of
+    # a report that holds them all, in its order
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    graph = builtin_simplex(2)
+    for bullet, report, pattern, count in (
+        ("validation", gkmcalc.validate_graph(graph), r"`([A-Z_]+)`", 7),
+        ("theorem checks", gkmcalc.run_checks(graph, 6), r"`([a-z_]+)`", 4),
+    ):
+        names = [c.name for c in report.checks]
+        assert len(names) == count
+        text = readme.split(f"\n* **{bullet}**", 1)[1].split("\n* ", 1)[0]
+        assert [name for name in re.findall(pattern, text) if name in names] == names
 
 
 def _graph_with_edge_fiber():

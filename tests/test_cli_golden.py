@@ -3,8 +3,9 @@
 ``tests/data/cli_golden`` holds stdout, stderr and the exit code of
 ``cohomology``, ``basic`` and ``check`` on a few builtin examples and one
 generic toric skeleton, of every other subcommand (each builtin example,
-``--format table``, ``--strict`` and a rejected flag among them), and a
-description of every parser's arguments, written by
+``--format table``, ``--strict`` and a rejected flag among them), of
+``validate`` and ``check`` on graphs that reach every status and detail a
+graph can reach, and a description of every parser's arguments, written by
 ``scripts/write_cli_golden.py``.  A change of how the kernel is computed
 or of how the CLI is wired must leave every byte as it was.
 """
