@@ -493,11 +493,11 @@ def _is_reduced(rows, pivots) -> bool:
 def _spanned(vectors, rows, pivots) -> bool:
     """Whether every vector lies in the span of reduced echelon int rows: in
     it iff its entries at the pivots recombine the rows, each over its pivot
-    entry, into it."""
+    entry, into it, which holds at the pivots by construction."""
     scale = lcm(*(row[p] for row, p in zip(rows, pivots)))
     return all(
         scale * x == sum(vec[p] * (scale // row[p]) * row[j] for row, p in zip(rows, pivots))
-        for vec in vectors for j, x in enumerate(vec)
+        for vec in vectors for j, x in enumerate(vec) if j not in pivots
     )
 
 
@@ -512,10 +512,10 @@ def coordinates(basis, vectors):
     ``(i, num)`` in ``forms[k]``, ``z_i`` dual to the vectors.
 
     In a reduced echelon basis the coordinates of a vector are its entries at
-    the pivots; a vector that is a row of any other basis has the one
-    coordinate 1; otherwise one reduction of the basis beside the vectors, as
-    columns, solves for every vector at once.  Raises InputShapeError when
-    that reduction finds the basis rows linearly dependent.
+    the pivots; in any other basis one reduction of the basis beside the
+    vectors, as columns, solves for every vector at once.  Raises
+    InputShapeError when that reduction finds the basis rows linearly
+    dependent.
     """
     n = len(basis[0]) if basis else len(vectors[0]) if vectors else 0
     if any(len(row) != n for row in (*basis, *vectors)):
@@ -528,12 +528,6 @@ def coordinates(basis, vectors):
         den = lcm(*leads)
         return den, [[(i, vec[p] * (den // lead)) for i, (vec, lead) in enumerate(zip(vectors, leads))
                       if vec[p]] for p in pivots]
-    where = {row: k for k, row in enumerate(basis)}
-    if all(vec in where for vec in vectors):
-        forms = [[] for _ in basis]
-        for i, vec in enumerate(vectors):
-            forms[where[vec]].append((i, 1))
-        return 1, forms
     # [B^T | V^T] reduces to [D | X]: vector i is sum_c X[c][i] / D[c][c] B_c
     # when the basis columns are the pivots 0..k-1 and no other column is
     k = len(basis)
@@ -550,25 +544,30 @@ def coordinates(basis, vectors):
                  for c, (row, b, p) in enumerate(zip(red, basis, pivots))]
 
 
-def hyperplane_normal(ambient: SubspaceQ, sub: SubspaceQ) -> tuple[int, ...]:
-    """The primitive integer functional, positive first, whose kernel in
-    ambient is sub, in the coordinates dual to ambient's canonical basis.
+def hyperplane_normals(ambient: SubspaceQ, subs):
+    """``(contained, normal)`` for each subspace in ``subs``: whether it lies
+    in ambient and, if it is a hyperplane of ambient, the primitive integer
+    functional, positive first, whose kernel in ambient it is, in the
+    coordinates dual to ambient's canonical basis (else None).
 
-    sub must be a hyperplane of ambient.  Its pivots are then ambient's but
+    Ambient's pivots are taken once.  A hyperplane's pivots are ambient's but
     one, s, and its canonical basis row i is the ambient basis row of its own
-    pivot plus ``r_i[p_s] / r_i[c_i]`` times row s, so the normal is read off
-    without elimination; it is a coordinate functional iff sub's rows are
-    ambient's rows but one.
-    """
+    pivot plus ``r_i[p_s] / r_i[c_i]`` times row s: the normal is read off,
+    a unit functional iff sub's rows are ambient's rows but one."""
     apiv = ambient.pivot_columns()
-    spiv = sub.pivot_columns()
-    s = next(m for m, p in enumerate(apiv) if p not in spiv)
-    den = lcm(*(row[c] for row, c in zip(sub.rows, spiv)))
-    normal = [0] * ambient.dim
-    normal[s] = den
-    for row, c in zip(sub.rows, spiv):
-        normal[apiv.index(c)] = -row[apiv[s]] * (den // row[c])
-    return _normalized(normal)
+    out = []
+    for sub in subs:
+        contained, normal = _spanned(sub.rows, ambient.rows, apiv), None
+        if contained and sub.dim == ambient.dim - 1:
+            spiv = sub.pivot_columns()
+            s = next(m for m, p in enumerate(apiv) if p not in spiv)
+            den = lcm(*(row[c] for row, c in zip(sub.rows, spiv)))
+            normal = [den if m == s else 0 for m in range(ambient.dim)]
+            for row, c in zip(sub.rows, spiv):
+                normal[apiv.index(c)] = -row[apiv[s]] * (den // row[c])
+            normal = _normalized(normal)
+        out.append((contained, normal))
+    return out
 
 
 def dual_basis(ambient: SubspaceQ, functionals):

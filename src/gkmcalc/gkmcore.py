@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import (
@@ -34,7 +35,7 @@ from .exactlin import (
     MatrixQ,
     SubspaceQ,
     dual_basis,
-    hyperplane_normal,
+    hyperplane_normals,
     int_rows_from_json,
     int_rows_to_json,
     is_int,
@@ -44,7 +45,7 @@ from .exactlin import (
     subspace_from_json,
 )
 from .series import DegreeSeries
-from .symalg import contains, monomial_basis, restriction_images, sym_dim
+from .symalg import monomial_basis, restriction_images, sym_dim
 
 
 @dataclass(frozen=True)
@@ -235,6 +236,10 @@ class GkmGraph:
     def vertex(self, vid: str) -> GkmVertex:
         return self._by_id[vid]
 
+    @cached_property
+    def _validation(self):  # the graph is frozen, so it is validated once
+        return _validate(self)
+
     @property
     def is_point_fibered(self) -> bool:
         return all(v.fiber.is_point for v in self.vertices) and all(
@@ -408,13 +413,18 @@ class ValidationReport:
 
 
 def validate_graph(graph: GkmGraph) -> ValidationReport:
-    """Check the graph against the GKM conditions.
+    """Check the graph against the GKM conditions; the report is held on it.
 
     Mandatory: connectivity, edge-isotropy containment of codimension one,
     equal isotropy dimensions, pairwise distinct edge isotropies at each
     vertex, no self-loops, well-formed fiber maps.  Advisory: the edge
     count per vertex for isolated bottom orbits of a (2n+1)-manifold.
     """
+    return graph._validation[0]
+
+
+def _validate(graph: GkmGraph):
+    """The report, and the incidences it reads: ``(contained, normal)`` by (vertex, edge) id."""
     checks = []
 
     def check(name, violations, passed, failed, mandatory=True):
@@ -442,12 +452,10 @@ def validate_graph(graph: GkmGraph) -> ValidationReport:
     check(CHECK_CONNECTED, not connected,
           "underlying graph is connected", "underlying graph is not connected")
 
-    bad_containment = []
-    for e in graph.edges:
-        for vid in (e.source, e.target):
-            v = graph.vertex(vid)
-            if not contains(v.isotropy, e.isotropy) or v.isotropy.dim != e.isotropy.dim + 1:
-                bad_containment.append((e.id, vid))
+    incidences = {(v.id, e.id): inc for v in graph.vertices for e, inc in zip(
+        incident[v.id], hyperplane_normals(v.isotropy, [x.isotropy for x in incident[v.id]]))}
+    bad_containment = [(e.id, vid) for e in graph.edges for vid in (e.source, e.target)
+                       if incidences[vid, e.id][1] is None]
     check(CHECK_CONTAINMENT, bad_containment,
           "every edge isotropy sits in both endpoint isotropies with codimension 1",
           f"containment/codimension violations at {bad_containment}")
@@ -499,7 +507,7 @@ def validate_graph(graph: GkmGraph) -> ValidationReport:
             fiber_bad.append((e.id, "target pullback does not land in the edge fiber"))
     check(CHECK_FIBER_MAPS, fiber_bad, "fiber maps are well-formed", f"{fiber_bad}")
 
-    return ValidationReport(tuple(checks))
+    return ValidationReport(tuple(checks)), incidences
 
 
 def _require_valid(graph: GkmGraph):
@@ -544,50 +552,49 @@ def _layout(graph: GkmGraph, total_degree: int) -> tuple[tuple[_Block, ...], int
 
 def _adapted_bases(graph: GkmGraph):
     """Bases of the vertex and edge isotropies in which most edge conditions
-    restrict each monomial to one monomial: ``(vertex bases, edge bases)``,
-    bases by id as int rows in the sense of
-    :func:`~gkmcalc.exactlin.coordinates`.
+    restrict each monomial to one monomial: ``(vertex bases, edge bases,
+    drops)``, bases by id as int rows in the sense of
+    :func:`~gkmcalc.exactlin.coordinates`, and, by (vertex id, edge id), the
+    index of the one vertex line an edge basis leaves out, where it does.
 
     At a vertex the incident edges are taken in id order, each kept while the
-    normal of its isotropy stays independent of those kept, then canonical
-    coordinate functionals fill up; :func:`~gkmcalc.exactlin.dual_basis`
-    makes that choice and finds the dual lines in one reduction.  The lines,
-    sorted, are the vertex's basis, so a kept edge's isotropy is spanned by
-    the other lines.  An edge takes those other lines at its source if the
-    source kept it, else at its target, else its canonical rows.  Where
-    every incident isotropy is a coordinate hyperplane of the canonical
-    basis, that basis is what the rule chooses; it is taken without
-    elimination, with its cache entries.  On a toric skeleton both endpoints
-    of an edge have its lines, so every constraint row has two nonzeros.
+    normal of its isotropy (read by :func:`_validate`) stays independent
+    of those kept, then canonical coordinate functionals fill up;
+    :func:`~gkmcalc.exactlin.dual_basis` makes that choice and finds the dual
+    lines in one reduction.  The lines, sorted, are the vertex's basis, so a
+    kept edge's isotropy is spanned by the other lines.  An edge takes those
+    other lines at its source if the source kept it, else at its target,
+    else its canonical rows.  Where every incident isotropy is a coordinate
+    hyperplane of the canonical basis, that basis is what the rule chooses;
+    it is taken without elimination.  On a toric skeleton both endpoints of
+    an edge have its lines, so every constraint row has two nonzeros.
     Kernel dimensions do not depend on the bases chosen.
     """
     incident: dict[str, list[GkmEdge]] = {v.id: [] for v in graph.vertices}
     for e in sorted(graph.edges, key=lambda e: e.id):
         incident[e.source].append(e)
         incident[e.target].append(e)
-    vertex_bases = {}
-    others = {}  # (vertex id, edge id) -> the other lines, where the vertex kept the edge
+    vertex_bases, incidences = {}, graph._validation[1]
+    others = {}  # (vertex id, edge id) -> (index of its line, the other lines), where kept
     for v in graph.vertices:
         rows, edges = v.isotropy.rows, incident[v.id]
         own = set(rows)
         if all(own.issuperset(e.isotropy.rows) for e in edges):
-            vertex_bases[v.id] = rows
-            others.update(((v.id, e.id), e.isotropy.rows) for e in edges)
-            continue
-        k = len(rows)
-        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-        kept, lines = dual_basis(
-            v.isotropy, [hyperplane_normal(v.isotropy, e.isotropy) for e in edges] + units
-        )
-        vertex_bases[v.id] = tuple(sorted(lines, reverse=True))
-        for i, line in zip(kept, lines):
-            if i < len(edges):
-                others[v.id, edges[i].id] = tuple(x for x in vertex_bases[v.id] if x != line)
-    edge_bases = {
-        e.id: others.get((e.source, e.id), others.get((e.target, e.id), e.isotropy.rows))
-        for e in graph.edges
-    }
-    return vertex_bases, edge_bases
+            basis = rows
+            dropped = {e.id: incidences[v.id, e.id][1].index(1) for e in edges}  # unit normals
+        else:
+            k = len(rows)
+            units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+            kept, lines = dual_basis(v.isotropy, [incidences[v.id, e.id][1] for e in edges] + units)
+            basis = tuple(sorted(lines, reverse=True))
+            dropped = {edges[i].id: basis.index(line)
+                       for i, line in zip(kept, lines) if i < len(edges)}
+        vertex_bases[v.id] = basis
+        others.update(((v.id, eid), (s, basis[:s] + basis[s + 1:])) for eid, s in dropped.items())
+    edge_bases = {e.id: (others.get((e.source, e.id)) or others.get((e.target, e.id))
+                         or (None, e.isotropy.rows))[1] for e in graph.edges}
+    drops = {key: s for key, (s, lines) in others.items() if lines == edge_bases[key[1]]}
+    return vertex_bases, edge_bases, drops
 
 
 def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, bases=None):
@@ -596,13 +603,13 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, bas
     Each row is an integer multiple of a row of the map, as a sparse
     ``{col: int}`` dict; rows that are zero are left out.  Polynomials are
     written in the coordinates dual to the canonical isotropy bases, or to
-    ``bases``, a pair of vertex and edge bases by id as
-    :func:`_adapted_bases` returns.
+    ``bases``, vertex and edge bases by id with their drops as
+    :func:`_adapted_bases` returns them.
     """
     if bases is None:
         bases = ({v.id: v.isotropy.rows for v in graph.vertices},
-                 {e.id: e.isotropy.rows for e in graph.edges})
-    vertex_bases, edge_bases = bases
+                 {e.id: e.isotropy.rows for e in graph.edges}, {})
+    vertex_bases, edge_bases, drops = bases
     index = {(b.vertex, b.poly_degree, b.fiber_degree): b for b in blocks}
     rows: list[dict[int, int]] = []
     for e in graph.edges:
@@ -622,27 +629,27 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, bas
                 prows = dict(pullback.blocks).get(q)
                 if block is None or prows is None:
                     continue
-                scale, images = restriction_images(vertex_bases[vid], edge_bases[e.id], d)
-                contributions.append((block, scale, images, prows, sign))
+                scale, _, live = restriction_images(vertex_bases[vid], edge_bases[e.id], d,
+                                                    drops.get((vid, e.id)))
+                contributions.append((block, scale, live, prows, sign))
             # one multiplier per pullback row clears the denominators of both sides
             den = [
                 lcm(*(scale * prows[ip][0] for _, scale, _, prows, _ in contributions))
                 for ip in range(e_fdim)
             ]
-            # row (ir, ip) at ir * e_fdim + ip; each endpoint's images are
-            # scattered into the rows by increasing column, source first
+            # row (ir, ip) at ir * e_fdim + ip; each endpoint's nonempty
+            # images are scattered into the rows by increasing column, source first
             grid = [{} for _ in range(e_pdim * e_fdim)]
-            for block, scale, images, prows, sign in contributions:
+            for block, scale, live, prows, sign in contributions:
                 width = block.fiber_dim
                 for ip, (pden, ppairs) in enumerate(prows):
                     f = sign * (den[ip] // (scale * pden))
-                    base = block.offset
-                    for image in images:
+                    for col, image in live:
+                        base = block.offset + col * width
                         for ir, r in image:
                             row = grid[ir * e_fdim + ip]
                             for jp, p in ppairs:
                                 row[base + jp] = f * r * p
-                        base += width
             rows += filter(None, grid)
     return rows
 

@@ -8,18 +8,16 @@ standing for itself over its leading entry (see
 are its canonical (RREF) basis.  The central operation is the restriction
 map S(W*)_d -> S(V*)_d induced by an inclusion V <= W: write the basis of
 V in the basis of W and substitute the resulting linear forms into each
-monomial.  The maps are a map of graded algebras, so they are cached per
-pair of bases: the linear forms are read once, and degree d is grown from
-degree d - 1 by one linear-form multiplication per monomial.  Each degree
-is kept, and returned by :func:`restriction_images`, as the images of the
-ambient monomials, the one format the constraint assembly reads; the
+monomial.  The linear forms are read once per pair of bases, and the maps,
+which depend on nothing else, are cached per set of forms, which many
+pairs share: a map of graded algebras, degree d is grown from degree d - 1
+by one linear-form multiplication per monomial.  Each degree is kept, and
+returned by :func:`restriction_images`, as the images of the ambient
+monomials and the list of the nonempty ones, which the assembly reads; the
 growth addresses monomials by position only, through two tables of each
 degree's :class:`MonomialBasis` (:attr:`~MonomialBasis.down` and
-:attr:`~MonomialBasis.up`).  That cache also keeps the answer when V is
-not in W, and graph validation reads containment from it for canonical
-pairs too (:func:`contains`), so each pair is decided once.
-``gkmcore.equivariant_dims`` asks for pairs of adapted bases, in which
-most maps send a monomial to one monomial or to 0.
+:attr:`~MonomialBasis.up`).  ``gkmcore.equivariant_dims`` asks for pairs of
+adapted bases, in which most maps send a monomial to one monomial or to 0.
 
 Grading convention: the generators of S(V*) sit in cohomological degree 2,
 so polynomial degree d contributes to cohomological degree 2d.
@@ -32,18 +30,18 @@ from functools import cached_property, lru_cache
 from math import comb
 
 from .errors import InputShapeError, SubspaceContainmentError
-from .exactlin import SubspaceQ, coordinates
+from .exactlin import coordinates
 
-#: Entries kept by each of the ``monomial_basis`` and ``_graded`` (one
-#: pair of bases, with its containment answer and every degree built for it
-#: so far) caches, so that long-lived use stays within a bounded memory.
-#: Validation, ``equivariant_basis`` and ``class_product`` read the
-#: canonical pairs and ``equivariant_dims`` adds the adapted ones where they
-#: differ; :func:`restriction_images` is the one reader of the maps.  One
-#: pass of any ``pipebench`` workload holds at most about 750 pairs
-#: (``cli-stream``; ``generic-series`` holds 384, half of them adapted) and
-#: builds about 1,000 maps (``simplex(5)`` up to degree 16 holds 30 pairs
-#: and builds 240), so neither evicts.  The ``down`` and ``up`` tables of a
+#: Entries kept by each of the ``monomial_basis``, ``_graded`` (one pair of
+#: bases with its containment answer and linear forms) and ``_maps`` (every
+#: degree built so far for one set of forms) caches, so that long-lived use
+#: stays within a bounded memory.  ``equivariant_basis`` and
+#: ``class_product`` read the canonical pairs and ``equivariant_dims`` the
+#: adapted ones.  One cold pass of a ``pipebench`` workload holds at most
+#: 232 pairs (``cli-stream``; ``generic-series`` 192) with at most 20 sets of
+#: forms (``basis-ring``; ``generic-series`` 7) and builds at most 97 maps
+#: past degree 0 (``simplex(5)`` up to degree 16 holds 30 pairs, 5 sets of
+#: forms and builds 40), so none evicts.  The ``down`` and ``up`` tables of a
 #: basis add about 64 bytes per monomial and 56 + 8 * var_count bytes per
 #: monomial one degree down (plus 28 bytes per position past 256), under
 #: half of what its monomials and ``index`` take: 0.06 MB beside 0.14 MB
@@ -137,20 +135,23 @@ def monomial_basis(var_count: int, degree: int) -> MonomialBasis:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _graded(ambient, sub):
+def _graded(ambient, sub, drop=None):
     """``(den, forms, maps)`` for a pair of bases, None when sub's span is not
-    in ambient's: the linear forms of :func:`~gkmcalc.exactlin.coordinates`
-    and the ``(scale, images)`` of the restriction maps built so far, by
-    degree, which :func:`restriction_images` extends."""
-    inc = coordinates(ambient, sub)
-    if inc is None:
+    in ambient's: the linear forms of :func:`~gkmcalc.exactlin.coordinates`,
+    or unit forms, with no ``coordinates``, when a ``drop`` says that sub is
+    ambient's rows but the one at that index; and the maps of those forms."""
+    if drop is not None:
+        inc = 1, [[(k - (k > drop), 1)] if k != drop else [] for k in range(len(ambient))]
+    elif (inc := coordinates(ambient, sub)) is None:
         return None
-    return *inc, {0: (1, (((0, 1),),))}
+    forms = tuple(map(tuple, inc[1]))
+    return inc[0], forms, _maps(len(sub), inc[0], forms)
 
 
-def contains(ambient: SubspaceQ, sub: SubspaceQ) -> bool:
-    """Whether sub lies in ambient, decided once per pair by :func:`_graded`."""
-    return _graded(ambient.rows, sub.rows) is not None
+@lru_cache(maxsize=CACHE_SIZE)
+def _maps(sub_dim: int, den: int, forms):
+    """The maps built so far, by degree, of every pair with these forms."""
+    return {0: (1, (((0, 1),),), ((0, ((0, 1),)),))}
 
 
 def _times_forms(prev, ambient_dim: int, sub_dim: int, degree: int, forms):
@@ -181,14 +182,15 @@ def _times_forms(prev, ambient_dim: int, sub_dim: int, degree: int, forms):
     return tuple(images)
 
 
-def restriction_images(ambient, sub, degree: int):
-    """``(scale, images)`` of the degree-``degree`` restriction along a pair
-    of bases (see :func:`~gkmcalc.exactlin.coordinates`), in the monomials of
-    the coordinates dual to them: ``images[col]`` is the image of ambient
-    monomial ``col`` times ``scale``, as ``((sub monomial, num), ...)`` with
-    each ``num`` a nonzero int.  Raises :class:`SubspaceContainmentError`
-    when sub's span is not in ambient's."""
-    graded = _graded(ambient, sub)
+def restriction_images(ambient, sub, degree: int, drop=None):
+    """``(scale, images, live)`` of the degree-``degree`` restriction along a
+    pair of bases (see :func:`~gkmcalc.exactlin.coordinates`), in the
+    monomials of the coordinates dual to them: ``images[col]`` is the image of
+    ambient monomial ``col`` times ``scale``, as ``((sub monomial, num), ...)``
+    with each ``num`` a nonzero int, and ``live`` the ``(col, image)`` pairs
+    of the nonempty images.  ``drop`` is :func:`_graded`'s.  Raises
+    :class:`SubspaceContainmentError` when sub's span is not in ambient's."""
+    graded = _graded(ambient, sub, drop)
     if graded is None:
         raise SubspaceContainmentError(
             f"subspace of dim {len(sub)} is not contained in the ambient of dim {len(ambient)}"
@@ -196,8 +198,9 @@ def restriction_images(ambient, sub, degree: int):
     den, forms, maps = graded
     # a loop, not recursion, so the call depth does not grow with the degree;
     # a degree is added only after the one below and never replaced, so
-    # threads may grow one pair's maps together
+    # threads may grow one set of maps together
     for d in range(len(maps), degree + 1):
-        scale, images = maps[d - 1]
-        maps.setdefault(d, (scale * den, _times_forms(images, len(ambient), len(sub), d, forms)))
+        scale, images, _ = maps[d - 1]
+        images = _times_forms(images, len(ambient), len(sub), d, forms)
+        maps.setdefault(d, (scale * den, images, tuple((c, im) for c, im in enumerate(images) if im)))
     return maps[degree]

@@ -30,6 +30,11 @@ growing each degree from the one below; and
 :func:`grown_restriction_images`, that growth as it was on exponent
 tuples, before the library grew each degree through the index tables of
 its monomial bases.
+And so are the per-incidence readings that one pass per vertex replaced
+(:func:`incidence`): containment through ``coordinates``, which
+validation read once per (vertex, edge) pair, the span test on every
+column, :func:`_spanned`, and :func:`hyperplane_normal` called for each
+incidence on its own.
 """
 
 from fractions import Fraction
@@ -433,7 +438,7 @@ def dense(restriction, nrows):
     """The dense rational matrix of ``(scale, images)`` as
     ``symalg.restriction_images`` returns them, with ``nrows`` rows, one per
     sub monomial: column col is image col divided by the scale."""
-    scale, images = restriction
+    scale, images = restriction[:2]
     ncols = len(images)
     entries = [Fraction(0)] * (nrows * ncols)
     for col, image in enumerate(images):
@@ -640,3 +645,47 @@ def subspace_relations_by_rank(a, b):
     a's, and vice versa."""
     r = rank_of_rows(a.rows + b.rows, a.ambient_dim)
     return r == a.dim, r == b.dim, a.dim, b.dim
+
+
+def _spanned(vectors, rows, pivots) -> bool:
+    """Whether every vector lies in the span of reduced echelon int rows: in
+    it iff its entries at the pivots recombine the rows, each over its pivot
+    entry, into it, compared at every column, the pivots too."""
+    scale = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    return all(
+        scale * x == sum(vec[p] * (scale // row[p]) * row[j] for row, p in zip(rows, pivots))
+        for vec in vectors for j, x in enumerate(vec)
+    )
+
+
+def hyperplane_normal(ambient, sub):
+    """The primitive integer functional, positive first, whose kernel in
+    ambient is sub, in the coordinates dual to ambient's canonical basis,
+    for a hyperplane sub of ambient, with the pivots of both taken anew:
+    sub's pivots are ambient's but one, s, and its canonical basis row i is
+    the ambient basis row of its own pivot plus ``r_i[p_s] / r_i[c_i]``
+    times row s."""
+    apiv = ambient.pivot_columns()
+    spiv = sub.pivot_columns()
+    s = next(m for m, p in enumerate(apiv) if p not in spiv)
+    den = lcm(*(row[c] for row, c in zip(sub.rows, spiv)))
+    normal = [0] * ambient.dim
+    normal[s] = den
+    for row, c in zip(sub.rows, spiv):
+        normal[apiv.index(c)] = -row[apiv[s]] * (den // row[c])
+    g = gcd(*normal)
+    if next(x for x in normal if x) < 0:
+        g = -g
+    return tuple(x // g for x in normal)
+
+
+def incidence(ambient, sub):
+    """``(contained, codimension, normal)`` of sub in ambient, read on their
+    own: containment through ``coordinates`` on the canonical rows, which
+    must agree with :func:`_spanned`, and the normal by
+    :func:`hyperplane_normal` when sub is a hyperplane of ambient, else
+    None."""
+    contained = coordinates(ambient.rows, sub.rows) is not None
+    assert contained == _spanned(sub.rows, ambient.rows, ambient.pivot_columns())
+    codim = ambient.dim - sub.dim
+    return contained, codim, hyperplane_normal(ambient, sub) if contained and codim == 1 else None

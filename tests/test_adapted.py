@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmcalc.examples import builtin_fiber_join, builtin_simplex, builtin_stiefel
-from gkmcalc.exactlin import dual_basis, hyperplane_normal, reduce_int_rows
+from gkmcalc.exactlin import canonical_subspace, dual_basis, reduce_int_rows
 from gkmcalc.gkmcore import (
     GkmEdge,
     GkmGraph,
@@ -22,8 +22,9 @@ from gkmcalc.gkmcore import (
     _layout,
     equivariant_dims,
 )
+from gkmcalc.symalg import restriction_images, sym_dim
 
-from oracles import dense_equivariant_dims
+from oracles import dense, dense_equivariant_dims, hyperplane_normal
 from test_gkmcore import coordinate_changes, fixture_graph
 
 GENERIC = {"generic_simplex4": 8, "generic_cube3": 8, "generic_cube4": 6}
@@ -66,10 +67,11 @@ def test_generic_rows_have_two_nonzeros(name):
     # each restriction sends a monomial to one monomial; the canonical
     # system of the same graph is denser
     graph = fixture_graph(name)
-    vertex_bases, edge_bases = _adapted_bases(graph)
+    bases = vertex_bases, edge_bases, drops = _adapted_bases(graph)
     for e in graph.edges:
         assert set(edge_bases[e.id]) <= set(vertex_bases[e.source]) & set(vertex_bases[e.target])
-    for m, rows, _ in systems(graph, 8, (vertex_bases, edge_bases)):
+        assert (e.source, e.id) in drops and (e.target, e.id) in drops
+    for m, rows, _ in systems(graph, 8, bases):
         assert rows and all(len(row) == 2 for row in rows), m
     assert any(len(row) > 2 for _, rows, _ in systems(graph, 4) for row in rows)
 
@@ -78,7 +80,7 @@ def test_stiefel_takes_the_fallback():
     # valence 3 in dimension 2: each vertex keeps two of its edges, and an
     # edge kept at neither endpoint keeps its canonical basis
     graph = builtin_stiefel()
-    vertex_bases, edge_bases = _adapted_bases(graph)
+    vertex_bases, edge_bases, _ = _adapted_bases(graph)
     fallback = [e for e in graph.edges
                 if not any(set(edge_bases[e.id]) <= set(vertex_bases[vid])
                            for vid in (e.source, e.target))]
@@ -87,11 +89,49 @@ def test_stiefel_takes_the_fallback():
         assert edge_bases[edge.id] == edge.isotropy.rows
 
 
+def crossed_planes():
+    """Three vertices with isotropy Q^3 and five planes between them, each
+    vertex keeping three of its edges: u keeps e0, e1, e2 and v keeps e1,
+    e3, e4, so the two ends of e1 have different lines in its plane."""
+    space = canonical_subspace([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    planes = [[(1, 0, 0), (0, 1, 0)], [(1, 0, 1), (0, 1, 1)], [(1, 1, 0), (0, 0, 1)],
+              [(1, 0, 2), (0, 1, 3)], [(1, 2, 0), (0, 1, 1)]]
+    ends = [("u", "w"), ("u", "v"), ("u", "w"), ("v", "w"), ("v", "w")]
+    return GkmGraph(3, tuple(GkmVertex(vid, space) for vid in "uvw"),
+                    tuple(GkmEdge(f"e{i}", a, b, canonical_subspace(plane, 3))
+                          for i, ((a, b), plane) in enumerate(zip(ends, planes))))
+
+
+@pytest.mark.parametrize("name", [*GENERIC, "stiefel", "fiber_join(2,1)", "crossed"])
+def test_drops_name_the_line_an_edge_basis_leaves_out(name):
+    # a (vertex, edge) pair has a drop exactly where the edge's basis is the
+    # vertex's lines but one, and the unit forms it stands for give the
+    # restriction that coordinates gives on the same pair; where the two
+    # ends of an edge keep it with different lines, the end whose lines the
+    # edge did not take has none, and the dims are the canonical system's
+    graph = {"stiefel": builtin_stiefel(), "fiber_join(2,1)": builtin_fiber_join(2, 1),
+             "crossed": crossed_planes()}.get(name) or fixture_graph(name)
+    vertex_bases, edge_bases, drops = _adapted_bases(graph)
+    for e in graph.edges:
+        for vid in (e.source, e.target):
+            ambient, sub = vertex_bases[vid], edge_bases[e.id]
+            left_out = [s for s in range(len(ambient)) if ambient[:s] + ambient[s + 1:] == sub]
+            assert drops.get((vid, e.id)) == (left_out[0] if left_out else None)
+            if left_out:
+                for d in range(4):
+                    assert dense(restriction_images(ambient, sub, d, left_out[0]),
+                                 sym_dim(len(sub), d)) == dense(
+                        restriction_images(ambient, sub, d), sym_dim(len(sub), d))
+    if name == "crossed":
+        assert ("u", "e1") in drops and ("v", "e1") not in drops
+        assert list(equivariant_dims(graph, 6).coeffs) == canonical_dims(graph, 6)
+
+
 def test_coordinate_graphs_keep_the_canonical_bases():
     # where every incident isotropy is a coordinate hyperplane the canonical
     # basis is taken without elimination: it is the rule's own choice there
     for graph in (builtin_simplex(3), builtin_fiber_join(2, 1)):
-        vertex_bases, edge_bases = _adapted_bases(graph)
+        vertex_bases, edge_bases, _ = _adapted_bases(graph)
         assert vertex_bases == {v.id: v.isotropy.rows for v in graph.vertices}
         assert edge_bases == {e.id: e.isotropy.rows for e in graph.edges}
         for v in graph.vertices:
@@ -100,6 +140,7 @@ def test_coordinate_graphs_keep_the_canonical_bases():
             units = [tuple(int(i == j) for j in range(v.isotropy.dim))
                      for i in range(v.isotropy.dim)]
             normals = [hyperplane_normal(v.isotropy, e.isotropy) for e in edges]
+            assert normals == [graph._validation[1][v.id, e.id][1] for e in edges]
             kept, lines = dual_basis(v.isotropy, normals + units)
             assert kept[:len(edges)] == list(range(len(edges)))
             assert tuple(sorted(lines, reverse=True)) == v.isotropy.rows

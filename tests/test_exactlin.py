@@ -21,7 +21,7 @@ from gkmcalc.exactlin import (
     canonical_subspace,
     coordinates,
     dual_basis,
-    hyperplane_normal,
+    hyperplane_normals,
     int_row,
     int_rows_from_json,
     int_rows_to_json,
@@ -30,13 +30,15 @@ from gkmcalc.exactlin import (
     rational_from_json,
     rational_to_json,
 )
-from gkmcalc.symalg import contains, restriction_images
+from gkmcalc.symalg import restriction_images
 from gkmcalc.toric import simplex_polytope
 
 from oracles import (
     _scaled_int_rows,
     dense_restriction_matrix,
+    hyperplane_normal,
     identity_matrix,
+    incidence,
     mul_vector,
     naive_rref,
     rank_of_rows,
@@ -374,8 +376,14 @@ def invertible_matrix(rng, k):
     ]
 
 
+def contains(ambient, sub) -> bool:
+    """Containment as validation decides it: by one pass over the ambient's
+    incidences, :func:`~gkmcalc.exactlin.hyperplane_normals`."""
+    return hyperplane_normals(ambient, [sub])[0][0]
+
+
 class TestSubspaceRelations:
-    # containment as validation decides it, symalg.contains, both ways
+    # containment as validation decides it, both ways
     def test_line_in_plane(self):
         a = canonical_subspace([(1, 0)], 2)
         b = canonical_subspace([(1, 0), (0, 1)], 2)
@@ -533,7 +541,8 @@ class TestBases:
         for sub in hyperplanes:
             if sub.dim != k - 1:
                 continue
-            normal = hyperplane_normal(ambient, sub)
+            inside, normal = hyperplane_normals(ambient, [sub])[0]
+            assert inside and normal == hyperplane_normal(ambient, sub)
             assert gcd(*normal) == 1 and next(x for x in normal if x) > 0
             assert all(value(normal, lead_normalized(r)) == 0 for r in sub.rows)
             assert any(value(normal, c) for c in coords)
@@ -556,6 +565,38 @@ class TestBases:
             assert gcd(*line) == 1 and next(x for x in line if x) > 0
             for j, f in enumerate(kept):
                 assert bool(value(candidates[f], line)) == (i == j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), n=st.integers(1, 6),
+           shape=st.sampled_from(["inside", "outside", "coordinate"]))
+    def test_incidence_pass_matches_each_incidence_read_alone(self, rng, n, shape):
+        # one pass over an ambient's subspaces against reading each on its
+        # own (containment through coordinates and the span test at every
+        # column, the normal by hyperplane_normal): subspaces inside and
+        # outside the ambient, of codimension 0, 1 and 2 in it, in general
+        # and in coordinate position, so the normal is read off rows that
+        # are all the ambient's but one too
+        if shape == "coordinate":
+            axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            ambient = canonical_subspace(rng.sample(axes, rng.randint(0, n)), n)
+            pool = list(ambient.rows) + [a for a in axes if a not in ambient.rows][:1]
+        else:
+            ambient = canonical_subspace(random_matrix(rng, rng.randint(0, n), n), n)
+            pool = [lead_normalized(r) for r in ambient.rows]
+            if shape == "outside":
+                pool += random_matrix(rng, 1, n)
+        subs = []
+        for codim in (0, 1, 2, 0, 1, 2):
+            k = max(ambient.dim - codim, 0)
+            vectors = (rng.sample(pool, min(k, len(pool))) if shape == "coordinate"
+                       else random_combinations(rng, pool, k))
+            subs.append(canonical_subspace(vectors, n))
+        got = hyperplane_normals(ambient, subs)
+        assert len(got) == len(subs)
+        for sub, (inside, normal) in zip(subs, got):
+            assert (inside, ambient.dim - sub.dim, normal) == incidence(ambient, sub)
+        if shape == "inside":
+            assert all(inside for inside, _ in got)
 
     def test_dependent_functionals_rejected(self):
         plane = canonical_subspace([(1, 0, 0), (0, 1, 0)], 3)

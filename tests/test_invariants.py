@@ -258,11 +258,12 @@ def test_concurrent_degrees_match_sequential():
     from concurrent.futures import ThreadPoolExecutor
 
     from gkmcalc import equivariant_basis
-    from gkmcalc.symalg import _graded, monomial_basis
+    from gkmcalc.symalg import _graded, _maps, monomial_basis
 
     g = builtin_stiefel()
     sequential = {m: equivariant_basis(g, m) for m in range(9)}
     _graded.cache_clear()
+    _maps.cache_clear()
     monomial_basis.cache_clear()
     with ThreadPoolExecutor(max_workers=4) as pool:
         futures = {m: pool.submit(equivariant_basis, g, m) for m in range(9)}

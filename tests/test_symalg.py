@@ -20,11 +20,13 @@ from gkmcalc.gkmcore import (
     class_product,
     equivariant_basis,
     equivariant_dims,
+    graph_from_json,
     validate_graph,
 )
 from gkmcalc.symalg import (
     CACHE_SIZE,
     _graded,
+    _maps,
     monomial_basis,
     restriction_images,
     sym_dim,
@@ -57,8 +59,10 @@ def restricted(ambient, sub, degree):
 
 
 def sorted_images(restriction):
-    """``(scale, images)`` with each image sorted, as the oracles give them."""
-    scale, images = restriction
+    """``(scale, images)`` with each image sorted, as the oracles give them,
+    after checking that ``live`` lists the nonempty images."""
+    scale, images, live = restriction
+    assert live == tuple((col, image) for col, image in enumerate(images) if image)
     return scale, tuple(tuple(sorted(image)) for image in images)
 
 
@@ -183,12 +187,13 @@ class TestRestrictionMatrix:
             for d in degrees:
                 if d == degrees[0] or rng.random() < 0.3:
                     _graded.cache_clear()
+                    _maps.cache_clear()
                 restriction = restriction_images(amb.rows, sub.rows, d)
                 assert sorted_images(restriction) == expanded_restriction_images(
                     amb.rows, sub.rows, d)
                 assert dense(restriction, sym_dim(sub.dim, d)) == dense_restriction_matrix(
                     amb, sub, d)
-                scale, images = restriction
+                scale, images, _ = restriction
                 assert type(scale) is int and scale > 0
                 for image in images:
                     assert len({mono for mono, _ in image}) == len(image)
@@ -240,33 +245,40 @@ class TestRestrictionMatrix:
         # each degree is grown from the one below; a cold call far past the
         # recursion limit still answers, so the build is not recursive
         _graded.cache_clear()
+        _maps.cache_clear()
         a = canonical_subspace([(1, 0)], 2)
-        assert restriction_images(a.rows, a.rows, 1500) == (1, (((0, 1),),))
+        assert restriction_images(a.rows, a.rows, 1500) == (1, (((0, 1),),), ((0, ((0, 1),)),))
 
     def test_containment_read_once_per_pair(self):
-        # one graph through every entry point decides each (vertex, edge)
-        # pair once, for validation and restriction together (on coordinate
-        # isotropies the adapted bases of equivariant_dims are the canonical
-        # ones); coordinates is counted by its code object, so a call from any
-        # import site counts
+        # validation reads containment off the incidence pass and the
+        # adapted pairs of equivariant_dims on a toric skeleton are kept
+        # edges, given their unit forms, so neither asks coordinates; the
+        # canonical pairs of equivariant_basis and class_product ask it once
+        # each; coordinates is counted by its code object, so a call from any
+        # import site counts, on graphs read afresh, so that no report is held
         calls = []
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code is coordinates.__code__:
                 calls.append((frame.f_locals["basis"], frame.f_locals["vectors"]))
 
-        g = builtin_simplex(4)  # validates, which fills _graded
+        g = graph_from_json(builtin_simplex(4).to_json())
+        generic = graph_from_json(random_generic_skeleton(random.Random(8)).to_json())
         _graded.cache_clear()
+        _maps.cache_clear()
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            validate_graph(g)
-            equivariant_dims(g, 14)
+            for graph in (g, generic):
+                validate_graph(graph)
+                equivariant_dims(graph, 8)
+            dims_calls = list(calls)
             equivariant_basis(g, 2)
             basis = equivariant_basis(g, 2)
             class_product(g, basis[0], basis[-1])
         finally:
             sys.setprofile(previous)
+        assert dims_calls == []
         pairs = {(g.vertex(v).isotropy.rows, e.isotropy.rows)
                  for e in g.edges for v in (e.source, e.target)}
         assert len(calls) == len(pairs) and set(calls) == pairs
@@ -281,6 +293,7 @@ class TestRestrictionMatrix:
         degrees = [d for _ in range(4) for d in range(9)]
         rng.shuffle(degrees)
         _graded.cache_clear()
+        _maps.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -326,7 +339,7 @@ def mixed_basis(rng, rows):
 
 
 STIEFEL = builtin_stiefel()
-STIEFEL_BASES = _adapted_bases(STIEFEL)
+STIEFEL_BASES = _adapted_bases(STIEFEL)[:2]
 
 
 @st.composite
@@ -344,7 +357,7 @@ def basis_pairs(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if kind == "adapted":
         graph = random_generic_skeleton(rng)
-        vertex_bases, edge_bases = _adapted_bases(graph)
+        vertex_bases, edge_bases, _ = _adapted_bases(graph)
         pairs = [(vertex_bases[v], edge_bases[e.id])
                  for e in graph.edges for v in (e.source, e.target)]
         return kind, rng.sample(pairs, min(len(pairs), 6))
@@ -388,12 +401,13 @@ def test_images_on_bases_match_expansion_and_tuple_growth(case, seed):
         for d in degrees:
             if d == degrees[0] or rng.random() < 0.3:
                 _graded.cache_clear()
+                _maps.cache_clear()
                 monomial_basis.cache_clear()
-            scale, images = restriction_images(ambient, sub, d)
+            restriction = scale, images, _ = restriction_images(ambient, sub, d)
             expected = expanded_restriction_images(ambient, sub, d)
             assert grown_restriction_images(ambient, sub, d) == expected
             assert len(images) == sym_dim(len(ambient), d)
-            assert type(scale) is int and sorted_images((scale, images)) == expected
+            assert type(scale) is int and sorted_images(restriction) == expected
             for image in images:
                 assert len({mono for mono, _ in image}) == len(image)
                 assert all(type(num) is int and num for _, num in image)
@@ -413,12 +427,63 @@ def test_binomial_growth_of_graded_dimensions():
 
 
 def test_caches_are_bounded():
-    # every degree of a pair is kept by _graded, so restriction_images has no
-    # cache of its own
+    # every degree of a set of maps is kept by _maps, and the pairs of
+    # _graded with those forms share it, so restriction_images has no cache
+    # of its own; each of the three evicts past CACHE_SIZE entries
     caches = [name for name, value in vars(symalg).items() if hasattr(value, "cache_info")]
-    assert caches == ["monomial_basis", "_graded"]
-    for cached in (monomial_basis, _graded):
+    assert caches == ["monomial_basis", "_graded", "_maps"]
+    for cached in (monomial_basis, _graded, _maps):
         assert cached.cache_info().maxsize == CACHE_SIZE
     for d in range(CACHE_SIZE + 1):
         monomial_basis(1, d)
-    assert monomial_basis.cache_info().currsize == CACHE_SIZE
+        _graded(((d + 1,),), ((d + 1,),))
+        _maps(1, d + 1, ())
+    for cached in (monomial_basis, _graded, _maps):
+        assert cached.cache_info().currsize == CACHE_SIZE
+
+
+def lifted(basis, phi):
+    """The rows of a basis with one more coordinate, phi's value on each row:
+    the same linear relations and leading entries, so the same linear forms,
+    on other tuples."""
+    return tuple(row + (sum(c * x for c, x in zip(phi, row)),) for row in basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(basis_pairs(), st.integers(0, 2**32 - 1))
+def test_pairs_with_the_same_forms_share_their_maps(case, seed):
+    # distinct pairs of bases with one (len(sub), den, forms), a pair and its
+    # lifts into more coordinates, hold one set of maps; each degree, grown
+    # through any of the pairs in a random order from cold caches, and by
+    # eight threads at once through random pairs, is what expanding each
+    # monomial of the pair that asked for it gives
+    _, pairs = case
+    rng = random.Random(seed)
+    family = [next((a, s) for a, s in pairs if a)]
+    while len(family) < 4:
+        phi = [rng.randint(-3, 3) for _ in family[-1][0][0]]
+        family.append(tuple(lifted(basis, phi) for basis in family[-1]))
+    _graded.cache_clear()
+    _maps.cache_clear()
+    graded = [_graded(a, s) for a, s in family]
+    assert len({(len(s), den, forms) for (_, s), (den, forms, _) in zip(family, graded)}) == 1
+    assert all(maps is graded[0][2] for _, _, maps in graded)
+    assert _maps.cache_info().currsize == 1
+    asks = [(pair, d) for pair in family for d in range(7)]
+    rng.shuffle(asks)
+    for (a, s), d in asks:
+        assert sorted_images(restriction_images(a, s, d)) == expanded_restriction_images(a, s, d)
+    _graded.cache_clear()
+    _maps.cache_clear()
+    asks = [(rng.choice(family), d) for _ in range(3) for d in range(9)]
+    rng.shuffle(asks)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(restriction_images, a, s, d) for (a, s), d in asks]
+            grown = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for ((a, s), d), restriction in zip(asks, grown):
+        assert sorted_images(restriction) == expanded_restriction_images(a, s, d)
