@@ -544,11 +544,18 @@ def coordinates(basis, vectors):
                  for c, (row, b, p) in enumerate(zip(red, basis, pivots))]
 
 
+def contained(ambient: SubspaceQ, subs) -> list[bool]:
+    """Whether each subspace in ``subs`` lies in ambient: at once where its
+    rows are ambient's, else by :func:`_spanned`, ambient's pivots taken once."""
+    own, apiv = set(ambient.rows), ambient.pivot_columns()
+    return [own.issuperset(sub.rows) or _spanned(sub.rows, ambient.rows, apiv) for sub in subs]
+
+
 def hyperplane_normals(ambient: SubspaceQ, subs):
-    """``(contained, normal)`` for each subspace in ``subs``: whether it lies
-    in ambient and, if it is a hyperplane of ambient, the primitive integer
+    """For each hyperplane of ambient in ``subs`` (each must be one, as
+    :func:`contained` and the dimensions tell), the primitive integer
     functional, positive first, whose kernel in ambient it is, in the
-    coordinates dual to ambient's canonical basis (else None).
+    coordinates dual to ambient's canonical basis.
 
     Ambient's pivots are taken once.  A hyperplane's pivots are ambient's but
     one, s, and its canonical basis row i is the ambient basis row of its own
@@ -557,16 +564,13 @@ def hyperplane_normals(ambient: SubspaceQ, subs):
     apiv = ambient.pivot_columns()
     out = []
     for sub in subs:
-        contained, normal = _spanned(sub.rows, ambient.rows, apiv), None
-        if contained and sub.dim == ambient.dim - 1:
-            spiv = sub.pivot_columns()
-            s = next(m for m, p in enumerate(apiv) if p not in spiv)
-            den = lcm(*(row[c] for row, c in zip(sub.rows, spiv)))
-            normal = [den if m == s else 0 for m in range(ambient.dim)]
-            for row, c in zip(sub.rows, spiv):
-                normal[apiv.index(c)] = -row[apiv[s]] * (den // row[c])
-            normal = _normalized(normal)
-        out.append((contained, normal))
+        spiv = sub.pivot_columns()
+        s = next(m for m, p in enumerate(apiv) if p not in spiv)
+        den = lcm(*(row[c] for row, c in zip(sub.rows, spiv)))
+        normal = [den if m == s else 0 for m in range(ambient.dim)]
+        for row, c in zip(sub.rows, spiv):
+            normal[apiv.index(c)] = -row[apiv[s]] * (den // row[c])
+        out.append(_normalized(normal))
     return out
 
 

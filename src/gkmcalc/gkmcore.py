@@ -17,6 +17,10 @@ edge imposes
 For point fibers with identity pullbacks this reduces to tuples of
 polynomials (f_v) with f_source|t_e = f_target|t_e along every edge, and
 the componentwise product makes the kernel a graded algebra.
+
+What no degree changes is read once per call: each edge end's sign,
+pullback blocks and resolved restriction (:func:`_ends`); each degree
+then visits only the splits where a fiber is nonzero (:func:`_splits`).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .errors import (
 from .exactlin import (
     MatrixQ,
     SubspaceQ,
+    contained,
     dual_basis,
     hyperplane_normals,
     int_rows_from_json,
@@ -45,7 +50,7 @@ from .exactlin import (
     subspace_from_json,
 )
 from .series import DegreeSeries
-from .symalg import monomial_basis, restriction_images, sym_dim
+from .symalg import monomial_basis, restriction, restriction_images, sym_dim
 
 
 @dataclass(frozen=True)
@@ -420,11 +425,10 @@ def validate_graph(graph: GkmGraph) -> ValidationReport:
     vertex, no self-loops, well-formed fiber maps.  Advisory: the edge
     count per vertex for isolated bottom orbits of a (2n+1)-manifold.
     """
-    return graph._validation[0]
+    return graph._validation
 
 
-def _validate(graph: GkmGraph):
-    """The report, and the incidences it reads: ``(contained, normal)`` by (vertex, edge) id."""
+def _validate(graph: GkmGraph) -> ValidationReport:
     checks = []
 
     def check(name, violations, passed, failed, mandatory=True):
@@ -452,10 +456,11 @@ def _validate(graph: GkmGraph):
     check(CHECK_CONNECTED, not connected,
           "underlying graph is connected", "underlying graph is not connected")
 
-    incidences = {(v.id, e.id): inc for v in graph.vertices for e, inc in zip(
-        incident[v.id], hyperplane_normals(v.isotropy, [x.isotropy for x in incident[v.id]]))}
+    hyperplane = {(v.id, e.id): ok and e.isotropy.dim == v.isotropy.dim - 1
+                  for v in graph.vertices for e, ok in zip(
+                      incident[v.id], contained(v.isotropy, [x.isotropy for x in incident[v.id]]))}
     bad_containment = [(e.id, vid) for e in graph.edges for vid in (e.source, e.target)
-                       if incidences[vid, e.id][1] is None]
+                       if not hyperplane[vid, e.id]]
     check(CHECK_CONTAINMENT, bad_containment,
           "every edge isotropy sits in both endpoint isotropies with codimension 1",
           f"containment/codimension violations at {bad_containment}")
@@ -507,7 +512,7 @@ def _validate(graph: GkmGraph):
             fiber_bad.append((e.id, "target pullback does not land in the edge fiber"))
     check(CHECK_FIBER_MAPS, fiber_bad, "fiber maps are well-formed", f"{fiber_bad}")
 
-    return ValidationReport(tuple(checks)), incidences
+    return ValidationReport(tuple(checks))
 
 
 def _require_valid(graph: GkmGraph):
@@ -535,18 +540,23 @@ class _Block:
         return self.poly_dim * self.fiber_dim
 
 
+def _splits(fiber: GradedVS, var_count: int, total_degree: int):
+    """``(d, q, poly_dim, fiber_dim)`` of each nonzero S^d (x) fiber^q, over
+    ``var_count`` variables, with 2d + q = total_degree, by rising d: read
+    off the fiber's nonzero degrees, so no other split is probed."""
+    for q, n in reversed(fiber.dims):
+        d, odd = divmod(total_degree - q, 2)
+        if d >= 0 and not odd and (pdim := sym_dim(var_count, d)):
+            yield d, q, pdim, n
+
+
 def _layout(graph: GkmGraph, total_degree: int) -> tuple[tuple[_Block, ...], int]:
     blocks = []
     offset = 0
     for v in graph.vertices:
-        k = v.isotropy.dim
-        for d in range(total_degree // 2 + 1):
-            q = total_degree - 2 * d
-            pdim = sym_dim(k, d)
-            fdim = v.fiber.dim(q)
-            if pdim and fdim:
-                blocks.append(_Block(v.id, d, q, pdim, fdim, offset))
-                offset += pdim * fdim
+        for d, q, pdim, fdim in _splits(v.fiber, v.isotropy.dim, total_degree):
+            blocks.append(_Block(v.id, d, q, pdim, fdim, offset))
+            offset += pdim * fdim
     return tuple(blocks), offset
 
 
@@ -558,15 +568,15 @@ def _adapted_bases(graph: GkmGraph):
     index of the one vertex line an edge basis leaves out, where it does.
 
     At a vertex the incident edges are taken in id order, each kept while the
-    normal of its isotropy (read by :func:`_validate`) stays independent
-    of those kept, then canonical coordinate functionals fill up;
+    normal of its isotropy, a hyperplane as validation found, stays
+    independent of those kept, then canonical coordinate functionals fill up;
     :func:`~gkmcalc.exactlin.dual_basis` makes that choice and finds the dual
     lines in one reduction.  The lines, sorted, are the vertex's basis, so a
     kept edge's isotropy is spanned by the other lines.  An edge takes those
     other lines at its source if the source kept it, else at its target,
     else its canonical rows.  Where every incident isotropy is a coordinate
     hyperplane of the canonical basis, that basis is what the rule chooses;
-    it is taken without elimination.  On a toric skeleton both endpoints of
+    it is taken without normals or elimination.  On a toric skeleton both endpoints of
     an edge have its lines, so every constraint row has two nonzeros.
     Kernel dimensions do not depend on the bases chosen.
     """
@@ -574,18 +584,20 @@ def _adapted_bases(graph: GkmGraph):
     for e in sorted(graph.edges, key=lambda e: e.id):
         incident[e.source].append(e)
         incident[e.target].append(e)
-    vertex_bases, incidences = {}, graph._validation[1]
+    vertex_bases = {}
     others = {}  # (vertex id, edge id) -> (index of its line, the other lines), where kept
     for v in graph.vertices:
         rows, edges = v.isotropy.rows, incident[v.id]
         own = set(rows)
         if all(own.issuperset(e.isotropy.rows) for e in edges):
             basis = rows
-            dropped = {e.id: incidences[v.id, e.id][1].index(1) for e in edges}  # unit normals
+            dropped = {e.id: next(s for s, row in enumerate(rows) if row not in e.isotropy.rows)
+                       for e in edges}
         else:
             k = len(rows)
             units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-            kept, lines = dual_basis(v.isotropy, [incidences[v.id, e.id][1] for e in edges] + units)
+            normals = hyperplane_normals(v.isotropy, [e.isotropy for e in edges])
+            kept, lines = dual_basis(v.isotropy, normals + units)
             basis = tuple(sorted(lines, reverse=True))
             dropped = {edges[i].id: basis.index(line)
                        for i, line in zip(kept, lines) if i < len(edges)}
@@ -597,40 +609,40 @@ def _adapted_bases(graph: GkmGraph):
     return vertex_bases, edge_bases, drops
 
 
-def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, bases=None):
-    """Rows of the edge-restriction map at one total degree.
-
-    Each row is an integer multiple of a row of the map, as a sparse
-    ``{col: int}`` dict; rows that are zero are left out.  Polynomials are
-    written in the coordinates dual to the canonical isotropy bases, or to
-    ``bases``, vertex and edge bases by id with their drops as
-    :func:`_adapted_bases` returns them.
-    """
+def _ends(graph: GkmGraph, bases=None):
+    """Per edge, its two ends ``(vertex id, sign, pullback blocks by degree,
+    restriction)``, resolved once per call, in the canonical isotropy bases
+    or in ``bases`` as :func:`_adapted_bases` returns them."""
     if bases is None:
         bases = ({v.id: v.isotropy.rows for v in graph.vertices},
                  {e.id: e.isotropy.rows for e in graph.edges}, {})
     vertex_bases, edge_bases, drops = bases
+    return [tuple((vid, sign, dict(pullback.blocks),
+                   restriction(vertex_bases[vid], edge_bases[e.id], drops.get((vid, e.id))))
+                  for vid, pullback, sign in ((e.source, e.pullback_source, 1),
+                                              (e.target, e.pullback_target, -1)))
+            for e in graph.edges]
+
+
+def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, ends):
+    """Rows of the edge-restriction map at one total degree.
+
+    Each row is an integer multiple of a row of the map, as a sparse
+    ``{col: int}`` dict; rows that are zero are left out.  Polynomials are
+    written in the coordinates of ``ends``, from :func:`_ends`, and only the
+    splits where an edge fiber is nonzero are visited.
+    """
     index = {(b.vertex, b.poly_degree, b.fiber_degree): b for b in blocks}
     rows: list[dict[int, int]] = []
-    for e in graph.edges:
-        ke = e.isotropy.dim
-        for d in range(total_degree // 2 + 1):
-            q = total_degree - 2 * d
-            e_pdim = sym_dim(ke, d)
-            e_fdim = e.edge_fiber.dim(q)
-            if not e_pdim or not e_fdim:
-                continue
+    for e, edge_ends in zip(graph.edges, ends):
+        for d, q, e_pdim, e_fdim in _splits(e.edge_fiber, e.isotropy.dim, total_degree):
             contributions = []
-            for vid, pullback, sign in (
-                (e.source, e.pullback_source, 1),
-                (e.target, e.pullback_target, -1),
-            ):
+            for vid, sign, pblocks, to_edge in edge_ends:
                 block = index.get((vid, d, q))
-                prows = dict(pullback.blocks).get(q)
+                prows = pblocks.get(q)
                 if block is None or prows is None:
                     continue
-                scale, _, live = restriction_images(vertex_bases[vid], edge_bases[e.id], d,
-                                                    drops.get((vid, e.id)))
+                scale, _, live = restriction_images(to_edge, d)
                 contributions.append((block, scale, live, prows, sign))
             # one multiplier per pullback row clears the denominators of both sides
             den = [
@@ -665,14 +677,14 @@ def equivariant_dims(graph: GkmGraph, max_degree: int) -> DegreeSeries:
     if max_degree < 0:
         raise InputShapeError("max_degree must be nonnegative")
     _require_valid(graph)
-    bases = _adapted_bases(graph)
+    ends = _ends(graph, _adapted_bases(graph))
     dims = []
     for m in range(max_degree + 1):
         blocks, total = _layout(graph, m)
         if total == 0:
             dims.append(0)
             continue
-        rows = _constraint_rows(graph, m, blocks, total, bases)
+        rows = _constraint_rows(graph, m, blocks, total, ends)
         _, pivots = reduce_int_rows(rows, total, rank_only=True)
         dims.append(total - len(pivots))
     return DegreeSeries(tuple(dims))
@@ -749,7 +761,7 @@ def equivariant_basis(graph: GkmGraph, degree: int) -> list[EquivariantClass]:
     blocks, total = _layout(graph, degree)
     if total == 0:
         return []
-    rows = _constraint_rows(graph, degree, blocks, total)
+    rows = _constraint_rows(graph, degree, blocks, total, _ends(graph))
     return _classes_from_rows(kernel_rows(rows, total), blocks, degree)
 
 
@@ -799,7 +811,7 @@ def class_product(
             for mb, cb in pb.items():
                 key = tuple(x + y for x, y in zip(ma, mb))
                 vec[block.offset + index[key]] += ca * cb
-    rows = _constraint_rows(graph, degree, blocks, total)
+    rows = _constraint_rows(graph, degree, blocks, total, _ends(graph))
     if any(sum(c * vec[col] for col, c in row.items()) for row in rows):
         raise InputShapeError(
             f"the product does not satisfy the constraints of degree {degree}: "

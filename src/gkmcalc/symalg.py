@@ -11,8 +11,9 @@ V in the basis of W and substitute the resulting linear forms into each
 monomial.  The linear forms are read once per pair of bases, and the maps,
 which depend on nothing else, are cached per set of forms, which many
 pairs share: a map of graded algebras, degree d is grown from degree d - 1
-by one linear-form multiplication per monomial.  Each degree is kept, and
-returned by :func:`restriction_images`, as the images of the ambient
+by one linear-form multiplication per monomial.  :func:`restriction`
+resolves a pair once, and each degree is kept, and returned by
+:func:`restriction_images`, as the images of the ambient
 monomials and the list of the nonempty ones, which the assembly reads; the
 growth addresses monomials by position only, through two tables of each
 degree's :class:`MonomialBasis` (:attr:`~MonomialBasis.down` and
@@ -136,8 +137,8 @@ def monomial_basis(var_count: int, degree: int) -> MonomialBasis:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _graded(ambient, sub, drop=None):
-    """``(den, forms, maps)`` for a pair of bases, None when sub's span is not
-    in ambient's: the linear forms of :func:`~gkmcalc.exactlin.coordinates`,
+    """``(len(sub), den, forms, maps)`` for a pair of bases, None when sub's
+    span is not in ambient's: the forms of :func:`~gkmcalc.exactlin.coordinates`,
     or unit forms, with no ``coordinates``, when a ``drop`` says that sub is
     ambient's rows but the one at that index; and the maps of those forms."""
     if drop is not None:
@@ -145,7 +146,7 @@ def _graded(ambient, sub, drop=None):
     elif (inc := coordinates(ambient, sub)) is None:
         return None
     forms = tuple(map(tuple, inc[1]))
-    return inc[0], forms, _maps(len(sub), inc[0], forms)
+    return len(sub), inc[0], forms, _maps(len(sub), inc[0], forms)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -182,25 +183,30 @@ def _times_forms(prev, ambient_dim: int, sub_dim: int, degree: int, forms):
     return tuple(images)
 
 
-def restriction_images(ambient, sub, degree: int, drop=None):
-    """``(scale, images, live)`` of the degree-``degree`` restriction along a
-    pair of bases (see :func:`~gkmcalc.exactlin.coordinates`), in the
-    monomials of the coordinates dual to them: ``images[col]`` is the image of
-    ambient monomial ``col`` times ``scale``, as ``((sub monomial, num), ...)``
-    with each ``num`` a nonzero int, and ``live`` the ``(col, image)`` pairs
-    of the nonempty images.  ``drop`` is :func:`_graded`'s.  Raises
+def restriction(ambient, sub, drop=None):
+    """The restriction along a pair of bases, resolved once for all its
+    degrees: :func:`_graded`'s entry.  Raises
     :class:`SubspaceContainmentError` when sub's span is not in ambient's."""
     graded = _graded(ambient, sub, drop)
     if graded is None:
         raise SubspaceContainmentError(
             f"subspace of dim {len(sub)} is not contained in the ambient of dim {len(ambient)}"
         )
-    den, forms, maps = graded
+    return graded
+
+
+def restriction_images(resolved, degree: int):
+    """``(scale, images, live)`` of the degree-``degree`` piece of a
+    :func:`restriction`, in the monomials of the coordinates dual to its
+    bases: ``images[col]`` is the image of ambient monomial ``col`` times
+    ``scale``, as ``((sub monomial, num), ...)`` with each ``num`` a nonzero
+    int, and ``live`` the ``(col, image)`` pairs of the nonempty images."""
+    sub_dim, den, forms, maps = resolved
     # a loop, not recursion, so the call depth does not grow with the degree;
     # a degree is added only after the one below and never replaced, so
     # threads may grow one set of maps together
     for d in range(len(maps), degree + 1):
         scale, images, _ = maps[d - 1]
-        images = _times_forms(images, len(ambient), len(sub), d, forms)
+        images = _times_forms(images, len(forms), sub_dim, d, forms)
         maps.setdefault(d, (scale * den, images, tuple((c, im) for c, im in enumerate(images) if im)))
     return maps[degree]

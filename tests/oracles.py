@@ -35,6 +35,12 @@ And so are the per-incidence readings that one pass per vertex replaced
 validation read once per (vertex, edge) pair, the span test on every
 column, :func:`_spanned`, and :func:`hyperplane_normal` called for each
 incidence on its own.
+And so are the layout and the sparse assembly as they were before the
+library read each graph's fiber degrees and resolved each edge end's
+restriction once per call (:func:`probing_layout`,
+:func:`probing_constraint_rows`): every split 2d + q = m with d <= m/2 is
+probed, and each edge end's pullback blocks and restriction are looked up
+again at every degree.
 """
 
 from fractions import Fraction
@@ -46,11 +52,12 @@ from gkmcalc.exactlin import MatrixQ, _as_rational, coordinates
 from gkmcalc.gkmcore import (
     EquivariantClass,
     GkmGraph,
+    _Block,
     _classes_from_rows,
     _layout,
     _require_valid,
 )
-from gkmcalc.symalg import monomial_basis, restriction_images, sym_dim
+from gkmcalc.symalg import monomial_basis, restriction, restriction_images, sym_dim
 
 
 def _compositions(total, parts):
@@ -361,8 +368,8 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
                 pb = _dense_block(pullback, q)
                 if block is None or pb is None:
                     continue
-                rmat = dense(restriction_images(graph.vertex(vid).isotropy.rows, e.isotropy.rows, d),
-                             e_pdim)
+                to_edge = restriction(graph.vertex(vid).isotropy.rows, e.isotropy.rows)
+                rmat = dense(restriction_images(to_edge, d), e_pdim)
                 contributions.append((block, rmat, pb, sign))
             if not contributions:
                 continue
@@ -689,3 +696,69 @@ def incidence(ambient, sub):
     assert contained == _spanned(sub.rows, ambient.rows, ambient.pivot_columns())
     codim = ambient.dim - sub.dim
     return contained, codim, hyperplane_normal(ambient, sub) if contained and codim == 1 else None
+
+
+def probing_layout(graph: GkmGraph, total_degree: int):
+    """``(blocks, total)`` of one total degree, every split probed."""
+    blocks = []
+    offset = 0
+    for v in graph.vertices:
+        k = v.isotropy.dim
+        for d in range(total_degree // 2 + 1):
+            q = total_degree - 2 * d
+            pdim = sym_dim(k, d)
+            fdim = v.fiber.dim(q)
+            if pdim and fdim:
+                blocks.append(_Block(v.id, d, q, pdim, fdim, offset))
+                offset += pdim * fdim
+    return tuple(blocks), offset
+
+
+def probing_constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, bases=None):
+    """The sparse ``{col: int}`` rows of one total degree, every split
+    probed and every edge end's data looked up again, in the canonical
+    isotropy bases or in ``bases`` as ``gkmcore._adapted_bases`` gives
+    them."""
+    if bases is None:
+        bases = ({v.id: v.isotropy.rows for v in graph.vertices},
+                 {e.id: e.isotropy.rows for e in graph.edges}, {})
+    vertex_bases, edge_bases, drops = bases
+    index = {(b.vertex, b.poly_degree, b.fiber_degree): b for b in blocks}
+    rows: list[dict[int, int]] = []
+    for e in graph.edges:
+        ke = e.isotropy.dim
+        for d in range(total_degree // 2 + 1):
+            q = total_degree - 2 * d
+            e_pdim = sym_dim(ke, d)
+            e_fdim = e.edge_fiber.dim(q)
+            if not e_pdim or not e_fdim:
+                continue
+            contributions = []
+            for vid, pullback, sign in (
+                (e.source, e.pullback_source, 1),
+                (e.target, e.pullback_target, -1),
+            ):
+                block = index.get((vid, d, q))
+                prows = dict(pullback.blocks).get(q)
+                if block is None or prows is None:
+                    continue
+                scale, _, live = restriction_images(
+                    restriction(vertex_bases[vid], edge_bases[e.id], drops.get((vid, e.id))), d)
+                contributions.append((block, scale, live, prows, sign))
+            den = [
+                lcm(*(scale * prows[ip][0] for _, scale, _, prows, _ in contributions))
+                for ip in range(e_fdim)
+            ]
+            grid = [{} for _ in range(e_pdim * e_fdim)]
+            for block, scale, live, prows, sign in contributions:
+                width = block.fiber_dim
+                for ip, (pden, ppairs) in enumerate(prows):
+                    f = sign * (den[ip] // (scale * pden))
+                    for col, image in live:
+                        base = block.offset + col * width
+                        for ir, r in image:
+                            row = grid[ir * e_fdim + ip]
+                            for jp, p in ppairs:
+                                row[base + jp] = f * r * p
+            rows += filter(None, grid)
+    return rows

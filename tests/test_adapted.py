@@ -12,17 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmcalc.examples import builtin_fiber_join, builtin_simplex, builtin_stiefel
-from gkmcalc.exactlin import canonical_subspace, dual_basis, reduce_int_rows
+from gkmcalc import gkmcore
+from gkmcalc.exactlin import canonical_subspace, dual_basis, hyperplane_normals, reduce_int_rows
 from gkmcalc.gkmcore import (
     GkmEdge,
     GkmGraph,
     GkmVertex,
     _adapted_bases,
     _constraint_rows,
+    _ends,
     _layout,
     equivariant_dims,
 )
-from gkmcalc.symalg import restriction_images, sym_dim
+from gkmcalc.symalg import restriction, restriction_images, sym_dim
 
 from oracles import dense, dense_equivariant_dims, hyperplane_normal
 from test_gkmcore import coordinate_changes, fixture_graph
@@ -35,7 +37,7 @@ def systems(graph, max_degree, bases=None):
     for m in range(max_degree + 1):
         blocks, total = _layout(graph, m)
         if total:
-            yield m, _constraint_rows(graph, m, blocks, total, bases), total
+            yield m, _constraint_rows(graph, m, blocks, total, _ends(graph, bases)), total
 
 
 def canonical_dims(graph, max_degree):
@@ -119,9 +121,9 @@ def test_drops_name_the_line_an_edge_basis_leaves_out(name):
             assert drops.get((vid, e.id)) == (left_out[0] if left_out else None)
             if left_out:
                 for d in range(4):
-                    assert dense(restriction_images(ambient, sub, d, left_out[0]),
+                    assert dense(restriction_images(restriction(ambient, sub, left_out[0]), d),
                                  sym_dim(len(sub), d)) == dense(
-                        restriction_images(ambient, sub, d), sym_dim(len(sub), d))
+                        restriction_images(restriction(ambient, sub), d), sym_dim(len(sub), d))
     if name == "crossed":
         assert ("u", "e1") in drops and ("v", "e1") not in drops
         assert list(equivariant_dims(graph, 6).coeffs) == canonical_dims(graph, 6)
@@ -129,9 +131,11 @@ def test_drops_name_the_line_an_edge_basis_leaves_out(name):
 
 def test_coordinate_graphs_keep_the_canonical_bases():
     # where every incident isotropy is a coordinate hyperplane the canonical
-    # basis is taken without elimination: it is the rule's own choice there
+    # basis is taken without elimination: it is the rule's own choice there,
+    # and the drop, the index of the row an edge leaves out, is where its
+    # unit normal is 1
     for graph in (builtin_simplex(3), builtin_fiber_join(2, 1)):
-        vertex_bases, edge_bases, _ = _adapted_bases(graph)
+        vertex_bases, edge_bases, drops = _adapted_bases(graph)
         assert vertex_bases == {v.id: v.isotropy.rows for v in graph.vertices}
         assert edge_bases == {e.id: e.isotropy.rows for e in graph.edges}
         for v in graph.vertices:
@@ -140,10 +144,29 @@ def test_coordinate_graphs_keep_the_canonical_bases():
             units = [tuple(int(i == j) for j in range(v.isotropy.dim))
                      for i in range(v.isotropy.dim)]
             normals = [hyperplane_normal(v.isotropy, e.isotropy) for e in edges]
-            assert normals == [graph._validation[1][v.id, e.id][1] for e in edges]
+            assert [drops[v.id, e.id] for e in edges] == [normal.index(1) for normal in normals]
             kept, lines = dual_basis(v.isotropy, normals + units)
             assert kept[:len(edges)] == list(range(len(edges)))
             assert tuple(sorted(lines, reverse=True)) == v.isotropy.rows
+
+
+def test_normals_only_where_dual_basis_reads_them(monkeypatch):
+    # validation decides containment and codimension without normals, and
+    # the adapted bases ask for them only at vertices that take dual_basis:
+    # none on coordinate graphs, one per incidence on a generic skeleton
+    asked = []
+
+    def counted(ambient, subs):
+        asked.append(len(subs))
+        return hyperplane_normals(ambient, subs)
+
+    monkeypatch.setattr(gkmcore, "hyperplane_normals", counted)
+    for graph in (builtin_simplex(3), builtin_fiber_join(2, 1)):
+        equivariant_dims(graph, 4)
+    assert sum(asked) == 0
+    graph = fixture_graph("generic_cube3")
+    equivariant_dims(graph, 4)
+    assert sum(asked) == 2 * len(graph.edges)
 
 
 METAMORPHIC = {

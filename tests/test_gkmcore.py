@@ -36,10 +36,13 @@ from gkmcalc.gkmcore import (
     equivariant_dims,
     graph_from_json,
     validate_graph,
+    _adapted_bases,
     _classes_from_rows,
+    _constraint_rows,
+    _ends,
     _layout,
 )
-from gkmcalc.symalg import restriction_images
+from gkmcalc.symalg import _graded, restriction, restriction_images
 
 from oracles import (
     convolve,
@@ -47,6 +50,8 @@ from oracles import (
     dense_equivariant_dims,
     edgewise_class_product,
     hirzebruch_equivariant_oracle,
+    probing_constraint_rows,
+    probing_layout,
     rank_of_rows,
     simplex_equivariant_oracle,
 )
@@ -146,8 +151,9 @@ class TestValidation:
                 "containment/codimension violations at [('e', 'a'), ('e', 'b')]"
             )
         with pytest.raises(SubspaceContainmentError):
-            restriction_images(g.vertex("b").isotropy.rows, g.edges[0].isotropy.rows, 1)
-        restriction_images(g.vertex("a").isotropy.rows, g.edges[0].isotropy.rows, 1)
+            restriction(g.vertex("b").isotropy.rows, g.edges[0].isotropy.rows)
+        restriction_images(restriction(g.vertex("a").isotropy.rows, g.edges[0].isotropy.rows),
+                           1)
 
     def test_codimension_violation(self):
         # containment holds but codimension is 2, not 1
@@ -420,12 +426,12 @@ class TestEquivariantBasis:
                 assert len(equivariant_basis(g, m)) == dims[m]
 
     def test_basis_elements_satisfy_constraints(self):
-        from gkmcalc.gkmcore import _constraint_rows
+        from gkmcalc.gkmcore import _constraint_rows, _ends
 
         g = builtin_stiefel()
         for m in (2, 4):
             blocks, total = _layout(g, m)
-            rows = _constraint_rows(g, m, blocks, total)
+            rows = _constraint_rows(g, m, blocks, total, _ends(g))
             for cls in equivariant_basis(g, m):
                 vec = class_vector(g, cls)
                 assert not any(sum(v * vec[c] for c, v in row.items()) for row in rows)
@@ -819,3 +825,106 @@ def test_class_product_returns_kernel_classes(graph, data):
     kernel = [class_vector(graph, c) for c in equivariant_basis(graph, prod.degree)]
     _, total = _layout(graph, prod.degree)
     assert rank_of_rows(kernel + [class_vector(graph, prod)], total) == len(kernel)
+
+
+# --- live splits against probing every split -----------------------------------
+
+
+def assert_assembly_matches_probing(graph, cutoff):
+    """Blocks and rows, each row's entries in order, of every degree up to
+    the cutoff, in the canonical and in the adapted bases, against the
+    layout and the assembly that probe every split and look each edge end
+    up again at every degree."""
+    for bases in (None, _adapted_bases(graph)):
+        ends = _ends(graph, bases)
+        for m in range(cutoff + 1):
+            blocks, total = _layout(graph, m)
+            assert (blocks, total) == probing_layout(graph, m), m
+            rows = _constraint_rows(graph, m, blocks, total, ends)
+            expected = probing_constraint_rows(graph, m, blocks, total, bases)
+            assert [list(r.items()) for r in rows] == [list(r.items()) for r in expected], m
+
+
+BUILTINS = {
+    **{f"simplex({n})": (builtin_simplex, n) for n in (1, 2, 3, 4)},
+    **{f"fiber_join(2,{g})": (builtin_fiber_join, 2, g) for g in (0, 1, 2, 3)},
+    "fiber_join(3,3)": (builtin_fiber_join, 3, 3),
+    "hirzebruch(1,3)": (builtin_hirzebruch, 1, 3),
+    "hirzebruch(2,-1/2)": (builtin_hirzebruch, 2, "-1/2"),
+    "hirzebruch(3,2/3)": (builtin_hirzebruch, 3, "2/3"),
+    "stiefel": (builtin_stiefel,),
+}
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_builtin_assembly_matches_probing(name):
+    make, *args = BUILTINS[name]
+    assert_assembly_matches_probing(make(*args), 9)
+
+
+def test_data_and_golden_assembly_matches_probing():
+    # every valid graph document under tests/data and its CLI golden corpus
+    paths = sorted([*DATA.glob("*.json"), *(DATA / "cli_golden").glob("*.graph.json")])
+    checked = []
+    for path in paths:
+        try:
+            graph = graph_from_json(json.loads(path.read_text()))
+        except InputShapeError:
+            continue
+        if validate_graph(graph).valid:
+            assert_assembly_matches_probing(graph, 6 if len(graph.edges) > 12 else 9)
+            checked.append(path.name)
+    assert len(checked) == 14, checked
+
+
+@st.composite
+def odd_fiber_graphs(draw):
+    """A simplex skeleton in random torus coordinates whose vertices and
+    edges carry random graded fibers, vertex ``v0``'s with an odd degree,
+    joined by random pullbacks: edge fiber degrees missing at one end or at
+    both, and blocks of several rows and columns."""
+    graph = builtin_simplex(draw(st.integers(1, 3)))
+    moved = draw(coordinate_changes(graph.rank))
+
+    def fiber(odd=False):
+        degrees = draw(st.sets(st.integers(0, 5), max_size=3)) | ({draw(st.sampled_from((1, 3, 5)))}
+                                                                  if odd else set())
+        return GradedVS.of({q: draw(st.integers(1, 2)) for q in degrees})
+
+    def pullback(source, target):
+        blocks = {}
+        for q in sorted(set(source.degrees()) & set(target.degrees())):
+            rows, cols = target.dim(q), source.dim(q)
+            blocks[str(q)] = [[str(draw(small_fractions)) for _ in range(cols)]
+                              for _ in range(rows)]
+        return GradedMap.from_json(blocks, source, target)
+
+    fibers = {v.id: fiber(odd=v.id == "v0") for v in graph.vertices}
+    edges = []
+    for e in graph.edges:
+        edge_fiber = fiber()
+        edges.append(GkmEdge(e.id, e.source, e.target, moved(e.isotropy), edge_fiber,
+                             pullback(fibers[e.source], edge_fiber),
+                             pullback(fibers[e.target], edge_fiber)))
+    return GkmGraph(graph.rank, tuple(GkmVertex(v.id, moved(v.isotropy), fibers[v.id])
+                                      for v in graph.vertices), tuple(edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_fiber_graphs())
+def test_odd_fiber_assembly_matches_probing(graph):
+    assert validate_graph(graph).valid
+    assert_assembly_matches_probing(graph, 9)
+
+
+@pytest.mark.parametrize("name", ["simplex(3)", "fiber_join(2,1)", "hirzebruch(2,-1/2)", "stiefel"])
+def test_one_restriction_lookup_per_edge_end(name):
+    # each edge end's restriction is resolved once per call and grown
+    # through that entry, so no degree looks its pair of bases up again
+    make, *args = BUILTINS[name]
+    graph = make(*args)
+    for call, arg in ((equivariant_dims, 12), (equivariant_basis, 8)):
+        before = _graded.cache_info()
+        call(graph, arg)
+        after = _graded.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses <= 2 * len(graph.edges)

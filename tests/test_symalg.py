@@ -28,6 +28,7 @@ from gkmcalc.symalg import (
     _graded,
     _maps,
     monomial_basis,
+    restriction,
     restriction_images,
     sym_dim,
 )
@@ -55,13 +56,14 @@ from test_exactlin import (
 def restricted(ambient, sub, degree):
     """The dense matrix of the restriction along canonical bases, one row
     per sub monomial and one column per ambient monomial."""
-    return dense(restriction_images(ambient.rows, sub.rows, degree), sym_dim(sub.dim, degree))
+    return dense(restriction_images(restriction(ambient.rows, sub.rows), degree),
+                 sym_dim(sub.dim, degree))
 
 
-def sorted_images(restriction):
+def sorted_images(piece):
     """``(scale, images)`` with each image sorted, as the oracles give them,
     after checking that ``live`` lists the nonempty images."""
-    scale, images, live = restriction
+    scale, images, live = piece
     assert live == tuple((col, image) for col, image in enumerate(images) if image)
     return scale, tuple(tuple(sorted(image)) for image in images)
 
@@ -149,7 +151,7 @@ class TestRestrictionMatrix:
         amb = canonical_subspace([(1, 0)], 2)
         sub = canonical_subspace([(0, 1)], 2)
         with pytest.raises(SubspaceContainmentError):
-            restriction_images(amb.rows, sub.rows, 1)
+            restriction_images(restriction(amb.rows, sub.rows), 1)
 
     def test_surjectivity_rank(self):
         rng = random.Random(11)
@@ -188,12 +190,12 @@ class TestRestrictionMatrix:
                 if d == degrees[0] or rng.random() < 0.3:
                     _graded.cache_clear()
                     _maps.cache_clear()
-                restriction = restriction_images(amb.rows, sub.rows, d)
-                assert sorted_images(restriction) == expanded_restriction_images(
+                piece = restriction_images(restriction(amb.rows, sub.rows), d)
+                assert sorted_images(piece) == expanded_restriction_images(
                     amb.rows, sub.rows, d)
-                assert dense(restriction, sym_dim(sub.dim, d)) == dense_restriction_matrix(
+                assert dense(piece, sym_dim(sub.dim, d)) == dense_restriction_matrix(
                     amb, sub, d)
-                scale, images, _ = restriction
+                scale, images, _ = piece
                 assert type(scale) is int and scale > 0
                 for image in images:
                     assert len({mono for mono, _ in image}) == len(image)
@@ -201,7 +203,7 @@ class TestRestrictionMatrix:
             if not contains(sub, amb):
                 for d in degrees:
                     with pytest.raises(SubspaceContainmentError):
-                        restriction_images(sub.rows, amb.rows, d)
+                        restriction_images(restriction(sub.rows, amb.rows), d)
 
     def test_functoriality_chain(self):
         rng = random.Random(5)
@@ -247,7 +249,8 @@ class TestRestrictionMatrix:
         _graded.cache_clear()
         _maps.cache_clear()
         a = canonical_subspace([(1, 0)], 2)
-        assert restriction_images(a.rows, a.rows, 1500) == (1, (((0, 1),),), ((0, ((0, 1),)),))
+        assert restriction_images(restriction(a.rows, a.rows), 1500) == (
+            1, (((0, 1),),), ((0, ((0, 1),)),))
 
     def test_containment_read_once_per_pair(self):
         # validation reads containment off the incidence pass and the
@@ -298,13 +301,13 @@ class TestRestrictionMatrix:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(restriction_images, amb.rows, sub.rows, d)
+                futures = [pool.submit(restriction_images, restriction(amb.rows, sub.rows), d)
                            for d in degrees]
                 maps = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        for d, restriction in zip(degrees, maps):
-            assert sorted_images(restriction) == expanded_restriction_images(amb.rows, sub.rows, d)
+        for d, piece in zip(degrees, maps):
+            assert sorted_images(piece) == expanded_restriction_images(amb.rows, sub.rows, d)
 
 
 def random_generic_skeleton(rng):
@@ -403,11 +406,11 @@ def test_images_on_bases_match_expansion_and_tuple_growth(case, seed):
                 _graded.cache_clear()
                 _maps.cache_clear()
                 monomial_basis.cache_clear()
-            restriction = scale, images, _ = restriction_images(ambient, sub, d)
+            piece = scale, images, _ = restriction_images(restriction(ambient, sub), d)
             expected = expanded_restriction_images(ambient, sub, d)
             assert grown_restriction_images(ambient, sub, d) == expected
             assert len(images) == sym_dim(len(ambient), d)
-            assert type(scale) is int and sorted_images(restriction) == expected
+            assert type(scale) is int and sorted_images(piece) == expected
             for image in images:
                 assert len({mono for mono, _ in image}) == len(image)
                 assert all(type(num) is int and num for _, num in image)
@@ -416,7 +419,7 @@ def test_images_on_bases_match_expansion_and_tuple_growth(case, seed):
         if sub and expanded_restriction_images(sub, ambient, 0) is None:
             for d in degrees:
                 with pytest.raises(SubspaceContainmentError):
-                    restriction_images(sub, ambient, d)
+                    restriction_images(restriction(sub, ambient), d)
 
 
 def test_binomial_growth_of_graded_dimensions():
@@ -466,13 +469,15 @@ def test_pairs_with_the_same_forms_share_their_maps(case, seed):
     _graded.cache_clear()
     _maps.cache_clear()
     graded = [_graded(a, s) for a, s in family]
-    assert len({(len(s), den, forms) for (_, s), (den, forms, _) in zip(family, graded)}) == 1
-    assert all(maps is graded[0][2] for _, _, maps in graded)
+    assert all(sub_dim == len(s) for (_, s), (sub_dim, *_) in zip(family, graded))
+    assert len({(sub_dim, den, forms) for sub_dim, den, forms, _ in graded}) == 1
+    assert all(maps is graded[0][3] for *_, maps in graded)
     assert _maps.cache_info().currsize == 1
     asks = [(pair, d) for pair in family for d in range(7)]
     rng.shuffle(asks)
     for (a, s), d in asks:
-        assert sorted_images(restriction_images(a, s, d)) == expanded_restriction_images(a, s, d)
+        piece = restriction_images(restriction(a, s), d)
+        assert sorted_images(piece) == expanded_restriction_images(a, s, d)
     _graded.cache_clear()
     _maps.cache_clear()
     asks = [(rng.choice(family), d) for _ in range(3) for d in range(9)]
@@ -481,9 +486,9 @@ def test_pairs_with_the_same_forms_share_their_maps(case, seed):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(restriction_images, a, s, d) for (a, s), d in asks]
+            futures = [pool.submit(restriction_images, restriction(a, s), d) for (a, s), d in asks]
             grown = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    for ((a, s), d), restriction in zip(asks, grown):
-        assert sorted_images(restriction) == expanded_restriction_images(a, s, d)
+    for ((a, s), d), piece in zip(asks, grown):
+        assert sorted_images(piece) == expanded_restriction_images(a, s, d)
