@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InputShapeError
@@ -428,8 +429,13 @@ class SubspaceQ:
     def dim(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def _pivots(self) -> tuple[int, ...]:
+        """Each row's pivot column, found once: the value is frozen."""
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.rows)
+
     def pivot_columns(self) -> list[int]:
-        return [next(j for j, x in enumerate(row) if x) for row in self.rows]
+        return list(self._pivots)
 
     def to_json(self):
         """The rational RREF rows: each row divided by its pivot entry."""
@@ -562,6 +568,7 @@ def hyperplane_normals(ambient: SubspaceQ, subs):
     pivot plus ``r_i[p_s] / r_i[c_i]`` times row s: the normal is read off,
     a unit functional iff sub's rows are ambient's rows but one."""
     apiv = ambient.pivot_columns()
+    where = {p: m for m, p in enumerate(apiv)}
     out = []
     for sub in subs:
         spiv = sub.pivot_columns()
@@ -569,7 +576,7 @@ def hyperplane_normals(ambient: SubspaceQ, subs):
         den = lcm(*(row[c] for row, c in zip(sub.rows, spiv)))
         normal = [den if m == s else 0 for m in range(ambient.dim)]
         for row, c in zip(sub.rows, spiv):
-            normal[apiv.index(c)] = -row[apiv[s]] * (den // row[c])
+            normal[where[c]] = -row[apiv[s]] * (den // row[c])
         out.append(_normalized(normal))
     return out
 
@@ -577,31 +584,36 @@ def hyperplane_normals(ambient: SubspaceQ, subs):
 def dual_basis(ambient: SubspaceQ, functionals):
     """``(kept, lines)``: the int functionals on ambient, in the coordinates
     dual to its canonical basis, taken in order and kept while independent of
-    those kept, by their indices; and the basis of ambient dual to the kept
-    ones, line i killed by every kept functional but the i-th.
+    those kept, then canonical coordinate functionals until ``ambient.dim``
+    are, by their indices, unit c as ``len(functionals) + c``; and the basis
+    of ambient dual to the kept ones, line i killed by every kept functional
+    but the i-th.
 
     The lines are primitive int rows of Q^ambient_dim with a positive leading
-    entry.  One reduction of the functionals as columns beside the identity,
-    one row per canonical coordinate, does both: its pivot columns are the
-    kept functionals, and the identity block of reduced row i is line i in
-    canonical coordinates, up to a positive scalar.  Raises InputShapeError
-    when fewer than ``ambient.dim`` are independent, which puts a pivot in
-    the identity block.
+    entry.  One dense fraction-free Gauss-Jordan solve (Bareiss, Math. Comp.
+    22, 1968) finds both, on the rows ``[f(b_c) * lead_c for f] + rows[c]``
+    of ambient's canonical basis b_c = rows[c] / lead_c: its pivots are the
+    kept functionals, unit c's at b_c's pivot column, where every other b is
+    0, and the right block of each pivot row is a dual line.
     """
-    k, m = ambient.dim, len(functionals)
-    red, kept = reduce_int_rows(
-        [{**{j: f[c] for j, f in enumerate(functionals) if f[c]}, m + c: 1} for c in range(k)],
-        m + k,
-    )
-    if kept and kept[-1] >= m:
-        raise InputShapeError(f"fewer than {k} independent functionals")
-    # canonical basis row c is ambient.rows[c] over its pivot entry
-    leads = [row[p] for row, p in zip(ambient.rows, ambient.pivot_columns())]
-    den = lcm(*leads)
-    lines = []
-    for row in red:
-        coeffs = [(row[m + c] * (den // lead), b)
-                  for c, (lead, b) in enumerate(zip(leads, ambient.rows)) if m + c in row]
-        lines.append(_normalized([sum(x * b[j] for x, b in coeffs)
-                                  for j in range(ambient.ambient_dim)]))
-    return kept, lines
+    m = len(functionals)
+    apiv = ambient.pivot_columns()
+    rows = [[f[c] * row[p] for f in functionals] + list(row)
+            for c, (row, p) in enumerate(zip(ambient.rows, apiv))]
+    kept, done, prev = [], [], 1
+    for label, j in enumerate([*range(m), *(m + p for p in apiv)]):
+        if not rows:
+            break
+        i = next((i for i, row in enumerate(rows) if row[j]), None)
+        if i is None:
+            continue
+        prow = rows.pop(i)
+        piv = prow[j]
+        # every entry stays a minor of the start rows, so prev divides exactly
+        for row in (*done, *rows):
+            f = row[j]
+            row[:] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+        kept.append(label)
+        done.append(prow)
+        prev = piv
+    return kept, [_normalized(row[m:]) for row in done]

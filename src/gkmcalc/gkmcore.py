@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import NamedTuple
 
 from .errors import (
     InputShapeError,
@@ -526,8 +527,7 @@ def _require_valid(graph: GkmGraph):
 # --- degreewise kernel computation ------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     vertex: str
     poly_degree: int
     fiber_degree: int
@@ -571,7 +571,7 @@ def _adapted_bases(graph: GkmGraph):
     normal of its isotropy, a hyperplane as validation found, stays
     independent of those kept, then canonical coordinate functionals fill up;
     :func:`~gkmcalc.exactlin.dual_basis` makes that choice and finds the dual
-    lines in one reduction.  The lines, sorted, are the vertex's basis, so a
+    lines in one solve.  The lines, sorted, are the vertex's basis, so a
     kept edge's isotropy is spanned by the other lines.  An edge takes those
     other lines at its source if the source kept it, else at its target,
     else its canonical rows.  Where every incident isotropy is a coordinate
@@ -594,10 +594,8 @@ def _adapted_bases(graph: GkmGraph):
             dropped = {e.id: next(s for s, row in enumerate(rows) if row not in e.isotropy.rows)
                        for e in edges}
         else:
-            k = len(rows)
-            units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
             normals = hyperplane_normals(v.isotropy, [e.isotropy for e in edges])
-            kept, lines = dual_basis(v.isotropy, normals + units)
+            kept, lines = dual_basis(v.isotropy, normals)
             basis = tuple(sorted(lines, reverse=True))
             dropped = {edges[i].id: basis.index(line)
                        for i, line in zip(kept, lines) if i < len(edges)}

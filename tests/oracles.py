@@ -35,6 +35,11 @@ And so are the per-incidence readings that one pass per vertex replaced
 validation read once per (vertex, edge) pair, the span test on every
 column, :func:`_spanned`, and :func:`hyperplane_normal` called for each
 incidence on its own.
+And so is :func:`identity_block_dual_basis`, the dual basis as one
+reduction of the functionals beside an identity block, which the library
+replaced with a dense fraction-free solve that fills up with unit
+functionals of its own; here they must be passed, and the reduction is
+the dense one above.
 And so are the layout and the sparse assembly as they were before the
 library read each graph's fiber degrees and resolved each edge end's
 restriction once per call (:func:`probing_layout`,
@@ -48,7 +53,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from gkmcalc.errors import InputShapeError, UnsupportedRingStructureError
-from gkmcalc.exactlin import MatrixQ, _as_rational, coordinates
+from gkmcalc.exactlin import MatrixQ, _as_rational, _normalized, coordinates
 from gkmcalc.gkmcore import (
     EquivariantClass,
     GkmGraph,
@@ -684,6 +689,33 @@ def hyperplane_normal(ambient, sub):
     if next(x for x in normal if x) < 0:
         g = -g
     return tuple(x // g for x in normal)
+
+
+def identity_block_dual_basis(ambient, functionals):
+    """``(kept, lines)`` as ``exactlin.dual_basis`` gives them, where the
+    functionals must already span the dual of ambient (pass the unit
+    functionals last to fill up): one reduction of the functionals as columns
+    beside the identity, one row per canonical coordinate, here by the dense
+    :func:`reduce_int_rows`; its pivot columns are the kept functionals, and
+    the identity block of reduced row i is line i in canonical coordinates,
+    up to a positive scalar.  Raises InputShapeError when fewer than
+    ``ambient.dim`` are independent, which puts a pivot in the identity
+    block."""
+    k, m = ambient.dim, len(functionals)
+    red, kept = reduce_int_rows(
+        [[f[c] for f in functionals] + [int(i == c) for i in range(k)] for c in range(k)], m + k)
+    if kept and kept[-1] >= m:
+        raise InputShapeError(f"fewer than {k} independent functionals")
+    # canonical basis row c is ambient.rows[c] over its pivot entry
+    leads = [row[p] for row, p in zip(ambient.rows, ambient.pivot_columns())]
+    den = lcm(*leads)
+    lines = []
+    for row in red:
+        coeffs = [(row[m + c] * (den // lead), b)
+                  for c, (lead, b) in enumerate(zip(leads, ambient.rows)) if row[m + c]]
+        lines.append(_normalized([sum(x * b[j] for x, b in coeffs)
+                                  for j in range(ambient.ambient_dim)]))
+    return kept, lines
 
 
 def incidence(ambient, sub):

@@ -38,6 +38,7 @@ from oracles import (
     _scaled_int_rows,
     dense_restriction_matrix,
     hyperplane_normal,
+    identity_block_dual_basis,
     identity_matrix,
     incidence,
     mul_vector,
@@ -549,9 +550,11 @@ class TestBases:
             assert any(value(normal, c) for c in coords)
             assert (sum(map(bool, normal)) == 1) == (set(sub.rows) <= set(ambient.rows))
             normals.append(normal)
+        # the unit functionals fill up after the normals, unit c as index
+        # len(normals) + c
         units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
         candidates = normals + units
-        kept, lines = dual_basis(ambient, candidates)
+        kept, lines = dual_basis(ambient, normals)
         assert len(kept) == len(lines) == k
         # greedy: each candidate is kept iff independent of those kept before
         chosen = []
@@ -603,10 +606,38 @@ class TestBases:
         if shape == "inside":
             assert all(got)
 
-    def test_dependent_functionals_rejected(self):
-        plane = canonical_subspace([(1, 0, 0), (0, 1, 0)], 3)
-        with pytest.raises(InputShapeError):
-            dual_basis(plane, [(1, 2), (2, 4)])
+    @settings(max_examples=300, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), k=st.integers(0, 6),
+           coordinate=st.booleans())
+    def test_dual_basis_matches_identity_block_oracle(self, rng, k, coordinate):
+        # the dense solve fills up with unit functionals of its own, so it
+        # gives what the identity-block reduction gives with them passed
+        # last, whether the functionals passed are too few, dependent,
+        # repeated or units themselves, and in coordinate ambients too
+        n = k + rng.randint(0, 2)
+        if coordinate:
+            axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            ambient = canonical_subspace(rng.sample(axes, k), n)
+        else:
+            ambient = canonical_subspace(random_matrix(rng, k, n), n)
+        k = ambient.dim
+        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        functionals = []
+        for _ in range(rng.randint(0, k + 3)):
+            shape = rng.choice(["random", "repeat", "combination", "unit"])
+            if shape == "repeat" and functionals:
+                f = rng.choice(functionals)
+                functionals.append(tuple(rng.choice([1, -2, 3]) * x for x in f))
+            elif shape == "combination" and len(functionals) > 1:
+                f, g = rng.sample(functionals, 2)
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                functionals.append(tuple(a * x + b * y for x, y in zip(f, g)))
+            elif shape == "unit" and units:
+                functionals.append(rng.choice(units))
+            else:
+                functionals.append(tuple(rng.randint(-4, 4) for _ in range(k)))
+        assert dual_basis(ambient, functionals) == identity_block_dual_basis(
+            ambient, functionals + units)
 
 
 class TestJson:

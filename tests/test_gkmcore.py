@@ -672,7 +672,7 @@ DATA = Path(__file__).parent / "data"
 
 def fixture_graph(name):
     """A graph JSON fixture under tests/data: the generic toric skeletons
-    ``generic_simplex4``, ``generic_cube3`` and ``generic_cube4`` are the
+    ``generic_simplex4`` and ``generic_cube3`` to ``generic_cube5`` are the
     one-skeleta of polytope 0 of ``pipebench/gen.py``'s pools of generic
     simplices and cubes, whose facet normals are in general position."""
     return graph_from_json(json.loads((DATA / f"{name}.json").read_text()))
@@ -874,7 +874,7 @@ def test_data_and_golden_assembly_matches_probing():
         if validate_graph(graph).valid:
             assert_assembly_matches_probing(graph, 6 if len(graph.edges) > 12 else 9)
             checked.append(path.name)
-    assert len(checked) == 14, checked
+    assert len(checked) == 15, checked
 
 
 @st.composite
