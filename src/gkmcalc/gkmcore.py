@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import NamedTuple
 
 from .errors import (
     InputShapeError,
@@ -527,19 +526,6 @@ def _require_valid(graph: GkmGraph):
 # --- degreewise kernel computation ------------------------------------------
 
 
-class _Block(NamedTuple):
-    vertex: str
-    poly_degree: int
-    fiber_degree: int
-    poly_dim: int
-    fiber_dim: int
-    offset: int
-
-    @property
-    def width(self) -> int:
-        return self.poly_dim * self.fiber_dim
-
-
 def _splits(fiber: GradedVS, var_count: int, total_degree: int):
     """``(d, q, poly_dim, fiber_dim)`` of each nonzero S^d (x) fiber^q, over
     ``var_count`` variables, with 2d + q = total_degree, by rising d: read
@@ -550,22 +536,20 @@ def _splits(fiber: GradedVS, var_count: int, total_degree: int):
             yield d, q, pdim, n
 
 
-def _layout(graph: GkmGraph, total_degree: int) -> tuple[tuple[_Block, ...], int]:
-    blocks = []
+def _layout(graph: GkmGraph, total_degree: int):
+    blocks = {}
     offset = 0
     for v in graph.vertices:
         for d, q, pdim, fdim in _splits(v.fiber, v.isotropy.dim, total_degree):
-            blocks.append(_Block(v.id, d, q, pdim, fdim, offset))
+            blocks[v.id, d, q] = offset, pdim, fdim
             offset += pdim * fdim
-    return tuple(blocks), offset
+    return blocks, offset
 
 
 def _adapted_bases(graph: GkmGraph):
     """Bases of the vertex and edge isotropies in which most edge conditions
-    restrict each monomial to one monomial: ``(vertex bases, edge bases,
-    drops)``, bases by id as int rows in the sense of
-    :func:`~gkmcalc.exactlin.coordinates`, and, by (vertex id, edge id), the
-    index of the one vertex line an edge basis leaves out, where it does.
+    restrict each monomial to one monomial: ``(vertex bases, edge bases)``,
+    by id, as int rows in the sense of :func:`~gkmcalc.exactlin.coordinates`.
 
     At a vertex the incident edges are taken in id order, each kept while the
     normal of its isotropy, a hyperplane as validation found, stays
@@ -585,26 +569,22 @@ def _adapted_bases(graph: GkmGraph):
         incident[e.source].append(e)
         incident[e.target].append(e)
     vertex_bases = {}
-    others = {}  # (vertex id, edge id) -> (index of its line, the other lines), where kept
+    others = {}  # (vertex id, edge id) -> the other lines, where kept
     for v in graph.vertices:
         rows, edges = v.isotropy.rows, incident[v.id]
         own = set(rows)
         if all(own.issuperset(e.isotropy.rows) for e in edges):
-            basis = rows
-            dropped = {e.id: next(s for s, row in enumerate(rows) if row not in e.isotropy.rows)
-                       for e in edges}
-        else:
-            normals = hyperplane_normals(v.isotropy, [e.isotropy for e in edges])
-            kept, lines = dual_basis(v.isotropy, normals)
-            basis = tuple(sorted(lines, reverse=True))
-            dropped = {edges[i].id: basis.index(line)
-                       for i, line in zip(kept, lines) if i < len(edges)}
-        vertex_bases[v.id] = basis
-        others.update(((v.id, eid), (s, basis[:s] + basis[s + 1:])) for eid, s in dropped.items())
-    edge_bases = {e.id: (others.get((e.source, e.id)) or others.get((e.target, e.id))
-                         or (None, e.isotropy.rows))[1] for e in graph.edges}
-    drops = {key: s for key, (s, lines) in others.items() if lines == edge_bases[key[1]]}
-    return vertex_bases, edge_bases, drops
+            vertex_bases[v.id] = rows
+            others.update(((v.id, e.id), e.isotropy.rows) for e in edges)
+            continue
+        normals = hyperplane_normals(v.isotropy, [e.isotropy for e in edges])
+        kept, lines = dual_basis(v.isotropy, normals)
+        basis = vertex_bases[v.id] = tuple(sorted(lines, reverse=True))
+        others.update(((v.id, edges[i].id), tuple(x for x in basis if x != line))
+                      for i, line in zip(kept, lines) if i < len(edges))
+    edge_bases = {e.id: others.get((e.source, e.id)) or others.get((e.target, e.id))
+                  or e.isotropy.rows for e in graph.edges}
+    return vertex_bases, edge_bases
 
 
 def _ends(graph: GkmGraph, bases=None):
@@ -613,10 +593,10 @@ def _ends(graph: GkmGraph, bases=None):
     or in ``bases`` as :func:`_adapted_bases` returns them."""
     if bases is None:
         bases = ({v.id: v.isotropy.rows for v in graph.vertices},
-                 {e.id: e.isotropy.rows for e in graph.edges}, {})
-    vertex_bases, edge_bases, drops = bases
+                 {e.id: e.isotropy.rows for e in graph.edges})
+    vertex_bases, edge_bases = bases
     return [tuple((vid, sign, dict(pullback.blocks),
-                   restriction(vertex_bases[vid], edge_bases[e.id], drops.get((vid, e.id))))
+                   restriction(vertex_bases[vid], edge_bases[e.id]))
                   for vid, pullback, sign in ((e.source, e.pullback_source, 1),
                                               (e.target, e.pullback_target, -1)))
             for e in graph.edges]
@@ -626,17 +606,19 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, end
     """Rows of the edge-restriction map at one total degree.
 
     Each row is an integer multiple of a row of the map, as a sparse
-    ``{col: int}`` dict; rows that are zero are left out.  Polynomials are
-    written in the coordinates of ``ends``, from :func:`_ends`, and only the
-    splits where an edge fiber is nonzero are visited.
+    ``{col: int}`` dict; rows that are zero are left out.  ``blocks`` is
+    :func:`_layout`'s mapping of (vertex id, d, q) to ``(offset, poly_dim,
+    fiber_dim)`` in column order.  Polynomials are written in the coordinates
+    of ``ends``, from :func:`_ends`, and only the splits where an edge fiber
+    is nonzero are visited.  The body never reads ``total``, the column
+    count, which stays fourth because ``pipebench/spans.py`` reads it.
     """
-    index = {(b.vertex, b.poly_degree, b.fiber_degree): b for b in blocks}
     rows: list[dict[int, int]] = []
     for e, edge_ends in zip(graph.edges, ends):
         for d, q, e_pdim, e_fdim in _splits(e.edge_fiber, e.isotropy.dim, total_degree):
             contributions = []
             for vid, sign, pblocks, to_edge in edge_ends:
-                block = index.get((vid, d, q))
+                block = blocks.get((vid, d, q))
                 prows = pblocks.get(q)
                 if block is None or prows is None:
                     continue
@@ -650,12 +632,11 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, end
             # row (ir, ip) at ir * e_fdim + ip; each endpoint's nonempty
             # images are scattered into the rows by increasing column, source first
             grid = [{} for _ in range(e_pdim * e_fdim)]
-            for block, scale, live, prows, sign in contributions:
-                width = block.fiber_dim
+            for (offset, _, width), scale, live, prows, sign in contributions:
                 for ip, (pden, ppairs) in enumerate(prows):
                     f = sign * (den[ip] // (scale * pden))
                     for col, image in live:
-                        base = block.offset + col * width
+                        base = offset + col * width
                         for ir, r in image:
                             row = grid[ir * e_fdim + ip]
                             for jp, p in ppairs:
@@ -740,13 +721,10 @@ def _classes_from_rows(basis_rows, blocks, degree) -> list[EquivariantClass]:
     classes = []
     for row in basis_rows:
         comps = []
-        for b in blocks:
-            entries = row[b.offset : b.offset + b.width]
+        for (vid, d, q), (offset, pdim, fdim) in blocks.items():
+            entries = row[offset : offset + pdim * fdim]
             if any(entries):
-                comps.append(
-                    (b.vertex, b.poly_degree, b.fiber_degree,
-                     MatrixQ(b.poly_dim, b.fiber_dim, entries))
-                )
+                comps.append((vid, d, q, MatrixQ(pdim, fdim, entries)))
         classes.append(EquivariantClass(degree, tuple(comps)))
     return classes
 
@@ -791,10 +769,9 @@ def class_product(
     if a.degree % 2 or b.degree % 2:
         raise InputShapeError("point-fiber classes live in even degrees")
     for c in (a, b):
-        shapes = {(blk.vertex, blk.poly_degree, blk.fiber_degree): (blk.poly_dim, blk.fiber_dim)
-                  for blk in _layout(graph, c.degree)[0]}
+        shapes = _layout(graph, c.degree)[0]
         for vid, d, q, m in c.components:
-            if shapes.get((vid, d, q)) != (m.rows, m.cols):
+            if shapes.get((vid, d, q), ())[1:] != (m.rows, m.cols):
                 raise InputShapeError(
                     f"component ({vid!r}, {d}, {q}) of a degree-{c.degree} class is not "
                     f"a block of the graph's degree-{c.degree} layout with its shape"
@@ -802,13 +779,13 @@ def class_product(
     degree = a.degree + b.degree
     blocks, total = _layout(graph, degree)
     vec = [Fraction(0)] * total
-    for block in blocks:
-        index = monomial_basis(graph.vertex(block.vertex).isotropy.dim, block.poly_degree).index
-        pb = b.vertex_polynomial(graph, block.vertex)
-        for ma, ca in a.vertex_polynomial(graph, block.vertex).items():
+    for (vid, d, _), (offset, _, _) in blocks.items():
+        index = monomial_basis(graph.vertex(vid).isotropy.dim, d).index
+        pb = b.vertex_polynomial(graph, vid)
+        for ma, ca in a.vertex_polynomial(graph, vid).items():
             for mb, cb in pb.items():
                 key = tuple(x + y for x, y in zip(ma, mb))
-                vec[block.offset + index[key]] += ca * cb
+                vec[offset + index[key]] += ca * cb
     rows = _constraint_rows(graph, degree, blocks, total, _ends(graph))
     if any(sum(c * vec[col] for col, c in row.items()) for row in rows):
         raise InputShapeError(

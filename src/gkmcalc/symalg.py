@@ -8,7 +8,8 @@ standing for itself over its leading entry (see
 are its canonical (RREF) basis.  The central operation is the restriction
 map S(W*)_d -> S(V*)_d induced by an inclusion V <= W: write the basis of
 V in the basis of W and substitute the resulting linear forms into each
-monomial.  The linear forms are read once per pair of bases, and the maps,
+monomial.  The linear forms are read once per pair of bases, as unit forms
+over 1 where sub's rows are distinct rows of ambient's, and the maps,
 which depend on nothing else, are cached per set of forms, which many
 pairs share: a map of graded algebras, degree d is grown from degree d - 1
 by one linear-form multiplication per monomial.  :func:`restriction`
@@ -34,19 +35,19 @@ from .errors import InputShapeError, SubspaceContainmentError
 from .exactlin import coordinates
 
 #: Entries kept by each of the ``monomial_basis``, ``_graded`` (one pair of
-#: bases with its containment answer and linear forms) and ``_maps`` (every
-#: degree built so far for one set of forms) caches, so that long-lived use
-#: stays within a bounded memory.  ``equivariant_basis`` and
-#: ``class_product`` read the canonical pairs and ``equivariant_dims`` the
-#: adapted ones.  One cold pass of a ``pipebench`` workload holds at most
-#: 232 pairs (``cli-stream``; ``generic-series`` 192) with at most 20 sets of
+#: bases, unit-form pairs too, with its containment answer and linear forms)
+#: and ``_maps`` (every degree built so far for one set of forms) caches, so
+#: that long-lived use stays within a bounded memory.  ``equivariant_basis``
+#: and ``class_product`` read the canonical pairs and ``equivariant_dims`` the
+#: adapted ones.  One cold pass of a ``pipebench`` workload holds at most 232
+#: pairs (``cli-stream``; ``generic-series`` 192) with at most 20 sets of
 #: forms (``basis-ring``; ``generic-series`` 7) and builds at most 97 maps
 #: past degree 0 (``simplex(5)`` up to degree 16 holds 30 pairs, 5 sets of
 #: forms and builds 40), so none evicts.  The ``down`` and ``up`` tables of a
 #: basis add about 64 bytes per monomial and 56 + 8 * var_count bytes per
-#: monomial one degree down (plus 28 bytes per position past 256), under
-#: half of what its monomials and ``index`` take: 0.06 MB beside 0.14 MB
-#: for the 30 bases of a ``sparse-series`` pass.
+#: monomial one degree down (plus 28 bytes per position past 256), under half
+#: of what its monomials and ``index`` take: 0.06 MB beside 0.14 MB for the 30
+#: bases of a ``sparse-series`` pass.
 CACHE_SIZE = 4096
 
 
@@ -136,13 +137,14 @@ def monomial_basis(var_count: int, degree: int) -> MonomialBasis:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _graded(ambient, sub, drop=None):
+def _graded(ambient, sub):
     """``(len(sub), den, forms, maps)`` for a pair of bases, None when sub's
-    span is not in ambient's: the forms of :func:`~gkmcalc.exactlin.coordinates`,
-    or unit forms, with no ``coordinates``, when a ``drop`` says that sub is
-    ambient's rows but the one at that index; and the maps of those forms."""
-    if drop is not None:
-        inc = 1, [[(k - (k > drop), 1)] if k != drop else [] for k in range(len(ambient))]
+    span is not in ambient's: unit forms over 1 when sub's rows are distinct
+    rows of ambient, else the forms of :func:`~gkmcalc.exactlin.coordinates`;
+    and the maps of those forms."""
+    at = {row: i for i, row in enumerate(sub)}
+    if len(at) == len(sub) and at.keys() <= set(ambient):
+        inc = 1, [[(at[row], 1)] if row in at else [] for row in ambient]
     elif (inc := coordinates(ambient, sub)) is None:
         return None
     forms = tuple(map(tuple, inc[1]))
@@ -183,11 +185,11 @@ def _times_forms(prev, ambient_dim: int, sub_dim: int, degree: int, forms):
     return tuple(images)
 
 
-def restriction(ambient, sub, drop=None):
+def restriction(ambient, sub):
     """The restriction along a pair of bases, resolved once for all its
     degrees: :func:`_graded`'s entry.  Raises
     :class:`SubspaceContainmentError` when sub's span is not in ambient's."""
-    graded = _graded(ambient, sub, drop)
+    graded = _graded(ambient, sub)
     if graded is None:
         raise SubspaceContainmentError(
             f"subspace of dim {len(sub)} is not contained in the ambient of dim {len(ambient)}"

@@ -55,6 +55,8 @@ class MomentPolytope:
         for i, f in enumerate(self.facets):
             if len(f.normal) != self.rank:
                 raise InputShapeError(f"facet {i} normal has wrong length")
+            if len(set(f.vertices)) != len(f.vertices):
+                raise InputShapeError(f"facet {i} lists a vertex twice: {list(f.vertices)}")
             for vid in f.vertices:
                 if vid not in known:
                     raise InputShapeError(f"facet {i} references unknown vertex {vid!r}")

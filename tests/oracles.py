@@ -57,7 +57,6 @@ from gkmcalc.exactlin import MatrixQ, _as_rational, _normalized, coordinates
 from gkmcalc.gkmcore import (
     EquivariantClass,
     GkmGraph,
-    _Block,
     _classes_from_rows,
     _layout,
     _require_valid,
@@ -354,7 +353,6 @@ def _dense_block(pullback, q):
 
 def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
     """Rows of the edge-restriction map at one total degree."""
-    index = {(b.vertex, b.poly_degree, b.fiber_degree): b for b in blocks}
     rows: list[list] = []
     for e in graph.edges:
         ke = e.isotropy.dim
@@ -369,7 +367,7 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
                 (e.source, e.pullback_source, 1),
                 (e.target, e.pullback_target, -1),
             ):
-                block = index.get((vid, d, q))
+                block = blocks.get((vid, d, q))
                 pb = _dense_block(pullback, q)
                 if block is None or pb is None:
                     continue
@@ -381,13 +379,13 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int):
             for ir in range(e_pdim):
                 for ip in range(e_fdim):
                     row = [0] * total
-                    for block, rmat, pb, sign in contributions:
-                        for jr in range(block.poly_dim):
+                    for (offset, pdim, fdim), rmat, pb, sign in contributions:
+                        for jr in range(pdim):
                             r = rmat.entry(ir, jr)
                             if not r:
                                 continue
-                            base = block.offset + jr * block.fiber_dim
-                            for jp in range(block.fiber_dim):
+                            base = offset + jr * fdim
+                            for jp in range(fdim):
                                 p = pb[ip][jp]
                                 if p:
                                     row[base + jp] = sign * r * p
@@ -732,7 +730,7 @@ def incidence(ambient, sub):
 
 def probing_layout(graph: GkmGraph, total_degree: int):
     """``(blocks, total)`` of one total degree, every split probed."""
-    blocks = []
+    blocks = {}
     offset = 0
     for v in graph.vertices:
         k = v.isotropy.dim
@@ -741,9 +739,9 @@ def probing_layout(graph: GkmGraph, total_degree: int):
             pdim = sym_dim(k, d)
             fdim = v.fiber.dim(q)
             if pdim and fdim:
-                blocks.append(_Block(v.id, d, q, pdim, fdim, offset))
+                blocks[v.id, d, q] = offset, pdim, fdim
                 offset += pdim * fdim
-    return tuple(blocks), offset
+    return blocks, offset
 
 
 def probing_constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, bases=None):
@@ -753,9 +751,8 @@ def probing_constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: i
     them."""
     if bases is None:
         bases = ({v.id: v.isotropy.rows for v in graph.vertices},
-                 {e.id: e.isotropy.rows for e in graph.edges}, {})
-    vertex_bases, edge_bases, drops = bases
-    index = {(b.vertex, b.poly_degree, b.fiber_degree): b for b in blocks}
+                 {e.id: e.isotropy.rows for e in graph.edges})
+    vertex_bases, edge_bases = bases
     rows: list[dict[int, int]] = []
     for e in graph.edges:
         ke = e.isotropy.dim
@@ -770,24 +767,23 @@ def probing_constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: i
                 (e.source, e.pullback_source, 1),
                 (e.target, e.pullback_target, -1),
             ):
-                block = index.get((vid, d, q))
+                block = blocks.get((vid, d, q))
                 prows = dict(pullback.blocks).get(q)
                 if block is None or prows is None:
                     continue
                 scale, _, live = restriction_images(
-                    restriction(vertex_bases[vid], edge_bases[e.id], drops.get((vid, e.id))), d)
+                    restriction(vertex_bases[vid], edge_bases[e.id]), d)
                 contributions.append((block, scale, live, prows, sign))
             den = [
                 lcm(*(scale * prows[ip][0] for _, scale, _, prows, _ in contributions))
                 for ip in range(e_fdim)
             ]
             grid = [{} for _ in range(e_pdim * e_fdim)]
-            for block, scale, live, prows, sign in contributions:
-                width = block.fiber_dim
+            for (offset, _, width), scale, live, prows, sign in contributions:
                 for ip, (pden, ppairs) in enumerate(prows):
                     f = sign * (den[ip] // (scale * pden))
                     for col, image in live:
-                        base = block.offset + col * width
+                        base = offset + col * width
                         for ir, r in image:
                             row = grid[ir * e_fdim + ip]
                             for jp, p in ppairs:

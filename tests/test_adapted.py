@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from gkmcalc.examples import builtin_fiber_join, builtin_simplex, builtin_stiefel
 from gkmcalc import gkmcore
-from gkmcalc.exactlin import canonical_subspace, dual_basis, hyperplane_normals, reduce_int_rows
+from gkmcalc.exactlin import (
+    canonical_subspace,
+    coordinates,
+    dual_basis,
+    hyperplane_normals,
+    reduce_int_rows,
+)
 from gkmcalc.gkmcore import (
     GkmEdge,
     GkmGraph,
@@ -26,7 +32,7 @@ from gkmcalc.gkmcore import (
 )
 from gkmcalc.symalg import restriction, restriction_images, sym_dim
 
-from oracles import dense, dense_equivariant_dims, hyperplane_normal
+from oracles import dense, dense_equivariant_dims, expanded_restriction_images, hyperplane_normal
 from test_gkmcore import coordinate_changes, fixture_graph
 
 GENERIC = {"generic_simplex4": 8, "generic_cube3": 8, "generic_cube4": 6, "generic_cube5": 4}
@@ -49,6 +55,11 @@ def canonical_dims(graph, max_degree):
     return dims
 
 
+def but_one(basis):
+    """Each tuple of the rows of ``basis`` but one, in order."""
+    return [basis[:s] + basis[s + 1:] for s in range(len(basis))]
+
+
 @pytest.mark.parametrize("name", GENERIC)
 def test_generic_dims_match_canonical_and_dense(name):
     graph = fixture_graph(name)
@@ -69,10 +80,10 @@ def test_generic_rows_have_two_nonzeros(name):
     # each restriction sends a monomial to one monomial; the canonical
     # system of the same graph is denser
     graph = fixture_graph(name)
-    bases = vertex_bases, edge_bases, drops = _adapted_bases(graph)
+    bases = vertex_bases, edge_bases = _adapted_bases(graph)
     for e in graph.edges:
-        assert set(edge_bases[e.id]) <= set(vertex_bases[e.source]) & set(vertex_bases[e.target])
-        assert (e.source, e.id) in drops and (e.target, e.id) in drops
+        for vid in (e.source, e.target):
+            assert edge_bases[e.id] in but_one(vertex_bases[vid])
     for m, rows, _ in systems(graph, 8, bases):
         assert rows and all(len(row) == 2 for row in rows), m
     assert any(len(row) > 2 for _, rows, _ in systems(graph, 4) for row in rows)
@@ -82,7 +93,7 @@ def test_stiefel_takes_the_fallback():
     # valence 3 in dimension 2: each vertex keeps two of its edges, and an
     # edge kept at neither endpoint keeps its canonical basis
     graph = builtin_stiefel()
-    vertex_bases, edge_bases, _ = _adapted_bases(graph)
+    vertex_bases, edge_bases = _adapted_bases(graph)
     fallback = [e for e in graph.edges
                 if not any(set(edge_bases[e.id]) <= set(vertex_bases[vid])
                            for vid in (e.source, e.target))]
@@ -106,43 +117,51 @@ def crossed_planes():
 
 @pytest.mark.parametrize("name", [*GENERIC, "stiefel", "fiber_join(2,1)", "crossed"])
 def test_drops_name_the_line_an_edge_basis_leaves_out(name):
-    # a (vertex, edge) pair has a drop exactly where the edge's basis is the
-    # vertex's lines but one, and the unit forms it stands for give the
-    # restriction that coordinates gives on the same pair; where the two
-    # ends of an edge keep it with different lines, the end whose lines the
-    # edge did not take has none, and the dims are the canonical system's
+    # where an edge's basis is a vertex's lines but the one at s, the pair's
+    # forms are unit forms over 1, line s's empty, and its maps are the ones
+    # coordinates gives on the same pair; where the two ends of an edge keep
+    # it with different lines, the end whose lines the edge did not take
+    # gets the forms of coordinates, and the dims are the canonical system's
     graph = {"stiefel": builtin_stiefel(), "fiber_join(2,1)": builtin_fiber_join(2, 1),
              "crossed": crossed_planes()}.get(name) or fixture_graph(name)
-    vertex_bases, edge_bases, drops = _adapted_bases(graph)
+    vertex_bases, edge_bases = _adapted_bases(graph)
     for e in graph.edges:
         for vid in (e.source, e.target):
             ambient, sub = vertex_bases[vid], edge_bases[e.id]
-            left_out = [s for s in range(len(ambient)) if ambient[:s] + ambient[s + 1:] == sub]
-            assert drops.get((vid, e.id)) == (left_out[0] if left_out else None)
-            if left_out:
-                for d in range(4):
-                    assert dense(restriction_images(restriction(ambient, sub, left_out[0]), d),
-                                 sym_dim(len(sub), d)) == dense(
-                        restriction_images(restriction(ambient, sub), d), sym_dim(len(sub), d))
+            _, den, forms, _ = restriction(ambient, sub)
+            if sub in but_one(ambient):
+                s = but_one(ambient).index(sub)
+                assert den == 1 and forms == tuple(((k - (k > s), 1),) if k != s else ()
+                                                   for k in range(len(ambient)))
+            for d in range(4):
+                assert dense(restriction_images(restriction(ambient, sub), d),
+                             sym_dim(len(sub), d)) == dense(
+                    expanded_restriction_images(ambient, sub, d), sym_dim(len(sub), d))
     if name == "crossed":
-        assert ("u", "e1") in drops and ("v", "e1") not in drops
+        assert edge_bases["e1"] in but_one(vertex_bases["u"])
+        ambient, sub = vertex_bases["v"], edge_bases["e1"]
+        _, den, forms, _ = restriction(ambient, sub)
+        inc = coordinates(ambient, sub)
+        assert sub not in but_one(ambient)
+        assert (den, forms) == (inc[0], tuple(map(tuple, inc[1])))
+        assert den != 1 or any(len(form) > 1 for form in forms)
         assert list(equivariant_dims(graph, 6).coeffs) == canonical_dims(graph, 6)
 
 
 def test_coordinate_graphs_keep_the_canonical_bases():
     # where every incident isotropy is a coordinate hyperplane the canonical
     # basis is taken without elimination: it is the rule's own choice there,
-    # and the drop, the index of the row an edge leaves out, is where its
-    # unit normal is 1
+    # and the row an edge's basis leaves out is where its unit normal is 1
     for graph in (builtin_simplex(3), builtin_fiber_join(2, 1)):
-        vertex_bases, edge_bases, drops = _adapted_bases(graph)
+        vertex_bases, edge_bases = _adapted_bases(graph)
         assert vertex_bases == {v.id: v.isotropy.rows for v in graph.vertices}
         assert edge_bases == {e.id: e.isotropy.rows for e in graph.edges}
         for v in graph.vertices:
             edges = sorted((e for e in graph.edges if v.id in (e.source, e.target)),
                            key=lambda e: e.id)
             normals = [hyperplane_normal(v.isotropy, e.isotropy) for e in edges]
-            assert [drops[v.id, e.id] for e in edges] == [normal.index(1) for normal in normals]
+            assert [edge_bases[e.id] for e in edges] == [
+                but_one(v.isotropy.rows)[normal.index(1)] for normal in normals]
             kept, lines = dual_basis(v.isotropy, normals)
             assert kept[:len(edges)] == list(range(len(edges)))
             assert tuple(sorted(lines, reverse=True)) == v.isotropy.rows

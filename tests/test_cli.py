@@ -608,6 +608,15 @@ def segment_graph(**edge):
     }
 
 
+def repeated_facet_vertex():
+    """The ``example simplex-polytope --n 2`` document with facet 0 listing
+    vertex v1 twice."""
+    doc = simplex_polytope(2, [1, 1, 1]).to_json()
+    doc["facets"][0]["vertices"].append("v1")
+    assert doc["facets"][0]["vertices"].count("v1") == 2
+    return doc
+
+
 class TestHostileInputs:
     """Type-confused payloads must exit 1 with an error line, never crash."""
 
@@ -654,6 +663,8 @@ class TestHostileInputs:
         # of an "example" row is its argument list
         ("example", ["simplex-polytope", "--n", "1", "--weights", "abc", "1"]),
         ("example", ["simplex-polytope", "--n", "1", "--weights", "1e1", " 0.5"]),
+        # a facet lists each of its vertices once
+        ("toric-skeleton", repeated_facet_vertex()),
     ]
 
     def test_morse_bott_series_without_coeffs(self, capsys, monkeypatch):

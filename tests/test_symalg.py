@@ -68,6 +68,26 @@ def sorted_images(piece):
     return scale, tuple(tuple(sorted(image)) for image in images)
 
 
+def unit_rule(ambient, sub):
+    """Whether sub's rows are distinct rows of ambient: the pairs that
+    ``restriction`` gives unit forms over 1, without ``coordinates``."""
+    return len(set(sub)) == len(sub) and set(sub) <= set(ambient)
+
+
+def assert_matches_expansion(piece, ambient, sub, degree):
+    """A degree of the restriction along a pair of bases against expanding
+    each monomial in the forms of ``coordinates``: value for value outside
+    the unit rule, and inside it, where ``coordinates`` may write the same
+    forms over another denominator, as a rational map with ``den`` 1."""
+    expected = expanded_restriction_images(ambient, sub, degree)
+    if unit_rule(ambient, sub):
+        n = sym_dim(len(sub), degree)
+        assert restriction(ambient, sub)[1] == 1
+        assert dense(sorted_images(piece), n) == dense(expected, n)
+    else:
+        assert sorted_images(piece) == expected
+
+
 class TestSymDim:
     def test_binomial_identity(self):
         assert sym_dim(2, 3) == 4
@@ -191,8 +211,7 @@ class TestRestrictionMatrix:
                     _graded.cache_clear()
                     _maps.cache_clear()
                 piece = restriction_images(restriction(amb.rows, sub.rows), d)
-                assert sorted_images(piece) == expanded_restriction_images(
-                    amb.rows, sub.rows, d)
+                assert_matches_expansion(piece, amb.rows, sub.rows, d)
                 assert dense(piece, sym_dim(sub.dim, d)) == dense_restriction_matrix(
                     amb, sub, d)
                 scale, images, _ = piece
@@ -257,8 +276,10 @@ class TestRestrictionMatrix:
         # adapted pairs of equivariant_dims on a toric skeleton are kept
         # edges, given their unit forms, so neither asks coordinates; the
         # canonical pairs of equivariant_basis and class_product ask it once
-        # each; coordinates is counted by its code object, so a call from any
-        # import site counts, on graphs read afresh, so that no report is held
+        # each, but for those whose edge rows are rows of the vertex, given
+        # unit forms too (every pair of simplex(4)); coordinates is counted by
+        # its code object, so a call from any import site counts, on graphs
+        # read afresh, so that no report is held
         calls = []
 
         def profile(frame, event, arg):
@@ -276,15 +297,19 @@ class TestRestrictionMatrix:
                 validate_graph(graph)
                 equivariant_dims(graph, 8)
             dims_calls = list(calls)
-            equivariant_basis(g, 2)
-            basis = equivariant_basis(g, 2)
-            class_product(g, basis[0], basis[-1])
+            for graph in (g, generic):
+                equivariant_basis(graph, 2)
+                basis = equivariant_basis(graph, 2)
+                class_product(graph, basis[0], basis[-1])
         finally:
             sys.setprofile(previous)
         assert dims_calls == []
-        pairs = {(g.vertex(v).isotropy.rows, e.isotropy.rows)
-                 for e in g.edges for v in (e.source, e.target)}
-        assert len(calls) == len(pairs) and set(calls) == pairs
+        pairs = {graph: {(graph.vertex(v).isotropy.rows, e.isotropy.rows)
+                         for e in graph.edges for v in (e.source, e.target)}
+                 for graph in (g, generic)}
+        assert all(unit_rule(*pair) for pair in pairs[g])
+        asked = {pair for pair in pairs[generic] if not unit_rule(*pair)}
+        assert asked and len(calls) == len(asked) and set(calls) == asked
 
     def test_threads_growing_one_pair_match_the_oracle(self):
         # eight threads extend the degrees of one pair at once from cold
@@ -307,7 +332,7 @@ class TestRestrictionMatrix:
         finally:
             sys.setswitchinterval(interval)
         for d, piece in zip(degrees, maps):
-            assert sorted_images(piece) == expanded_restriction_images(amb.rows, sub.rows, d)
+            assert_matches_expansion(piece, amb.rows, sub.rows, d)
 
 
 def random_generic_skeleton(rng):
@@ -342,7 +367,7 @@ def mixed_basis(rng, rows):
 
 
 STIEFEL = builtin_stiefel()
-STIEFEL_BASES = _adapted_bases(STIEFEL)[:2]
+STIEFEL_BASES = _adapted_bases(STIEFEL)
 
 
 @st.composite
@@ -360,7 +385,7 @@ def basis_pairs(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if kind == "adapted":
         graph = random_generic_skeleton(rng)
-        vertex_bases, edge_bases, _ = _adapted_bases(graph)
+        vertex_bases, edge_bases = _adapted_bases(graph)
         pairs = [(vertex_bases[v], edge_bases[e.id])
                  for e in graph.edges for v in (e.source, e.target)]
         return kind, rng.sample(pairs, min(len(pairs), 6))
@@ -410,7 +435,8 @@ def test_images_on_bases_match_expansion_and_tuple_growth(case, seed):
             expected = expanded_restriction_images(ambient, sub, d)
             assert grown_restriction_images(ambient, sub, d) == expected
             assert len(images) == sym_dim(len(ambient), d)
-            assert type(scale) is int and sorted_images(piece) == expected
+            assert type(scale) is int
+            assert_matches_expansion(piece, ambient, sub, d)
             for image in images:
                 assert len({mono for mono, _ in image}) == len(image)
                 assert all(type(num) is int and num for _, num in image)
@@ -420,6 +446,49 @@ def test_images_on_bases_match_expansion_and_tuple_growth(case, seed):
             for d in degrees:
                 with pytest.raises(SubspaceContainmentError):
                     restriction_images(restriction(sub, ambient), d)
+
+
+@st.composite
+def unit_rule_pairs(draw):
+    """``(ambient, sub, off)``: a random ambient basis, canonical (leading
+    entries may exceed 1) or in no echelon form, as ``_adapted_bases``'s
+    frames are; a sub of distinct ambient rows in any order; and ``off``,
+    that sub with one row rescaled and with one row repeated, where sub is
+    not empty."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    r = rng.randint(1, 4)
+    ambient = ()
+    while not ambient:
+        ambient = canonical_subspace(random_matrix(rng, rng.randint(1, r), r), r).rows
+    if draw(st.booleans()):
+        ambient = mixed_basis(rng, ambient)
+    sub = tuple(rng.sample(ambient, rng.randint(0, len(ambient))))
+    off = []
+    if sub:
+        i, c = rng.randrange(len(sub)), rng.randint(2, 5)
+        off.append(sub[:i] + (tuple(c * x for x in sub[i]),) + sub[i + 1:])
+        off.append(sub + (sub[i],))
+    return ambient, sub, off
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_rule_pairs())
+def test_distinct_ambient_rows_take_unit_forms(case):
+    # a sub of distinct ambient rows is restricted along unit forms over 1,
+    # and each degree is the map that the forms of coordinates give; a
+    # rescaled row stands for the same vector, but neither it nor a
+    # repeated row takes the rule: those pairs keep the forms of coordinates
+    ambient, sub, off = case
+    _, den, forms, _ = restriction(ambient, sub)
+    assert den == 1
+    assert forms == tuple(((sub.index(row), 1),) if row in sub else () for row in ambient)
+    for d in range(4):
+        n = sym_dim(len(sub), d)
+        assert dense(restriction_images(restriction(ambient, sub), d), n) == dense(
+            expanded_restriction_images(ambient, sub, d), n)
+    for other in off:
+        inc = coordinates(ambient, other)
+        assert restriction(ambient, other)[1:3] == (inc[0], tuple(map(tuple, inc[1])))
 
 
 def test_binomial_growth_of_graded_dimensions():
@@ -477,7 +546,7 @@ def test_pairs_with_the_same_forms_share_their_maps(case, seed):
     rng.shuffle(asks)
     for (a, s), d in asks:
         piece = restriction_images(restriction(a, s), d)
-        assert sorted_images(piece) == expanded_restriction_images(a, s, d)
+        assert_matches_expansion(piece, a, s, d)
     _graded.cache_clear()
     _maps.cache_clear()
     asks = [(rng.choice(family), d) for _ in range(3) for d in range(9)]
@@ -491,4 +560,4 @@ def test_pairs_with_the_same_forms_share_their_maps(case, seed):
     finally:
         sys.setswitchinterval(interval)
     for ((a, s), d), piece in zip(asks, grown):
-        assert sorted_images(piece) == expanded_restriction_images(a, s, d)
+        assert_matches_expansion(piece, a, s, d)
