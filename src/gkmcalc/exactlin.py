@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
 
 from .errors import InputShapeError
@@ -229,55 +230,43 @@ def _eliminate(row, prow, c):
 
 
 def _find(up, c):
-    """``(root, num, den)`` with ``x_c = num / den * x_root`` for a non-root
-    column c of the weighted union-find ``up`` (non-root column ->
-    ``(parent, num, den)``); points every column on the path straight at
-    the root."""
-    link = up[c]
-    if link[0] not in up:
-        return link
+    """``(root, num, den)`` with ``x_c = num / den * x_root`` in the weighted
+    union-find ``up`` (column -> ``(parent, num, den)``, None at a root);
+    points every column on the path straight at the root."""
     path = []
-    while c in up:
+    while up[c] is not None:
         path.append(c)
         c = up[c][0]
     num = den = 1
     for k in reversed(path):
         _, n, d = up[k]
-        num *= n
-        den *= d
+        num, den = num * n, den * d
         g = gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
+        num, den = num // g, den // g
         up[k] = (c, num, den)
     return c, num, den
 
 
-def _doubleton_classes(rows, ncols):
-    """The classes of columns that rows of at most two entries tie together,
-    or None at the first row of three or more; empty rows are skipped and
-    ``rows`` is left as it is.
+def pair_pivots(rows, ncols) -> list[int]:
+    """The pivot columns, increasing, of rows of at most two entries, by a
+    weighted union-find on the columns (LaMacchia and Odlyzko, CRYPTO '90).
 
-    A forced zero is the extra column ``zero = ncols``: a one-entry row
-    ``{c: a}`` is read as ``{c: a, zero: 1}``.  Each class is held at
-    ``x_c = num / den * x_root``, its root its largest column; the returned
-    ``up`` maps each non-root column to its parent and factor.  A row
-    closing a cycle whose factors disagree hangs its root under ``zero``,
-    unless that root is ``zero``.
+    A row ``(i, a, j, b)`` is ``a * x_i + b * x_j = 0``, no entry zero, over
+    columns ``0..ncols``; ``zero = ncols`` is a forced zero, so ``(i, a,
+    ncols, 1)`` is the row ``{i: a}`` and ``(ncols, 1, ncols, 1)`` is empty.
+    A class holds ``x_c = num / den * x_root``, its root its largest column;
+    a row closing a cycle whose factors disagree hangs the root under
+    ``zero``.  With ``x_zero = 0`` appended, the rows span what the forest
+    rows ``x_c = f * x_parent`` span, and those lead with the non-roots.
     """
     zero = ncols
-    up: dict[int, tuple[int, int, int]] = {}
-    for row in rows:
-        if len(row) == 2:
-            (i, a), (j, b) = row.items()
-        elif len(row) == 1:
-            (i, a), (j, b) = *row.items(), (zero, 1)
-        elif row:
-            return None
-        else:
-            continue
-        ri, ni, di = _find(up, i) if i in up else (i, 1, 1)
-        rj, nj, dj = _find(up, j) if j in up else (j, 1, 1)
+    up: list[tuple[int, int, int] | None] = [None] * (ncols + 1)
+    for i, a, j, b in rows:
+        # a root, a child of a root, or found along its path
+        link = up[i]
+        ri, ni, di = (i, 1, 1) if link is None else link if up[link[0]] is None else _find(up, i)
+        link = up[j]
+        rj, nj, dj = (j, 1, 1) if link is None else link if up[link[0]] is None else _find(up, j)
         # a * ni/di * x_ri + b * nj/dj * x_rj = 0
         num, den = -b * nj * di, a * ni * dj
         if ri == rj:
@@ -287,11 +276,9 @@ def _doubleton_classes(rows, ncols):
         if ri > rj:
             ri, rj, num, den = rj, ri, den, num
         # x_ri = num/den * x_rj: the smaller root hangs under the larger
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(num, den)
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
         up[ri] = (rj, num // g, den // g)
-    return up
+    return list(compress(range(ncols), up))
 
 
 def reduce_int_rows(rows, ncols, rank_only=False):
@@ -310,21 +297,14 @@ def reduce_int_rows(rows, ncols, rank_only=False):
     smallest entry there, which keeps fill-in and integer growth low.
 
     With ``rank_only=True`` only ``pivots`` is meaningful, and they are the
-    same, found one of two ways.  When every row has at most two entries, a
-    weighted union-find on the columns gives them (:func:`_doubleton_classes`;
-    a zero entry would tie two columns by a zero factor, so there must be
-    none); ``reduced`` is then empty and ``rows`` is left as it is.  Add the
-    row ``x_ncols = 0``; appended last, it changes no pivot before it.  The
-    input rows and it span what it and the forest rows span, one row
-    ``x_c = f * x_parent`` for each column c in ``up``, whose parent is a
-    larger column.  The forest rows so lead with distinct columns, and the
-    pivots are ``up``.  Otherwise the loop runs on every row, without back
-    substitution, and ``reduced`` holds an echelon form.
+    same.  When every row has at most two entries, :func:`pair_pivots` finds
+    them, a missing entry read as the forced zero column ``ncols``; ``reduced``
+    is then empty and ``rows`` is left as it is.  Otherwise the loop runs on
+    every row, without back substitution, and ``reduced`` holds an echelon form.
     """
-    if rank_only:
-        up = _doubleton_classes(rows, ncols)
-        if up is not None:
-            return [], sorted(up)
+    if rank_only and all(len(row) <= 2 for row in rows):
+        pairs = ((*row.items(), (ncols, 1), (ncols, 1))[:2] for row in rows)
+        return [], pair_pivots(((i, a, j, b) for (i, a), (j, b) in pairs), ncols)
     # rows grouped by their leading column; every row still in a group is
     # zero left of that column
     groups: dict[int, list[dict[int, int]]] = {}

@@ -19,8 +19,11 @@ polynomials (f_v) with f_source|t_e = f_target|t_e along every edge, and
 the componentwise product makes the kernel a graded algebra.
 
 What no degree changes is read once per call: each edge end's sign,
-pullback blocks and resolved restriction (:func:`_ends`); each degree
-then visits only the splits where a fiber is nonzero (:func:`_splits`).
+pullback blocks and resolved restriction (:func:`_ends`).  Each degree then
+visits only the splits where a fiber is nonzero (:func:`_splits`) and
+scatters its rows once, into flat slot lists (:func:`_slots`), which a rank of
+rows of at most two entries reads (:func:`~gkmcalc.exactlin.pair_pivots`);
+the elimination loop, for wider rows and RREF, reads :func:`_constraint_rows`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import lcm
 
 from .errors import (
@@ -46,6 +50,7 @@ from .exactlin import (
     is_int,
     is_int_row,
     kernel_rows,
+    pair_pivots,
     reduce_int_rows,
     subspace_from_json,
 )
@@ -81,10 +86,7 @@ class GradedVS:
         return cls(((0, 1),))
 
     def dim(self, degree: int) -> int:
-        for q, d in self.dims:
-            if q == degree:
-                return d
-        return 0
+        return next((d for q, d in self.dims if q == degree), 0)
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.dims)
@@ -473,12 +475,8 @@ def _validate(graph: GkmGraph) -> ValidationReport:
     dims = f"vertex isotropies of dimension {sorted(vdims)}, edges {sorted(edims)}"
     check(CHECK_ISOTROPY_DIMENSIONS, not dims_ok, dims, dims)
 
-    gkm_bad = []
-    for vid, edge_list in incident.items():
-        for i in range(len(edge_list)):
-            for j in range(i + 1, len(edge_list)):
-                if edge_list[i].isotropy == edge_list[j].isotropy:
-                    gkm_bad.append((vid, edge_list[i].id, edge_list[j].id))
+    gkm_bad = [(vid, a.id, b.id) for vid, edge_list in incident.items()
+               for a, b in combinations(edge_list, 2) if a.isotropy == b.isotropy]
     check(CHECK_GKM_CONDITION, gkm_bad, "edge isotropies at each vertex are pairwise distinct",
           f"coinciding edge isotropies: {gkm_bad}")
 
@@ -602,18 +600,18 @@ def _ends(graph: GkmGraph, bases=None):
             for e in graph.edges]
 
 
-def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, ends):
-    """Rows of the edge-restriction map at one total degree.
-
-    Each row is an integer multiple of a row of the map, as a sparse
-    ``{col: int}`` dict; rows that are zero are left out.  ``blocks`` is
-    :func:`_layout`'s mapping of (vertex id, d, q) to ``(offset, poly_dim,
-    fiber_dim)`` in column order.  Polynomials are written in the coordinates
-    of ``ends``, from :func:`_ends`, and only the splits where an edge fiber
-    is nonzero are visited.  The body never reads ``total``, the column
-    count, which stays fourth because ``pipebench/spans.py`` reads it.
+def _slots(graph: GkmGraph, total_degree: int, blocks, total: int, ends):
+    """Rows of the edge-restriction map at one total degree, each an integer
+    multiple of a row of the map, as ``(cols0, vals0, cols1, vals1, wide)``:
+    row k holds ``vals0[k]`` in column ``cols0[k]``, then ``vals1[k]`` in
+    ``cols1[k]``, then the entries of ``wide[k]``, if any, in scatter order.
+    An empty slot holds column ``total`` with value 1, the forced zero of
+    :func:`~gkmcalc.exactlin.pair_pivots`.  ``blocks`` is :func:`_layout`'s
+    mapping of (vertex id, d, q) to ``(offset, poly_dim, fiber_dim)``, and
+    polynomials are written in the coordinates of ``ends``, from :func:`_ends`.
     """
-    rows: list[dict[int, int]] = []
+    cols0, vals0, cols1, vals1 = [], [], [], []
+    wide: dict[int, dict[int, int]] = {}
     for e, edge_ends in zip(graph.edges, ends):
         for d, q, e_pdim, e_fdim in _splits(e.edge_fiber, e.isotropy.dim, total_degree):
             contributions = []
@@ -629,20 +627,37 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, end
                 lcm(*(scale * prows[ip][0] for _, scale, _, prows, _ in contributions))
                 for ip in range(e_fdim)
             ]
-            # row (ir, ip) at ir * e_fdim + ip; each endpoint's nonempty
+            # row (ir, ip) at start + ir * e_fdim + ip; each endpoint's nonempty
             # images are scattered into the rows by increasing column, source first
-            grid = [{} for _ in range(e_pdim * e_fdim)]
+            start = len(cols0)
+            for slot, empty in ((cols0, total), (vals0, 1), (cols1, total), (vals1, 1)):
+                slot.extend([empty] * (e_pdim * e_fdim))
             for (offset, _, width), scale, live, prows, sign in contributions:
                 for ip, (pden, ppairs) in enumerate(prows):
                     f = sign * (den[ip] // (scale * pden))
                     for col, image in live:
                         base = offset + col * width
                         for ir, r in image:
-                            row = grid[ir * e_fdim + ip]
+                            k = start + ir * e_fdim + ip
                             for jp, p in ppairs:
-                                row[base + jp] = f * r * p
-            rows += filter(None, grid)
-    return rows
+                                if cols0[k] == total:
+                                    cols0[k], vals0[k] = base + jp, f * r * p
+                                elif cols1[k] == total:
+                                    cols1[k], vals1[k] = base + jp, f * r * p
+                                else:
+                                    wide.setdefault(k, {})[base + jp] = f * r * p
+    return cols0, vals0, cols1, vals1, wide
+
+
+def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, ends, slots=None):
+    """The nonzero rows of :func:`_slots`, or of ``slots`` already scattered
+    for these arguments, as sparse ``{col: int}`` dicts, entries in order."""
+    cols0, vals0, cols1, vals1, wide = slots or _slots(graph, total_degree, blocks, total, ends)
+    rows = [{i: a} if j == total else {i: a, j: b}
+            for i, a, j, b in zip(cols0, vals0, cols1, vals1)]
+    for k, entries in wide.items():
+        rows[k].update(entries)
+    return [row for row in rows if total not in row]  # an empty row reads {total: 1}
 
 
 def equivariant_dims(graph: GkmGraph, max_degree: int) -> DegreeSeries:
@@ -663,8 +678,12 @@ def equivariant_dims(graph: GkmGraph, max_degree: int) -> DegreeSeries:
         if total == 0:
             dims.append(0)
             continue
-        rows = _constraint_rows(graph, m, blocks, total, ends)
-        _, pivots = reduce_int_rows(rows, total, rank_only=True)
+        slots = _slots(graph, m, blocks, total, ends)
+        if slots[4]:  # a row of three entries or more: the fixed-order loop
+            _, pivots = reduce_int_rows(_constraint_rows(graph, m, blocks, total, ends, slots),
+                                        total, rank_only=True)
+        else:
+            pivots = pair_pivots(zip(*slots[:4]), total)
         dims.append(total - len(pivots))
     return DegreeSeries(tuple(dims))
 
@@ -682,10 +701,8 @@ class EquivariantClass:
     components: tuple[tuple[str, int, int, MatrixQ], ...]
 
     def component(self, vertex: str, poly_degree: int, fiber_degree: int) -> MatrixQ | None:
-        for vid, d, q, m in self.components:
-            if (vid, d, q) == (vertex, poly_degree, fiber_degree):
-                return m
-        return None
+        key = vertex, poly_degree, fiber_degree
+        return next((m for *block, m in self.components if tuple(block) == key), None)
 
     def vertex_polynomial(self, graph: GkmGraph, vertex: str) -> dict[tuple[int, ...], Fraction]:
         """Point-fiber convenience: {exponent tuple: coefficient}."""
@@ -778,7 +795,7 @@ def class_product(
                 )
     degree = a.degree + b.degree
     blocks, total = _layout(graph, degree)
-    vec = [Fraction(0)] * total
+    vec = [Fraction(0)] * (total + 1)  # and the column an empty slot of a row reads
     for (vid, d, _), (offset, _, _) in blocks.items():
         index = monomial_basis(graph.vertex(vid).isotropy.dim, d).index
         pb = b.vertex_polynomial(graph, vid)
@@ -786,8 +803,11 @@ def class_product(
             for mb, cb in pb.items():
                 key = tuple(x + y for x, y in zip(ma, mb))
                 vec[offset + index[key]] += ca * cb
-    rows = _constraint_rows(graph, degree, blocks, total, _ends(graph))
-    if any(sum(c * vec[col] for col, c in row.items()) for row in rows):
+    cols0, vals0, cols1, vals1, wide = _slots(graph, degree, blocks, total, _ends(graph))
+    residues = [x * vec[i] + y * vec[j] for i, x, j, y in zip(cols0, vals0, cols1, vals1)]
+    for k, entries in wide.items():
+        residues[k] += sum(c * vec[col] for col, c in entries.items())
+    if any(residues):
         raise InputShapeError(
             f"the product does not satisfy the constraints of degree {degree}: "
             "class_product requires kernel elements"

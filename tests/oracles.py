@@ -46,6 +46,10 @@ restriction once per call (:func:`probing_layout`,
 :func:`probing_constraint_rows`): every split 2d + q = m with d <= m/2 is
 probed, and each edge end's pullback blocks and restriction are looked up
 again at every degree.
+And so are the rank path that flat slot lists replaced: the assembly of one
+``{col: int}`` dict per row (:func:`dict_constraint_rows`), the union-find
+on those dicts keyed by column (:func:`doubleton_classes`) and the
+dimensions they give (:func:`union_find_equivariant_dims`).
 """
 
 from fractions import Fraction
@@ -54,12 +58,16 @@ from math import gcd, lcm
 
 from gkmcalc.errors import InputShapeError, UnsupportedRingStructureError
 from gkmcalc.exactlin import MatrixQ, _as_rational, _normalized, coordinates
+from gkmcalc.exactlin import reduce_int_rows as sparse_reduce_int_rows
 from gkmcalc.gkmcore import (
     EquivariantClass,
     GkmGraph,
+    _adapted_bases,
     _classes_from_rows,
+    _ends,
     _layout,
     _require_valid,
+    _splits,
 )
 from gkmcalc.symalg import monomial_basis, restriction, restriction_images, sym_dim
 
@@ -790,3 +798,119 @@ def probing_constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: i
                                 row[base + jp] = f * r * p
             rows += filter(None, grid)
     return rows
+
+
+def dict_constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, ends):
+    """The sparse ``{col: int}`` rows of one total degree, each scattered
+    straight into a dict of its own, in the coordinates of ``ends`` as
+    ``gkmcore._ends`` gives them; rows that are zero are left out."""
+    rows: list[dict[int, int]] = []
+    for e, edge_ends in zip(graph.edges, ends):
+        for d, q, e_pdim, e_fdim in _splits(e.edge_fiber, e.isotropy.dim, total_degree):
+            contributions = []
+            for vid, sign, pblocks, to_edge in edge_ends:
+                block = blocks.get((vid, d, q))
+                prows = pblocks.get(q)
+                if block is None or prows is None:
+                    continue
+                scale, _, live = restriction_images(to_edge, d)
+                contributions.append((block, scale, live, prows, sign))
+            den = [
+                lcm(*(scale * prows[ip][0] for _, scale, _, prows, _ in contributions))
+                for ip in range(e_fdim)
+            ]
+            grid = [{} for _ in range(e_pdim * e_fdim)]
+            for (offset, _, width), scale, live, prows, sign in contributions:
+                for ip, (pden, ppairs) in enumerate(prows):
+                    f = sign * (den[ip] // (scale * pden))
+                    for col, image in live:
+                        base = offset + col * width
+                        for ir, r in image:
+                            row = grid[ir * e_fdim + ip]
+                            for jp, p in ppairs:
+                                row[base + jp] = f * r * p
+            rows += filter(None, grid)
+    return rows
+
+
+def _find(up, c):
+    """``(root, num, den)`` with ``x_c = num / den * x_root`` for a non-root
+    column c of the weighted union-find ``up`` (non-root column ->
+    ``(parent, num, den)``); points every column on the path straight at
+    the root."""
+    link = up[c]
+    if link[0] not in up:
+        return link
+    path = []
+    while c in up:
+        path.append(c)
+        c = up[c][0]
+    num = den = 1
+    for k in reversed(path):
+        _, n, d = up[k]
+        num *= n
+        den *= d
+        g = gcd(num, den)
+        if g > 1:
+            num //= g
+            den //= g
+        up[k] = (c, num, den)
+    return c, num, den
+
+
+def doubleton_classes(rows, ncols):
+    """The classes of columns that sparse rows of at most two entries tie
+    together, or None at the first row of three or more; empty rows are
+    skipped and ``rows`` is left as it is.
+
+    A forced zero is the extra column ``zero = ncols``: a one-entry row
+    ``{c: a}`` is read as ``{c: a, zero: 1}``.  Each class is held at
+    ``x_c = num / den * x_root``, its root its largest column; the returned
+    ``up`` maps each non-root column to its parent and factor, so its
+    sorted keys are the pivots.  A row closing a cycle whose factors
+    disagree hangs its root under ``zero``, unless that root is ``zero``.
+    """
+    zero = ncols
+    up: dict[int, tuple[int, int, int]] = {}
+    for row in rows:
+        if len(row) == 2:
+            (i, a), (j, b) = row.items()
+        elif len(row) == 1:
+            (i, a), (j, b) = *row.items(), (zero, 1)
+        elif row:
+            return None
+        else:
+            continue
+        ri, ni, di = _find(up, i) if i in up else (i, 1, 1)
+        rj, nj, dj = _find(up, j) if j in up else (j, 1, 1)
+        # a * ni/di * x_ri + b * nj/dj * x_rj = 0
+        num, den = -b * nj * di, a * ni * dj
+        if ri == rj:
+            if num != den and ri != zero:
+                up[ri] = (zero, 1, 1)
+            continue
+        if ri > rj:
+            ri, rj, num, den = rj, ri, den, num
+        # x_ri = num/den * x_rj: the smaller root hangs under the larger
+        if den < 0:
+            num, den = -num, -den
+        g = gcd(num, den)
+        up[ri] = (rj, num // g, den // g)
+    return up
+
+
+def union_find_equivariant_dims(graph, max_degree):
+    """Kernel dimension per total degree in the adapted bases, from the dict
+    rows: :func:`doubleton_classes` where every row has at most two
+    entries, else the library's fixed-order loop."""
+    _require_valid(graph)
+    ends = _ends(graph, _adapted_bases(graph))
+    dims = []
+    for m in range(max_degree + 1):
+        blocks, total = _layout(graph, m)
+        rows = dict_constraint_rows(graph, m, blocks, total, ends)
+        up = doubleton_classes(rows, total)
+        pivots = sorted(up) if up is not None else sparse_reduce_int_rows(
+            rows, total, rank_only=True)[1]
+        dims.append(total - len(pivots))
+    return dims

@@ -27,6 +27,7 @@ from gkmcalc.exactlin import (
     int_rows_from_json,
     int_rows_to_json,
     kernel_basis,
+    pair_pivots,
     reduce_int_rows,
     rational_from_json,
     rational_to_json,
@@ -37,6 +38,7 @@ from gkmcalc.toric import simplex_polytope
 from oracles import (
     _scaled_int_rows,
     dense_restriction_matrix,
+    doubleton_classes,
     hyperplane_normal,
     identity_block_dual_basis,
     identity_matrix,
@@ -133,12 +135,20 @@ def doubleton_rows(rng, nc, nrows, big, wide):
     return rows
 
 
+def slot_lists(rows, nc):
+    """The four slot lists of sparse rows of at most two entries, an absent
+    entry as the forced zero column nc with value 1."""
+    pad = (nc, 1), (nc, 1)
+    pairs = [(*row.items(), *pad)[:2] for row in rows]
+    return ([p[s][t] for p in pairs] for s in (0, 1) for t in (0, 1))
+
+
 def doubleton_inputs():
     """``("doubleton", ncols, dense rows)`` cases of the two rank_only paths.
 
     Each system of rows of at most two entries comes alone, for the
     union-find, and then with its wide rows after it, for the loop that
-    takes over from a partly built forest.
+    runs when a row has three entries or more.
     """
     # (ncols, rows of at most two entries, wide rows)
     cases = [
@@ -306,6 +316,39 @@ def test_rank_only_pivots_match_the_fixed_order(rng, nc, nrows, big, wide):
     _, full = reduce_int_rows([dict(row) for row in rows], nc)
     _, got = reduce_int_rows([dict(row) for row in rows], nc, rank_only=True)
     assert got == full == want
+    # the rows of at most two entries, from their slot lists, against the
+    # fixed order and the union-find on dict rows keyed by column
+    short = [row for row in rows if len(row) <= 2]
+    _, want = dense_reduce_int_rows(dense(short, nc), nc)
+    _, full = reduce_int_rows([dict(row) for row in short], nc)
+    got = pair_pivots(zip(*slot_lists(short, nc)), nc)
+    assert got == full == want == sorted(doubleton_classes(short, nc))
+
+
+def test_pair_pivots_match_the_fixed_order_and_the_dict_forest():
+    cases = 0
+    for _, nc, rows in doubleton_inputs():
+        sparse = [int_row(r)[1] for r in rows]
+        if any(len(row) > 2 for row in sparse):
+            assert doubleton_classes(sparse, nc) is None
+            continue
+        _, want = dense_reduce_int_rows(rows, nc)
+        got = pair_pivots(zip(*slot_lists(sparse, nc)), nc)
+        assert got == want == sorted(doubleton_classes(sparse, nc)), rows
+        cases += 1
+    assert cases > 40
+
+
+def test_pair_pivots_of_written_out_rows():
+    # a forced zero, a balanced cycle and an unbalanced one, 10^30 factors
+    big = 10**30
+    assert pair_pivots([], 3) == []
+    assert pair_pivots([(1, 7, 3, 1)], 3) == [1]
+    assert pair_pivots([(3, 1, 3, 1), (0, big, 2, -big)], 3) == [0]
+    triangle = [(0, 2, 1, -3 * big), (1, 5, 2, 10), (0, 2, 2, 6 * big)]
+    assert pair_pivots(triangle, 3) == [0, 1]
+    triangle[2] = (0, 4, 2, 5)
+    assert pair_pivots(triangle, 3) == [0, 1, 2]
 
 
 @st.composite

@@ -23,6 +23,7 @@ from gkmcalc.examples import (
     builtin_simplex,
     builtin_stiefel,
 )
+from gkmcalc import gkmcore
 from gkmcalc.exactlin import MatrixQ, canonical_subspace, vector_to_json
 from gkmcalc.gkmcore import (
     EquivariantClass,
@@ -41,19 +42,23 @@ from gkmcalc.gkmcore import (
     _constraint_rows,
     _ends,
     _layout,
+    _slots,
 )
 from gkmcalc.symalg import _graded, restriction, restriction_images
+from gkmcalc.toric import polytope_skeleton, simplex_polytope
 
 from oracles import (
     convolve,
     dense_equivariant_basis,
     dense_equivariant_dims,
+    dict_constraint_rows,
     edgewise_class_product,
     hirzebruch_equivariant_oracle,
     probing_constraint_rows,
     probing_layout,
     rank_of_rows,
     simplex_equivariant_oracle,
+    union_find_equivariant_dims,
 )
 from test_exactlin import invertible_matrix
 
@@ -827,14 +832,15 @@ def test_class_product_returns_kernel_classes(graph, data):
     assert rank_of_rows(kernel + [class_vector(graph, prod)], total) == len(kernel)
 
 
-# --- live splits against probing every split -----------------------------------
+# --- live splits and slot lists against probing and the dict scatter ----------
 
 
 def assert_assembly_matches_probing(graph, cutoff):
     """Blocks and rows, each row's entries in order, of every degree up to
     the cutoff, in the canonical and in the adapted bases, against the
     layout and the assembly that probe every split and look each edge end
-    up again at every degree."""
+    up again at every degree, and against the scatter into one dict per
+    row; and the dimensions against the union-find on those dicts."""
     for bases in (None, _adapted_bases(graph)):
         ends = _ends(graph, bases)
         for m in range(cutoff + 1):
@@ -843,7 +849,10 @@ def assert_assembly_matches_probing(graph, cutoff):
             assert (list(blocks.items()), total) == (list(probed.items()), probed_total), m
             rows = _constraint_rows(graph, m, blocks, total, ends)
             expected = probing_constraint_rows(graph, m, blocks, total, bases)
-            assert [list(r.items()) for r in rows] == [list(r.items()) for r in expected], m
+            scattered = dict_constraint_rows(graph, m, blocks, total, ends)
+            assert ([list(r.items()) for r in rows] == [list(r.items()) for r in expected]
+                    == [list(r.items()) for r in scattered]), m
+    assert list(equivariant_dims(graph, cutoff).coeffs) == union_find_equivariant_dims(graph, cutoff)
 
 
 BUILTINS = {
@@ -929,3 +938,76 @@ def test_one_restriction_lookup_per_edge_end(name):
         call(graph, arg)
         after = _graded.cache_info()
         assert after.hits + after.misses - before.hits - before.misses <= 2 * len(graph.edges)
+
+
+# --- slot lists and the rank path they take -----------------------------------
+
+
+def last_split_widens():
+    """simplex(2) with a two-dimensional fiber at v1 whose last edge, v1|v2,
+    pulls both of its classes back to one point class: the rows of that
+    edge alone have three entries, and in degree 0 the last row is the one
+    wide row, with one entry past its slots."""
+    doc = builtin_simplex(2).to_json()
+    doc["vertices"][1]["fiber"] = {"dims": [[0, 2]]}
+    first, _, last = doc["edges"]
+    first.update(edge_fiber={"dims": [[0, 2]]}, pullback_source={"0": [[1], [2]]},
+                 pullback_target={"0": [[1, 0], [0, 1]]})
+    last.update(edge_fiber={"dims": [[0, 1]]}, pullback_source={"0": [[1, 1]]},
+                pullback_target={"0": [[1]]})
+    return graph_from_json(doc)
+
+
+def test_only_the_last_split_is_wide():
+    graph = last_split_widens()
+    ends = _ends(graph, _adapted_bases(graph))
+    blocks, total = _layout(graph, 0)
+    cols0, _, _, _, wide = _slots(graph, 0, blocks, total, ends)
+    assert list(wide) == [len(cols0) - 1] and len(wide[len(cols0) - 1]) == 1
+    assert_assembly_matches_probing(graph, 8)
+
+
+def rank_path_calls(monkeypatch):
+    """Counts of the dict row lists built and of the reductions run by
+    ``equivariant_dims`` from here on."""
+    calls = {"_constraint_rows": 0, "reduce_int_rows": 0}
+
+    def counted(name):
+        fn = getattr(gkmcore, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(gkmcore, name, counted(name))
+    return calls
+
+
+TWO_ENTRY = {
+    **{name: BUILTINS[name] for name in BUILTINS if name != "stiefel"},
+    "weighted simplex(2)": (lambda: polytope_skeleton(simplex_polytope(2, (1, 2, 3))),),
+    "weighted simplex(3)": (lambda: polytope_skeleton(simplex_polytope(3, (1, 2, 3, 5))),),
+    **{name: (fixture_graph, name)
+       for name in ("generic_simplex4", "generic_cube3", "generic_cube4", "generic_cube5")},
+}
+
+
+@pytest.mark.parametrize("name", TWO_ENTRY)
+def test_toric_and_fiber_join_rank_from_the_slots(name, monkeypatch):
+    # every row of a toric skeleton or a fiber join in its adapted bases has
+    # at most two entries, so no degree builds a dict row or reduces
+    make, *args = TWO_ENTRY[name]
+    graph = make(*args)
+    calls = rank_path_calls(monkeypatch)
+    assert equivariant_dims(graph, 8).coeffs[0] == 1
+    assert calls == {"_constraint_rows": 0, "reduce_int_rows": 0}
+
+
+@pytest.mark.parametrize("make", [builtin_stiefel, last_split_widens])
+def test_wide_degrees_take_the_fallback(make, monkeypatch):
+    graph = make()
+    calls = rank_path_calls(monkeypatch)
+    equivariant_dims(graph, 8)
+    assert calls["_constraint_rows"] == calls["reduce_int_rows"] >= 1
