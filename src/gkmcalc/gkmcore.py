@@ -18,7 +18,10 @@ For point fibers with identity pullbacks this reduces to tuples of
 polynomials (f_v) with f_source|t_e = f_target|t_e along every edge, and
 the componentwise product makes the kernel a graded algebra.
 
-What no degree changes is read once per call: each edge end's sign,
+Where each edge's lines in the bases of :func:`_adapted_bases` are lines of
+both its ends, as on every toric skeleton, the kernel is counted once per
+graph from faces (:func:`_face_dims`).  Otherwise (:func:`_slot_dims`)
+what no degree changes is read once per call: each edge end's sign,
 pullback blocks and resolved restriction (:func:`_ends`).  Each degree then
 visits only the splits where a fiber is nonzero (:func:`_splits`) and
 scatters its rows once, into flat slot lists (:func:`_slots`), which a rank of
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 from .errors import (
     InputShapeError,
@@ -660,18 +663,45 @@ def _constraint_rows(graph: GkmGraph, total_degree: int, blocks, total: int, end
     return [row for row in rows if total not in row]  # an empty row reads {total: 1}
 
 
-def equivariant_dims(graph: GkmGraph, max_degree: int) -> DegreeSeries:
-    """Graded dimensions of the equivariant cohomology kernel up to a cutoff.
+def _face_dims(graph: GkmGraph, bases, max_degree: int):
+    """The kernel dimensions up to ``max_degree`` where the graph is
+    point-fibered with identity pullbacks and each edge's lines in ``bases``
+    are lines of both its ends, else None.  The nodes (vertex, set S of its
+    lines) are joined along each edge whose lines contain S; a component
+    gives one class in degree 0 if S is empty, else C(d - 1, |S| - 1) of
+    them, one per monomial of support S, in degree 2d."""
+    vertex_bases, edge_bases = bases
+    if not graph.is_point_fibered or not all(
+            e.pullback_source.is_identity and e.pullback_target.is_identity
+            and set(edge_bases[e.id]) <= set(vertex_bases[e.source]) & set(vertex_bases[e.target])
+            for e in graph.edges):
+        return None
+    top = max_degree // 2
+    # components per support size: the nodes less the unions that join two
+    count = [sum(comb(len(rows), s) for rows in vertex_bases.values()) for s in range(top + 1)]
+    label = {row: i for i, row in enumerate({row for rows in vertex_bases.values() for row in rows})}
+    up = {}  # node -> parent, for each node that is not a root
 
-    For each total degree m <= max_degree the dimension is the kernel
-    dimension of the edge-restriction map described in the module
-    docstring, in the bases of :func:`_adapted_bases`; the result carries
-    the mandatory cutoff.
-    """
-    if max_degree < 0:
-        raise InputShapeError("max_degree must be nonnegative")
-    _require_valid(graph)
-    ends = _ends(graph, _adapted_bases(graph))
+    def find(node):
+        while node in up:  # path halving
+            up[node] = node = up.get(up[node], up[node])
+        return node
+
+    for e in graph.edges:
+        lines = sorted(label[row] for row in edge_bases[e.id])  # small ints hash cheaply
+        for face in (face for s in range(top + 1) for face in combinations(lines, s)):
+            a, b = find((e.source, face)), find((e.target, face))
+            if a != b:
+                up[a] = b
+                count[len(face)] -= 1
+    return [count[0]] + [0 if m % 2 else sum(comb(m // 2 - 1, s - 1) * count[s]
+                                             for s in range(1, top + 1))
+                         for m in range(1, max_degree + 1)]
+
+
+def _slot_dims(graph: GkmGraph, bases, max_degree: int):
+    """The kernel dimensions up to ``max_degree``, each degree ranked from its slots."""
+    ends = _ends(graph, bases)
     dims = []
     for m in range(max_degree + 1):
         blocks, total = _layout(graph, m)
@@ -685,7 +715,27 @@ def equivariant_dims(graph: GkmGraph, max_degree: int) -> DegreeSeries:
         else:
             pivots = pair_pivots(zip(*slots[:4]), total)
         dims.append(total - len(pivots))
-    return DegreeSeries(tuple(dims))
+    return dims
+
+
+def equivariant_dims(graph: GkmGraph, max_degree: int) -> DegreeSeries:
+    """Graded dimensions of the equivariant cohomology kernel up to a cutoff.
+
+    For each total degree m <= max_degree the dimension is the kernel
+    dimension of the edge-restriction map described in the module
+    docstring, in the bases of :func:`_adapted_bases`; the result carries
+    the mandatory cutoff.  Where :func:`_face_dims` applies, a vertex line's
+    dual coordinate restricts to the same edge line's or to 0, so each row is
+    x_(u,a) - x_(v,a) for a monomial a in the edge's lines: no path picks up
+    a sign or a permutation, so no holonomy can occur and faces count the
+    kernel.  Elsewhere :func:`_slot_dims` ranks each degree's system.
+    """
+    if max_degree < 0:
+        raise InputShapeError("max_degree must be nonnegative")
+    _require_valid(graph)
+    bases = _adapted_bases(graph)
+    return DegreeSeries(tuple(_face_dims(graph, bases, max_degree)
+                              or _slot_dims(graph, bases, max_degree)))
 
 
 @dataclass(frozen=True)

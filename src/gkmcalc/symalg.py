@@ -19,7 +19,8 @@ monomials and the list of the nonempty ones, which the assembly reads; the
 growth addresses monomials by position only, through two tables of each
 degree's :class:`MonomialBasis` (:attr:`~MonomialBasis.down` and
 :attr:`~MonomialBasis.up`).  ``gkmcore.equivariant_dims`` asks for pairs of
-adapted bases, in which most maps send a monomial to one monomial or to 0.
+adapted bases where it does not count from faces, and in them most maps
+send a monomial to one monomial or to 0.
 
 Grading convention: the generators of S(V*) sit in cohomological degree 2,
 so polynomial degree d contributes to cohomological degree 2d.
@@ -39,15 +40,13 @@ from .exactlin import coordinates
 #: and ``_maps`` (every degree built so far for one set of forms) caches, so
 #: that long-lived use stays within a bounded memory.  ``equivariant_basis``
 #: and ``class_product`` read the canonical pairs and ``equivariant_dims`` the
-#: adapted ones.  One cold pass of a ``pipebench`` workload holds at most 232
-#: pairs (``cli-stream``; ``generic-series`` 192) with at most 20 sets of
-#: forms (``basis-ring``; ``generic-series`` 7) and builds at most 97 maps
-#: past degree 0 (``simplex(5)`` up to degree 16 holds 30 pairs, 5 sets of
-#: forms and builds 40), so none evicts.  The ``down`` and ``up`` tables of a
-#: basis add about 64 bytes per monomial and 56 + 8 * var_count bytes per
-#: monomial one degree down (plus 28 bytes per position past 256), under half
-#: of what its monomials and ``index`` take: 0.06 MB beside 0.14 MB for the 30
-#: bases of a ``sparse-series`` pass.
+#: adapted ones off its face count, so a toric skeleton's dimensions ask for
+#: none.  One cold pass of a ``pipebench`` workload (seed 1) holds at most 52
+#: pairs with 20 sets of forms and builds at most 97 maps past degree 0
+#: (``basis-ring``; ``generic-series`` none), so none evicts.  The ``down``
+#: and ``up`` tables of a basis add about 64 bytes per monomial and 56 + 8 *
+#: var_count bytes per monomial one degree down (plus 28 bytes per position
+#: past 256), under half of what its monomials and ``index`` take.
 CACHE_SIZE = 4096
 
 

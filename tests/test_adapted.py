@@ -4,7 +4,8 @@
 isotropy chosen from the graph (``gkmcore._adapted_bases``).  Dimensions
 do not depend on that choice, so they are checked against the canonical
 system, kept as the oracle, and against the dense path; on toric skeletons
-the adapted system has two nonzeros per row, which is what makes it fast.
+the adapted system has two nonzeros per row, an identification system that
+``equivariant_dims`` counts from faces (see ``test_face_count.py``).
 """
 
 import pytest

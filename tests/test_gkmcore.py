@@ -42,6 +42,7 @@ from gkmcalc.gkmcore import (
     _constraint_rows,
     _ends,
     _layout,
+    _slot_dims,
     _slots,
 )
 from gkmcalc.symalg import _graded, restriction, restriction_images
@@ -968,9 +969,9 @@ def test_only_the_last_split_is_wide():
 
 
 def rank_path_calls(monkeypatch):
-    """Counts of the dict row lists built and of the reductions run by
-    ``equivariant_dims`` from here on."""
-    calls = {"_constraint_rows": 0, "reduce_int_rows": 0}
+    """Counts of the layouts and slot lists built, the dict row lists built
+    and the reductions run by ``equivariant_dims`` from here on."""
+    calls = {"_layout": 0, "_slots": 0, "_constraint_rows": 0, "reduce_int_rows": 0}
 
     def counted(name):
         fn = getattr(gkmcore, name)
@@ -985,24 +986,52 @@ def rank_path_calls(monkeypatch):
     return calls
 
 
-TWO_ENTRY = {
-    **{name: BUILTINS[name] for name in BUILTINS if name != "stiefel"},
+FACE_COUNT = {
+    **{name: BUILTINS[name] for name in BUILTINS if name.startswith("simplex")},
     "weighted simplex(2)": (lambda: polytope_skeleton(simplex_polytope(2, (1, 2, 3))),),
     "weighted simplex(3)": (lambda: polytope_skeleton(simplex_polytope(3, (1, 2, 3, 5))),),
     **{name: (fixture_graph, name)
        for name in ("generic_simplex4", "generic_cube3", "generic_cube4", "generic_cube5")},
+    "double_edge": (fixture_graph, "cli_golden/double_edge.graph"),
 }
+PAIR_SLOTS = {name: BUILTINS[name] for name in BUILTINS
+              if name.startswith(("fiber_join", "hirzebruch"))}
+TWO_ENTRY = {**FACE_COUNT, **PAIR_SLOTS}
 
 
 @pytest.mark.parametrize("name", TWO_ENTRY)
 def test_toric_and_fiber_join_rank_from_the_slots(name, monkeypatch):
     # every row of a toric skeleton or a fiber join in its adapted bases has
-    # at most two entries, so no degree builds a dict row or reduces
+    # at most two entries, so the slot path, which is the face count's
+    # oracle on toric skeletons, builds no dict row and runs no reduction
     make, *args = TWO_ENTRY[name]
     graph = make(*args)
     calls = rank_path_calls(monkeypatch)
+    assert _slot_dims(graph, _adapted_bases(graph), 8)[0] == 1
+    assert calls["_slots"] >= 1
+    assert calls["_constraint_rows"] == calls["reduce_int_rows"] == 0
+
+
+@pytest.mark.parametrize("name", FACE_COUNT)
+def test_toric_skeletons_take_the_face_count(name, monkeypatch):
+    # every edge's lines are lines of both its ends: no degree is laid out
+    make, *args = FACE_COUNT[name]
+    graph = make(*args)
+    calls = rank_path_calls(monkeypatch)
     assert equivariant_dims(graph, 8).coeffs[0] == 1
-    assert calls == {"_constraint_rows": 0, "reduce_int_rows": 0}
+    assert calls == {"_layout": 0, "_slots": 0, "_constraint_rows": 0, "reduce_int_rows": 0}
+
+
+@pytest.mark.parametrize("name", PAIR_SLOTS)
+def test_fiber_join_and_hirzebruch_rank_from_the_slots(name, monkeypatch):
+    # fibers or pullbacks that are not points: each degree's slots are
+    # ranked, every row of at most two entries, so no dict row is built
+    make, *args = PAIR_SLOTS[name]
+    graph = make(*args)
+    calls = rank_path_calls(monkeypatch)
+    assert equivariant_dims(graph, 8).coeffs[0] == 1
+    assert calls["_slots"] >= 1
+    assert calls["_constraint_rows"] == calls["reduce_int_rows"] == 0
 
 
 @pytest.mark.parametrize("make", [builtin_stiefel, last_split_widens])
@@ -1010,4 +1039,5 @@ def test_wide_degrees_take_the_fallback(make, monkeypatch):
     graph = make()
     calls = rank_path_calls(monkeypatch)
     equivariant_dims(graph, 8)
+    assert calls["_slots"] >= 1
     assert calls["_constraint_rows"] == calls["reduce_int_rows"] >= 1
